@@ -139,30 +139,6 @@ class _Consumed(list):
 _CONSUMED = _Consumed()
 
 
-class _Hop(Event):
-    """A zero-delay callback event (see :meth:`Simulator.defer`).
-
-    Dispatches straight into ``fn`` with none of the Timeout/callback
-    machinery: the macro-event NIC drivers issue one of these for every
-    kernel hop they mirror from the legacy loops, which makes it a
-    hot-path allocation.
-    """
-
-    __slots__ = ("_fn",)
-
-    def __init__(self, sim: "Simulator", fn: Callable[[], None]):
-        self.sim = sim
-        self._fn = fn
-        self._value = None
-        self._exc = None
-        self._triggered = True
-        self._callbacks = []
-
-    def _dispatch(self) -> None:
-        self._callbacks = _CONSUMED
-        self._fn()
-
-
 class Timeout(Event):
     """An event that fires ``delay`` time units after creation."""
 
@@ -355,14 +331,6 @@ class Simulator:
         ev = self.timeout(delay)
         ev.add_callback(lambda _ev: fn())
         return ev
-
-    def defer(self, fn: Callable[[], None]) -> None:
-        """Run ``fn`` one kernel event later at the current instant.
-
-        Equivalent in dispatch position to ``schedule(0.0, fn)`` — the
-        event joins the current instant's FIFO lane — but without the
-        Timeout and callback-list overhead."""
-        self._fifo.append(_Hop(self, fn))
 
     def all_of(self, events) -> Event:
         """An event that fires when every event in ``events`` has fired.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hw import PAPER_16P, PAPER_32P
+from repro.hw import PAPER_16P, PAPER_32P, MachineConfig
 
 
 def test_paper_testbed_topology():
@@ -88,3 +88,13 @@ def test_topology_field_validation():
         PAPER_16P.scaled(topology="mesh")
     with pytest.raises(ValueError):
         PAPER_16P.scaled(hop_latency_us=-1.0)
+
+
+@pytest.mark.parametrize("field,value", [("packet_max", 0),
+                                         ("packet_max", -5),
+                                         ("page_size", 0)])
+def test_size_field_validation(field, value):
+    # Construct only: unchecked, a non-positive packet_max never finishes
+    # segmenting, so running it would hang instead of failing.
+    with pytest.raises(ValueError, match=field):
+        MachineConfig(**{field: value})
