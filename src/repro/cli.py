@@ -13,9 +13,6 @@ Examples::
     python -m repro profile --app fft --variant base --variant genima
     python -m repro critpath --app fft --variant base --variant genima
     python -m repro scale --app KVStore --nodes 16 --nodes 256
-    python -m repro serve --port 8737 &
-    python -m repro submit --app FFT --serve http://127.0.0.1:8737
-    python -m repro figure 3 --serve http://127.0.0.1:8737
     python -m repro calibrate
     python -m repro check --app Barnes-spatial
     python -m repro lint
@@ -42,15 +39,10 @@ CHECK_APPS = ("Barnes-spatial", "Water-spatial")
 def _make_cache(args, config=None):
     """Experiment cache from the shared grid options (see
     ``_grid_parent``): ``--jobs`` sizes the worker pool, ``--cache-dir``
-    overrides the store root, ``--no-cache`` disables persistence, and
-    ``--serve URL`` routes the whole grid through a running
-    `repro serve` daemon instead of evaluating in-process."""
+    overrides the store root and ``--no-cache`` disables persistence.
+    Processes sharing a store compute each cell once between them."""
     from .experiments import ExperimentCache
     from .runtime import ResultStore
-    if getattr(args, "serve", None):
-        from .serve import RemoteExecutor
-        return ExperimentCache(config=config,
-                               executor=RemoteExecutor(args.serve))
     store = None if args.no_cache else ResultStore(args.cache_dir)
     return ExperimentCache(config=config, jobs=args.jobs, store=store,
                            jobs_force=args.jobs_force)
@@ -583,90 +575,6 @@ def _cmd_lint(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    """Run the persistent experiment daemon in the foreground."""
-    import os
-    from .runtime import ResultStore
-    from .serve import run_daemon
-    store = None if args.no_cache else ResultStore(args.cache_dir)
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
-    run_daemon(host=args.host, port=args.port, store=store, jobs=jobs,
-               workers=args.workers, memo_cap=args.memo_cap)
-    return 0
-
-
-def _cmd_submit(args) -> int:
-    """Submit a cell grid to a daemon and stream per-cell progress.
-
-    Also the daemon's ops tool: ``--stats`` prints the counter
-    snapshot, ``--shutdown`` drains and stops it.
-    """
-    from .serve import ServeClient, ServeError
-    client = ServeClient(args.serve)
-    try:
-        if args.stats:
-            print(json.dumps(client.stats(), indent=2, sort_keys=True))
-            return 0
-        if args.shutdown:
-            print(json.dumps(client.shutdown(), indent=2,
-                             sort_keys=True))
-            return 0
-        specs, labels = _submit_grid(args)
-        label_by_digest = {}
-        counts = {}
-
-        def on_event(event):
-            kind = event.get("event")
-            if kind == "accepted":
-                for digest, label in zip(event["digests"], labels):
-                    label_by_digest.setdefault(digest, label)
-                print(f"accepted: {event['cells']} cell(s), "
-                      f"{event['unique']} unique")
-            elif kind in ("cell", "error"):
-                digest = event.get("digest", "?")
-                label = label_by_digest.get(digest, "?")
-                if kind == "cell":
-                    source = event["source"]
-                    counts[source] = counts.get(source, 0) + 1
-                    print(f"  {digest[:12]}  {label:28s} {source:9s}"
-                          f"{event['elapsed_ms']:10.1f} ms")
-                else:
-                    counts["error"] = counts.get("error", 0) + 1
-                    print(f"  {digest[:12]}  {label:28s} ERROR     "
-                          f"{event.get('message')}")
-
-        try:
-            client.submit(specs, on_event=on_event)
-        finally:
-            if counts:
-                print("sources: " + ", ".join(
-                    f"{k}={v}" for k, v in sorted(counts.items())))
-    except ServeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _submit_grid(args):
-    """(specs, labels) for ``repro submit``: apps x protocol rungs,
-    plus each app's sequential baseline unless ``--no-seq``."""
-    from .runtime import CellSpec
-    config = MachineConfig(nodes=args.nodes)
-    protocols = ([PROTOCOLS[p] for p in args.protocol]
-                 if args.protocol else list(PROTOCOL_LADDER))
-    apps = args.app or ["FFT"]
-    specs, labels = [], []
-    for app in apps:
-        if not args.no_seq:
-            specs.append(CellSpec(kind="seq", app=app, config=config))
-            labels.append(f"{app}/seq")
-        for feats in protocols:
-            specs.append(CellSpec(kind="svm", app=app, features=feats,
-                                  config=config))
-            labels.append(f"{app}/{feats.name}")
-    return specs, labels
-
-
 def _cmd_cache(args) -> int:
     """Inspect or wipe the persistent run store."""
     from .runtime import ResultStore
@@ -689,11 +597,18 @@ def _cmd_cache(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _grid_parent() -> argparse.ArgumentParser:
     """Shared options for every grid-driven subcommand."""
     parent = argparse.ArgumentParser(add_help=False)
     grid = parent.add_argument_group("grid execution and caching")
-    grid.add_argument("--jobs", type=int, default=1, metavar="N",
+    grid.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                       help="evaluate missing grid cells on N worker "
                            "processes (default: 1, in-process; results "
                            "are byte-identical for any N)")
@@ -706,11 +621,6 @@ def _grid_parent() -> argparse.ArgumentParser:
                            "spawn pools only add overhead)")
     grid.add_argument("--no-cache", action="store_true",
                       help="do not read or write the persistent cache")
-    grid.add_argument("--serve", metavar="URL", default=None,
-                      help="evaluate grid cells on a running "
-                           "`repro serve` daemon at URL (shared warm "
-                           "cache, cross-client dedup) instead of "
-                           "in-process")
     return parent
 
 
@@ -910,55 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("calibrate",
                    help="communication-layer microbenchmarks") \
         .set_defaults(fn=_cmd_calibrate)
-
-    serve = sub.add_parser(
-        "serve", help="run the persistent experiment daemon: one warm "
-                      "cache + worker pool, many clients, "
-                      "single-flight dedup")
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default: 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=8737,
-                       help="TCP port (default: 8737; 0 = ephemeral)")
-    serve.add_argument("--jobs", type=int, default=0, metavar="N",
-                       help="worker pool size (default: CPU count)")
-    serve.add_argument("--workers", choices=["spawn", "thread"],
-                       default="spawn",
-                       help="worker pool kind (default: spawn "
-                            "processes; thread = cheap startup, "
-                            "shares the daemon process)")
-    serve.add_argument("--cache-dir", metavar="DIR", default=None,
-                       help="persistent store root (default: "
-                            "$REPRO_CACHE_DIR or ~/.cache/repro)")
-    serve.add_argument("--no-cache", action="store_true",
-                       help="serve from memory only (no persistent "
-                            "store)")
-    serve.add_argument("--memo-cap", type=int, default=1024,
-                       help="in-memory payload LRU entries "
-                            "(default: 1024)")
-    serve.set_defaults(fn=_cmd_serve)
-
-    submit = sub.add_parser(
-        "submit", help="submit a cell grid to a `repro serve` daemon "
-                       "and stream per-cell progress")
-    submit.add_argument("--serve", metavar="URL",
-                        default="http://127.0.0.1:8737",
-                        help="daemon URL (default: "
-                             "http://127.0.0.1:8737)")
-    submit.add_argument("--app", action="append",
-                        choices=sorted(APP_REGISTRY),
-                        help="app(s) to submit (default: FFT)")
-    submit.add_argument("--protocol", action="append",
-                        choices=sorted(PROTOCOLS),
-                        help="protocol rung(s) (default: the ladder)")
-    submit.add_argument("--nodes", type=int, default=4,
-                        help="SMP nodes (default: 4)")
-    submit.add_argument("--no-seq", action="store_true",
-                        help="skip the sequential baseline cells")
-    submit.add_argument("--stats", action="store_true",
-                        help="print the daemon's counters and exit")
-    submit.add_argument("--shutdown", action="store_true",
-                        help="drain and stop the daemon")
-    submit.set_defaults(fn=_cmd_submit)
 
     cache = sub.add_parser(
         "cache", help="inspect or wipe the persistent run cache")

@@ -38,29 +38,17 @@ class ExperimentCache:
     ``jobs`` bounds the worker pool used for cache misses (clamped to
     the CPU count unless ``jobs_force``); ``store`` (a
     :class:`~repro.runtime.parallel.ResultStore`) makes the cache
-    persistent.  Both default off, which reproduces the old in-process
-    memo exactly.  ``executor`` replaces the whole evaluation engine —
-    anything with ``map(specs) -> {digest: obj}`` — which is how grids
-    route through a `repro serve` daemon
-    (:class:`~repro.serve.RemoteExecutor`) without the drivers
-    changing at all.
+    persistent, and single-flights cells across processes sharing it.
+    Both default off, which reproduces the old in-process memo exactly.
     """
 
     def __init__(self, config: Optional[MachineConfig] = None,
                  jobs: int = 1, store: Optional[ResultStore] = None,
-                 jobs_force: bool = False, executor=None):
+                 jobs_force: bool = False):
         self.config = config or MachineConfig()
-        self.executor = executor if executor is not None else \
-            GridExecutor(jobs=jobs, store=store, jobs_force=jobs_force)
+        self.executor = GridExecutor(jobs=jobs, store=store,
+                                     jobs_force=jobs_force)
         self._results: Dict[str, RunResult] = {}
-
-    @property
-    def jobs(self) -> int:
-        return getattr(self.executor, "jobs", 1)
-
-    @property
-    def store(self) -> Optional[ResultStore]:
-        return getattr(self.executor, "store", None)
 
     # ------------------------------------------------------------- specs
 
@@ -114,10 +102,13 @@ class ExperimentCache:
         the results.
         """
         fingerprint = code_fingerprint()
-        pending = [spec for spec in specs
-                   if spec.digest(fingerprint) not in self._results]
+        pending: Dict[str, CellSpec] = {}
+        for spec in specs:
+            digest = spec.digest(fingerprint)
+            if digest not in self._results:
+                pending.setdefault(digest, spec)
         if pending:
-            self._results.update(self.executor.map(pending))
+            self._results.update(self.executor.resolve(pending))
 
     def cell(self, spec: CellSpec):
         """The value for one cell (evaluating it if needed): a
@@ -127,7 +118,7 @@ class ExperimentCache:
         digest = spec.digest()
         result = self._results.get(digest)
         if result is None:
-            result = self.executor.map([spec])[digest]
+            result = self.executor.resolve({digest: spec})[digest]
             self._results[digest] = result
         return result
 

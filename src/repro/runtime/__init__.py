@@ -3,8 +3,8 @@ and the parallel grid executor + persistent run cache."""
 
 from .backends import LocalBackend, SVMBackend
 from .context import Backend, ParallelContext
-from .parallel import (CellSpec, GridExecutor, GridPlan, ResultStore,
-                       canonical, canonical_json, code_fingerprint)
+from .parallel import (CellSpec, GridExecutor, ResultStore, canonical,
+                       canonical_json, code_fingerprint)
 from .results import RunResult, speedup
 from .runner import run_hwdsm, run_on_backend, run_sequential, run_svm
 
@@ -21,7 +21,6 @@ __all__ = [
     "run_svm",
     "CellSpec",
     "GridExecutor",
-    "GridPlan",
     "ResultStore",
     "canonical",
     "canonical_json",

@@ -10,7 +10,8 @@ module moves the repeated work off the critical path twice over:
   but the pickled :class:`CellSpec`), and
 * :class:`ResultStore` persists every evaluated cell under a
   content-addressed key, so a cell whose inputs have not changed is
-  never recomputed — not in this process, not in the next one.
+  never recomputed — not in this process, not in the next one, and
+  not twice by processes sharing the store at once.
 
 **Keying.**  A cell's digest is the SHA-256 of the canonical JSON of
 its full description: kind, application name, canonicalized
@@ -67,7 +68,6 @@ __all__ = [
     "decode_payload",
     "make_envelope",
     "ResultStore",
-    "GridPlan",
     "GridExecutor",
 ]
 
@@ -317,9 +317,8 @@ def make_envelope(spec: CellSpec, payload: dict,
                   fingerprint: Optional[str] = None) -> dict:
     """The store envelope for one evaluated cell.
 
-    One shape for every writer — the in-process executor, pool
-    workers' parents, and the serve daemon all persist exactly this,
-    so any of them can read any other's entries.
+    One shape for every writer, so any process sharing a store can
+    read any other's entries.
     """
     return {
         "schema": STORE_SCHEMA,
@@ -341,16 +340,15 @@ class ResultStore:
     explicit ``root`` argument, ``$REPRO_CACHE_DIR``, then
     ``~/.cache/repro``.
 
-    **Concurrent writers.**  The store is content-addressed over a
-    deterministic simulator, so two writers racing on one digest are
-    by construction writing identical bytes — the atomic replace
-    already makes the race harmless.  :meth:`store` still takes a
-    per-digest ``O_CREAT|O_EXCL`` lockfile claim first, so that when a
-    serve daemon and ad-hoc CLI runs share one ``--cache-dir`` only
-    one of them spends the serialization work; the loser just skips
-    the write (the winner's bytes would have been its own).  A claim
-    older than ``lock_stale_s`` is presumed orphaned (killed writer)
-    and broken.
+    **Concurrent writers.**  Processes sharing one root single-flight
+    through per-digest ``O_CREAT|O_EXCL`` lockfile claims
+    (:meth:`claim`/:meth:`release`): :class:`GridExecutor` claims a
+    miss before evaluating it, and waits for the holder's entry when
+    another process holds the claim.  A claim older than
+    ``lock_stale_s`` is presumed orphaned (killed holder) and broken.
+    Content addressing over a deterministic simulator makes every
+    writer's bytes identical, so a broken claim whose holder was still
+    alive costs a duplicate computation, never a wrong entry.
     """
 
     #: a lockfile older than this is an orphan and may be broken.
@@ -394,10 +392,13 @@ class ResultStore:
     def lock_path(self, digest: str) -> Path:
         return self.version_dir / digest[:2] / f"{digest}.lock"
 
-    def _claim(self, lock: Path) -> Optional[int]:
-        """Take the per-digest write claim, or return None if another
-        live writer holds it.  A stale claim (older than
-        ``lock_stale_s``) is broken once and re-tried."""
+    def claim(self, digest: str) -> Optional[int]:
+        """Take the per-digest claim and return its file descriptor, or
+        None while another writer holds it.  A claim older than
+        ``lock_stale_s`` is presumed orphaned (killed holder) and is
+        broken once and re-tried."""
+        lock = self.lock_path(digest)
+        lock.parent.mkdir(parents=True, exist_ok=True)
         for attempt in (0, 1):
             try:
                 return os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -418,32 +419,28 @@ class ResultStore:
                     pass
         return None
 
-    def store(self, digest: str, envelope: dict) -> bool:
-        """Atomically persist ``envelope`` under ``digest``.
-
-        Returns True when this call wrote the entry, False when a
-        concurrent writer held the per-digest claim (in which case the
-        entry is theirs to finish — deterministic content addressing
-        makes their bytes identical to ours, so skipping is safe and
-        cheaper than queueing).
-        """
-        path = self.path_for(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
+    def release(self, digest: str, fd: int) -> None:
+        """Drop a claim taken by :meth:`claim`.  The lockfile is removed
+        only while it is still this holder's (same inode): a claim that
+        was broken as stale and re-taken belongs to its new holder."""
         lock = self.lock_path(digest)
-        fd = self._claim(lock)
-        if fd is None:
-            return False
         try:
-            tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-            tmp.write_text(json.dumps(envelope, sort_keys=True) + "\n")
-            os.replace(tmp, path)
-            return True
+            if os.path.samestat(os.fstat(fd), os.stat(lock)):
+                os.unlink(lock)
+        except OSError:
+            pass  # already broken and gone: nothing of ours to remove
         finally:
             os.close(fd)
-            try:
-                os.unlink(lock)
-            except OSError:
-                pass
+
+    def store(self, digest: str, envelope: dict) -> None:
+        """Atomically persist ``envelope`` under ``digest`` (temp file
+        + ``os.replace``: readers see the old entry or the new one,
+        never a torn write).  The writer holds the digest's claim."""
+        path = self.path_for(digest)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
+        tmp.write_text(json.dumps(envelope, sort_keys=True) + "\n")
+        os.replace(tmp, path)
 
     def entries(self) -> Iterator[Tuple[str, dict]]:
         """Iterate ``(digest, envelope)`` over all readable entries,
@@ -465,115 +462,151 @@ class ResultStore:
         shutil.rmtree(self.version_dir, ignore_errors=True)
 
 
+
+
 # --------------------------------------------------------------- executor
 
-
-@dataclass
-class GridPlan:
-    """The submit half of a grid evaluation: deduplicated digests with
-    warm hits already decoded and the misses still to compute.
-
-    Produced by :meth:`GridExecutor.submit`; consumed (exactly once)
-    by :meth:`GridExecutor.collect`.  Splitting the two lets a caller
-    that owns its own evaluation loop — the serve daemon's
-    single-flight scheduler — reuse the planning/lookup/persist logic
-    while scheduling the misses itself.
-    """
-
-    fingerprint: str
-    #: unique digests in first-seen submission order.
-    order: List[str]
-    #: digest -> the (first) spec that produced it.
-    specs: Dict[str, CellSpec]
-    #: digest -> decoded live object, for cells the store already had.
-    hits: Dict[str, object]
-    #: digests still to evaluate, in submission order.
-    misses: List[str]
+#: seconds between polls for a cell another process is computing.
+POLL_S = 0.05
 
 
 class GridExecutor:
     """Evaluate grid cells concurrently, through the store when given.
 
-    ``map`` is the main API: specs in, ``{digest: live object}`` out.
-    It is the composition of two halves — :meth:`submit` (dedup by
-    digest + store lookup, no evaluation) and :meth:`collect`
-    (evaluate the misses, persist, decode) — exposed separately so
-    long-lived callers can interleave their own scheduling between
-    them.  All of it is order-independent: the result dict is keyed
-    by content digest, and every value passes through the same JSON
-    round trip regardless of where it was computed.
+    :meth:`map` is the API: specs in, ``{digest: live object}`` out.
+    It is order-independent: the result is keyed by content digest,
+    and every value passes through the same JSON round trip wherever
+    it was computed.
 
-    ``jobs`` is clamped to the host's CPU count unless ``jobs_force``
-    is set: on an oversubscribed box the extra spawn workers only add
-    scheduling overhead (BENCH_grid's ``cold_jobs4`` on a 1-CPU host
-    regressed to 0.83x), so asking for more workers than cores is
-    almost always a mistake.  ``requested_jobs`` keeps the caller's
-    original ask so benchmarks can report oversubscription honestly.
+    **Single-flight.**  With a store, executors in any number of
+    processes sharing it compute each digest once between them.  A
+    miss is claimed (:meth:`ResultStore.claim`) before it is
+    evaluated, and re-read once the claim is won, since a writer may
+    have finished between lookup and claim.  A miss whose claim
+    another process holds is deferred; once its own cells are done the
+    executor polls for the holder's entry.  If that claim disappears
+    with no entry written (the holder raised) or goes stale (a killed
+    holder),
+    the waiter claims the cell and computes it itself, so the wait is
+    bounded by ``ResultStore.lock_stale_s``.  At ``jobs > 1`` the
+    parent takes the claims and writes the entries; pool workers only
+    evaluate.
+
+    ``jobs`` must be at least 1.  It is clamped to the host's CPU
+    count unless ``jobs_force`` is set: on an oversubscribed box the
+    extra spawn workers only add scheduling overhead (BENCH_grid's
+    ``cold_jobs4`` on a 1-CPU host regressed to 0.83x), so asking for
+    more workers than cores is almost always a mistake.
+    ``requested_jobs`` keeps the caller's original ask so benchmarks
+    can report oversubscription honestly.
     """
 
     def __init__(self, jobs: int = 1,
                  store: Optional[ResultStore] = None,
                  jobs_force: bool = False):
-        self.requested_jobs = max(1, int(jobs))
+        if jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {jobs}")
+        self.requested_jobs = jobs
         cap = os.cpu_count() or 1
-        self.jobs = (self.requested_jobs if jobs_force
-                     else min(self.requested_jobs, cap))
+        self.jobs = jobs if jobs_force else min(jobs, cap)
         self.store = store
 
     def map(self, specs: Iterable[CellSpec]) -> Dict[str, object]:
-        return self.collect(self.submit(specs))
-
-    def submit(self, specs: Iterable[CellSpec]) -> GridPlan:
-        """Dedup ``specs`` by digest and resolve warm store hits.
-
-        Evaluates nothing; a corrupted store entry reads as a miss
-        (and will be healed by :meth:`collect`).
-        """
         fingerprint = code_fingerprint()
-        order: List[str] = []
-        by_digest: Dict[str, CellSpec] = {}
+        cells: Dict[str, CellSpec] = {}
         for spec in specs:
-            digest = spec.digest(fingerprint)
-            if digest not in by_digest:
-                by_digest[digest] = spec
-                order.append(digest)
+            cells.setdefault(spec.digest(fingerprint), spec)
+        return self.resolve(cells)
 
-        hits: Dict[str, object] = {}
-        misses: List[str] = []
-        for digest in order:
-            envelope = (self.store.load(digest)
-                        if self.store is not None else None)
-            if envelope is not None:
-                try:
-                    hits[digest] = decode_payload(envelope["payload"])
-                    continue
-                except (KeyError, TypeError, ValueError):
-                    pass  # corrupted entry: fall through to recompute
-            misses.append(digest)
-        return GridPlan(fingerprint=fingerprint, order=order,
-                        specs=by_digest, hits=hits, misses=misses)
+    def resolve(self, cells: Dict[str, CellSpec]) -> Dict[str, object]:
+        """:meth:`map` for callers that already hold the digests:
+        ``cells`` maps each digest to its spec."""
+        out: Dict[str, object] = {}
+        todo = [digest for digest in cells if not self._read(digest, out)]
+        while True:
+            todo = self._compute(todo, cells, out)
+            if not todo:
+                return {digest: out[digest] for digest in cells}
+            time.sleep(POLL_S)
+            todo = [digest for digest in todo
+                    if not self._read(digest, out)]
 
-    def collect(self, plan: GridPlan) -> Dict[str, object]:
-        """Evaluate ``plan``'s misses, persist them, return the full
-        ``{digest: live object}`` map (hits included)."""
-        out = dict(plan.hits)
-        if plan.misses:
-            payloads = self._evaluate([plan.specs[d] for d in plan.misses])
-            for digest, payload in zip(plan.misses, payloads):
+    def _read(self, digest: str, out: Dict[str, object]) -> bool:
+        """Decode ``digest``'s store entry into ``out``.  False on a
+        miss; a corrupt entry is a miss, recomputed and healed."""
+        envelope = (self.store.load(digest)
+                    if self.store is not None else None)
+        if envelope is None:
+            return False
+        try:
+            out[digest] = decode_payload(envelope["payload"])
+        except (KeyError, TypeError, ValueError):
+            return False
+        return True
+
+    def _compute(self, todo: List[str], cells: Dict[str, CellSpec],
+                 out: Dict[str, object]) -> List[str]:
+        """Evaluate and persist every digest of ``todo`` whose claim
+        this executor wins; return the ones another writer holds."""
+        held: List[str] = []
+        claims: Dict[str, int] = {}
+        payloads = self._evaluate(todo, cells, claims, held, out)
+        try:
+            for digest, payload in payloads:
                 if self.store is not None:
                     self.store.store(digest, make_envelope(
-                        plan.specs[digest], payload, plan.fingerprint))
+                        cells[digest], payload))
+                    self.store.release(digest, claims.pop(digest))
                 out[digest] = decode_payload(payload)
-        return out
+        finally:
+            payloads.close()
+            if self.store is not None:
+                # A raising evaluation must not leave its claims to go
+                # stale: waiters take them over at once.
+                for digest, fd in claims.items():
+                    self.store.release(digest, fd)
+        return held
 
-    def _evaluate(self, specs: List[CellSpec]) -> List[dict]:
-        """Payloads for ``specs``, in input order."""
-        if self.jobs <= 1 or len(specs) <= 1:
-            return [evaluate_cell(spec) for spec in specs]
+    def _evaluate(self, todo: List[str], cells: Dict[str, CellSpec],
+                  claims: Dict[str, int], held: List[str],
+                  out: Dict[str, object]) -> Iterator[Tuple[str, dict]]:
+        """``(digest, payload)`` for each digest of ``todo`` that this
+        executor claims, in ``todo`` order.  In-process, a cell is
+        claimed just before it is evaluated, so processes sharing a
+        store interleave over one grid; a pool's cells are all claimed
+        up front by the parent."""
+        if self.jobs <= 1 or len(todo) <= 1:
+            for digest in todo:
+                if self._claim(digest, claims, held, out):
+                    yield digest, evaluate_cell(cells[digest])
+            return
+        mine = [digest for digest in todo
+                if self._claim(digest, claims, held, out)]
+        if len(mine) <= 1:
+            yield from ((d, evaluate_cell(cells[d])) for d in mine)
+            return
         import multiprocessing
         context = multiprocessing.get_context("spawn")
-        with context.Pool(processes=min(self.jobs, len(specs))) as pool:
-            # pool.map preserves input order, so the zip in collect()
-            # pairs digests with their own payloads no matter which
-            # worker finished first.
-            return pool.map(evaluate_cell, specs, chunksize=1)
+        with context.Pool(processes=min(self.jobs, len(mine))) as pool:
+            # imap yields in input order, so digests pair with their
+            # own payloads no matter which worker finished first.
+            yield from zip(mine, pool.imap(
+                evaluate_cell, [cells[d] for d in mine], chunksize=1))
+
+    def _claim(self, digest: str, claims: Dict[str, int],
+               held: List[str], out: Dict[str, object]) -> bool:
+        """Whether this executor must evaluate ``digest``: True once it
+        holds the claim (recorded in ``claims``).  A digest another
+        writer holds goes to ``held``; one whose entry was written
+        between lookup and claim goes to ``out``."""
+        if self.store is None:
+            return True
+        fd = self.store.claim(digest)
+        if fd is None:
+            held.append(digest)
+            return False
+        if self._read(digest, out):
+            self.store.release(digest, fd)
+            return False
+        claims[digest] = fd
+        return True

@@ -3,20 +3,27 @@
 Covers the determinism contract (jobs=1 == jobs=N == cache hit),
 content-addressed keying (including the dict/list-valued-params
 regression the old ``tuple(sorted(params.items()))`` keying broke on),
-fingerprint invalidation and corrupted-entry recovery.
+fingerprint invalidation, corrupted-entry recovery, and single-flight
+across executors sharing one store (claim, wait, stale break).
 """
 
 import json
+import os
+import sys
+import threading
+import time
 
 import pytest
 
+from repro.cli import main
 from repro.experiments import ExperimentCache
 from repro.hw import FaultConfig, MachineConfig
 from repro.runtime import parallel
 from repro.runtime.parallel import (CellSpec, GridExecutor, ResultStore,
                                     STORE_SCHEMA, canonical, canonical_json,
                                     decode_payload, decode_result,
-                                    encode_result, evaluate_cell)
+                                    encode_result, evaluate_cell,
+                                    make_envelope)
 from repro.svm import BASE, GENIMA
 
 APP = "Water-spatial"
@@ -189,12 +196,16 @@ def test_executor_dedupes_equal_specs(tmp_path):
     assert len(store) == 1
 
 
-def test_pool_matches_serial(svm_payload):
+def test_pool_matches_serial(tmp_path, svm_payload):
     """jobs=2 through a real spawn pool == jobs=1 in-process, bytewise."""
     specs = [svm_spec(), svm_spec(features=BASE)]
     serial = GridExecutor(jobs=1).map(specs)
-    pooled = GridExecutor(jobs=2, jobs_force=True).map(specs)
+    store = ResultStore(tmp_path)
+    pooled = GridExecutor(jobs=2, jobs_force=True, store=store).map(specs)
     assert serial.keys() == pooled.keys()
+    # the parent claimed and wrote both cells, and released every claim
+    assert len(store) == 2
+    assert not list(store.version_dir.glob("*/*.lock"))
     for digest in serial:
         assert (encode_result(serial[digest])
                 == encode_result(pooled[digest]))
@@ -223,92 +234,275 @@ def test_jobs_within_cpu_count_untouched(monkeypatch):
     assert GridExecutor(jobs=1).jobs == 1
 
 
-# ----------------------------------------------------------- store locking
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_rejected(jobs, capsys):
+    with pytest.raises(ValueError, match="at least 1"):
+        GridExecutor(jobs=jobs)
+    with pytest.raises(SystemExit) as exc:
+        main(["figure", "2", "--jobs", str(jobs)])
+    assert exc.value.code == 2  # an argparse usage error, before any work
+    assert "--jobs: must be at least 1" in capsys.readouterr().err
 
-def test_store_skips_write_when_claim_held(tmp_path):
-    """A fresh lockfile means a live concurrent writer owns the entry:
-    store() must back off (content addressing makes their bytes ours)."""
+
+# ------------------------------------------------------------ single-flight
+
+def counting_evaluator(monkeypatch, payload_for, delay_s=0.0):
+    """Patch evaluate_cell with a fast fake; returns the list of
+    evaluated digests (shared by every thread of this process)."""
+    evaluated = []
+    lock = threading.Lock()
+
+    def fake(spec):
+        with lock:
+            evaluated.append(spec.digest())
+        time.sleep(delay_s)
+        return payload_for(spec)
+    monkeypatch.setattr(parallel, "evaluate_cell", fake)
+    return evaluated
+
+
+def tagged_payload(svm_payload):
+    """A payload that differs per spec, so a digest paired with another
+    cell's payload shows up as a wrong result."""
+    def payload_for(spec):
+        payload = json.loads(json.dumps(svm_payload))
+        payload["result"]["time_us"] = float(spec.params.get("extra", 0))
+        return payload
+    return payload_for
+
+
+def test_store_write_releases_claim(tmp_path, monkeypatch, svm_payload):
     store = ResultStore(tmp_path)
-    digest = "ef" * 32
-    lock = store.lock_path(digest)
-    lock.parent.mkdir(parents=True)
-    lock.touch()  # another writer's live claim
-    assert store.store(digest, {"schema": STORE_SCHEMA,
-                                "payload": {}}) is False
-    assert store.load(digest) is None  # nothing written by the loser
-    assert lock.exists()  # and the owner's claim is intact
+    counting_evaluator(monkeypatch, tagged_payload(svm_payload))
+    spec = svm_spec()
+    GridExecutor(jobs=1, store=store).map([spec])
+    assert store.load(spec.digest()) is not None
+    assert not store.lock_path(spec.digest()).exists()
+    # and the claim is immediately re-takeable (nothing leaked)
+    fd = store.claim(spec.digest())
+    assert fd is not None
+    store.release(spec.digest(), fd)
 
 
 def test_store_breaks_stale_claim(tmp_path):
-    """A claim older than lock_stale_s is an orphan (killed writer):
-    the next store() breaks it and writes."""
-    import os as _os
+    """A claim older than lock_stale_s is an orphan (killed holder):
+    the next claim() breaks it, and release() removes the new one."""
     store = ResultStore(tmp_path)
     digest = "ef" * 32
     lock = store.lock_path(digest)
     lock.parent.mkdir(parents=True)
     lock.touch()
+    assert store.claim(digest) is None  # fresh: held by someone else
     past = 10.0  # epoch-ish: way older than any staleness bound
-    _os.utime(lock, (past, past))
-    envelope = {"schema": STORE_SCHEMA, "payload": {"kind": "x"}}
-    assert store.store(digest, envelope) is True
-    assert store.load(digest) == envelope
-    assert not lock.exists()  # claim released after the write
+    os.utime(lock, (past, past))
+    fd = store.claim(digest)
+    assert fd is not None
+    store.release(digest, fd)
+    assert not lock.exists()
 
 
-def test_store_write_releases_claim(tmp_path):
+def test_release_spares_a_reclaimed_lock(tmp_path):
+    """A holder whose claim was broken as stale and re-taken must not
+    remove the new holder's lockfile when it finally releases."""
     store = ResultStore(tmp_path)
     digest = "ab" * 32
-    assert store.store(digest, {"schema": STORE_SCHEMA,
-                                "payload": {}}) is True
+    old = store.claim(digest)
+    store.lock_path(digest).unlink()  # broken as stale
+    new = store.claim(digest)
+    assert new is not None
+    store.release(digest, old)
+    assert store.lock_path(digest).exists()  # still the new holder's
+    store.release(digest, new)
     assert not store.lock_path(digest).exists()
-    # and the entry is immediately re-writable (no leaked claim)
-    assert store.store(digest, {"schema": STORE_SCHEMA,
-                                "payload": {"v": 2}}) is True
 
 
-def test_executor_survives_blocked_store_write(tmp_path, svm_payload):
-    """If another writer holds the claim, the executor still returns
-    the computed result — persistence is best-effort, correctness
-    comes from the in-memory path."""
+def test_concurrent_executors_compute_each_digest_once(
+        tmp_path, monkeypatch, svm_payload):
+    specs = [svm_spec(extra=i) for i in range(6)]
+    evaluated = counting_evaluator(monkeypatch, tagged_payload(svm_payload),
+                                   delay_s=0.05)
     store = ResultStore(tmp_path)
+    outs, errors = {}, []
+    barrier = threading.Barrier(4)
+
+    def client(idx):
+        try:
+            barrier.wait(timeout=10)
+            out = GridExecutor(jobs=1, store=store).map(specs)
+            outs[idx] = {d: encode_result(r) for d, r in out.items()}
+        except Exception as exc:  # surfaced below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=client, args=(i,), daemon=True)
+               for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the claim/read steps finely
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors and len(outs) == 4
+    assert sorted(evaluated) == sorted(s.digest() for s in specs)
+    for out in outs.values():
+        assert json.dumps(out, sort_keys=True) == json.dumps(
+            outs[0], sort_keys=True)
+    assert [out[s.digest()]["time_us"] for s in specs] == list(range(6))
+    assert len(store) == 6
+    assert not list(store.version_dir.glob("*/*.lock"))
+
+
+def test_executor_waits_for_held_claim(tmp_path, monkeypatch, svm_payload):
+    """A fresh claim means another process is computing the cell: the
+    executor waits for that holder's entry instead of computing."""
+    store = ResultStore(tmp_path)
+    evaluated = counting_evaluator(monkeypatch, tagged_payload(svm_payload))
+    spec = svm_spec(extra=7)
+    digest = spec.digest()
+    fd = store.claim(digest)
+
+    def holder():
+        time.sleep(0.3)
+        store.store(digest, make_envelope(spec, tagged_payload(
+            svm_payload)(spec)))
+        store.release(digest, fd)
+
+    thread = threading.Thread(target=holder, daemon=True)
+    thread.start()
+    result = GridExecutor(jobs=1, store=store).map([spec])[digest]
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert evaluated == []
+    assert result.time_us == 7.0
+
+
+def test_executor_computes_when_claim_vanishes(tmp_path, monkeypatch,
+                                               svm_payload):
+    """A claim released with no entry written (the holder raised):
+    the waiter claims the cell and computes it itself."""
+    store = ResultStore(tmp_path)
+    evaluated = counting_evaluator(monkeypatch, tagged_payload(svm_payload))
+    spec = svm_spec(extra=3)
+    digest = spec.digest()
+    fd = store.claim(digest)
+    thread = threading.Timer(0.3, store.release, args=(digest, fd))
+    thread.start()
+    result = GridExecutor(jobs=1, store=store).map([spec])[digest]
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert evaluated == [digest]
+    assert result.time_us == 3.0
+    assert store.load(digest) is not None
+    assert not store.lock_path(digest).exists()
+
+
+def test_executor_breaks_stale_claim(tmp_path, monkeypatch, svm_payload):
+    store = ResultStore(tmp_path)
+    evaluated = counting_evaluator(monkeypatch, tagged_payload(svm_payload))
     spec = svm_spec()
     digest = spec.digest()
     lock = store.lock_path(digest)
     lock.parent.mkdir(parents=True)
     lock.touch()
-    result = GridExecutor(jobs=1, store=store).map([spec])[digest]
-    assert encode_result(result) == svm_payload["result"]
-    assert store.load(digest) is None  # write was skipped, not corrupted
+    monkeypatch.setattr(ResultStore, "lock_stale_s", 0.3)
+    GridExecutor(jobs=1, store=store).map([spec])
+    assert evaluated == [digest]
+    assert store.load(digest) is not None
+    assert not lock.exists()
 
 
-# ----------------------------------------------------------- submit/collect
-
-def test_submit_collect_halves(tmp_path, svm_payload):
-    store = ResultStore(tmp_path)
-    warm_spec, cold_spec = svm_spec(), svm_spec(features=BASE)
-    GridExecutor(jobs=1, store=store).map([warm_spec])
-
-    ex = GridExecutor(jobs=1, store=store)
-    plan = ex.submit([warm_spec, cold_spec, warm_spec])  # dup collapses
-    assert len(plan.order) == 2
-    assert set(plan.hits) == {warm_spec.digest()}
-    assert plan.misses == [cold_spec.digest()]
-    out = ex.collect(plan)
-    assert set(out) == set(plan.order)
-    assert encode_result(out[warm_spec.digest()]) == svm_payload["result"]
-    assert len(store) == 2  # miss persisted by collect
-
-
-def test_submit_treats_corrupt_entry_as_miss(tmp_path):
+def test_raising_holder_does_not_hang_waiter(tmp_path, monkeypatch,
+                                             svm_payload):
     store = ResultStore(tmp_path)
     spec = svm_spec()
     digest = spec.digest()
+    entered = threading.Event()
+    calls = []
+
+    def flaky(cell):
+        calls.append(threading.current_thread().name)
+        if len(calls) == 1:
+            entered.set()
+            time.sleep(0.2)
+            raise RuntimeError("holder crashed")
+        return svm_payload
+    monkeypatch.setattr(parallel, "evaluate_cell", flaky)
+    errors, outs = [], []
+
+    def run(sink):
+        try:
+            sink.append(GridExecutor(jobs=1, store=store).map([spec]))
+        except RuntimeError as exc:
+            errors.append(exc)
+
+    holder = threading.Thread(target=run, args=([],), name="holder",
+                              daemon=True)
+    holder.start()
+    assert entered.wait(timeout=10)
+    waiter = threading.Thread(target=run, args=(outs,), name="waiter",
+                              daemon=True)
+    waiter.start()
+    holder.join(timeout=10)
+    waiter.join(timeout=10)
+    assert not holder.is_alive() and not waiter.is_alive()
+    assert calls == ["holder", "waiter"]
+    assert len(errors) == 1
+    assert encode_result(outs[0][digest]) == svm_payload["result"]
+    assert not store.lock_path(digest).exists()
+
+
+def test_entry_written_before_claim_is_reused(tmp_path, monkeypatch,
+                                             svm_payload):
+    """A holder that finishes between this executor's lookup and its
+    claim: the re-read after winning the claim finds the entry."""
+    store = ResultStore(tmp_path)
+    evaluated = counting_evaluator(monkeypatch, tagged_payload(svm_payload))
+    spec = svm_spec(extra=5)
+    digest = spec.digest()
+    claim = store.claim
+
+    def claim_after_holder_finished(d):
+        store.store(d, make_envelope(spec, tagged_payload(svm_payload)(spec)))
+        return claim(d)
+    monkeypatch.setattr(store, "claim", claim_after_holder_finished)
+    result = GridExecutor(jobs=1, store=store).map([spec])[digest]
+    assert evaluated == []
+    assert result.time_us == 5.0
+    assert not store.lock_path(digest).exists()
+
+
+def test_corrupt_entry_under_claim_is_recomputed(tmp_path, monkeypatch,
+                                                 svm_payload):
+    """An entry that appears between lookup and claim is re-read once
+    the claim is won; a corrupt one is recomputed and healed."""
+    store = ResultStore(tmp_path)
+    evaluated = counting_evaluator(monkeypatch, lambda _spec: svm_payload)
+    spec = svm_spec()
+    digest = spec.digest()
+    claim = store.claim
+
+    def claim_after_corrupt_write(d):
+        fd = claim(d)
+        store.path_for(d).write_text('{"schema": 1, "payload": {}}')
+        return fd
+    monkeypatch.setattr(store, "claim", claim_after_corrupt_write)
     GridExecutor(jobs=1, store=store).map([spec])
-    store.path_for(digest).write_text('{"schema": 1, "payload": {}}')
-    plan = GridExecutor(jobs=1, store=store).submit([spec])
-    assert plan.misses == [digest]
-    assert not plan.hits
+    assert evaluated == [digest]
+    assert store.load(digest)["payload"]["result"] == svm_payload["result"]
+
+
+def test_map_treats_corrupt_entry_as_miss(tmp_path, monkeypatch,
+                                          svm_payload):
+    store = ResultStore(tmp_path)
+    spec = svm_spec()
+    digest = spec.digest()
+    store.store(digest, {"schema": STORE_SCHEMA, "payload": {}})
+    evaluated = counting_evaluator(monkeypatch, tagged_payload(svm_payload))
+    GridExecutor(jobs=1, store=store).map([spec])
+    assert evaluated == [digest]
 
 
 # ----------------------------------------------------- ExperimentCache glue
@@ -320,6 +514,21 @@ def test_cache_warm_is_idempotent(tmp_path):
     first = cache.cell(specs[0])
     cache.warm(specs)
     assert cache.cell(specs[0]) is first  # in-memory identity preserved
+
+
+def test_warm_cell_read_digests_once(tmp_path, monkeypatch):
+    store = ResultStore(tmp_path)
+    spec = ExperimentCache(store=store).spec_svm(APP, GENIMA)
+    ExperimentCache(store=store).cell(spec)
+    calls = []
+    digest = CellSpec.digest
+
+    def counting_digest(self, fingerprint=None):
+        calls.append(self)
+        return digest(self, fingerprint)
+    monkeypatch.setattr(CellSpec, "digest", counting_digest)
+    ExperimentCache(store=store).cell(spec)
+    assert len(calls) == 1
 
 
 def test_cache_spec_params_allow_dicts():
