@@ -29,6 +29,11 @@ Appending to a page preserves scheduling order because scheduling calls
 happen in dispatch order; draining pages in heap order preserves time
 order.  The determinism regression tests pin that this refactor is
 byte-identical to the old single-heap loop.
+
+Dispatch is flat: events queue themselves on trigger, and
+:meth:`Simulator.run` resumes waiting processes itself, so ``run`` is
+the only Python frame above ``gen.send``.  Delays and horizons must be
+finite.
 """
 
 from __future__ import annotations
@@ -79,7 +84,9 @@ class Event:
         self._value: Any = None
         self._exc: Optional[BaseException] = None
         self._triggered = False
-        self._callbacks: List[Callable[["Event"], None]] = []
+        # Callables, and waiting Processes (resumed by Simulator.run
+        # itself, no bound method per wait), in registration order.
+        self._callbacks: List[Any] = []
 
     @property
     def triggered(self) -> bool:
@@ -104,7 +111,7 @@ class Event:
             raise SimulationError("event triggered twice")
         self._triggered = True
         self._value = value
-        self.sim._push_triggered(self)
+        self.sim._fifo.append(self)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -113,20 +120,15 @@ class Event:
             raise SimulationError("event triggered twice")
         self._triggered = True
         self._exc = exc
-        self.sim._push_triggered(self)
+        self.sim._fifo.append(self)
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
-        if self._triggered and self._callbacks is _CONSUMED:
+        if self._callbacks is _CONSUMED:
             # Already dispatched: run at once (same sim instant).
             fn(self)
         else:
             self._callbacks.append(fn)
-
-    def _dispatch(self) -> None:
-        callbacks, self._callbacks = self._callbacks, _CONSUMED
-        for fn in callbacks:
-            fn(self)
 
 
 class _Consumed(list):
@@ -137,6 +139,7 @@ class _Consumed(list):
 
 
 _CONSUMED = _Consumed()
+_INF = float("inf")
 
 
 class Timeout(Event):
@@ -146,16 +149,26 @@ class Timeout(Event):
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         # Flattened Event.__init__ + scheduling: one Timeout per station
-        # hold makes this constructor a hot-path allocation, so it pays
-        # to skip the super() call and the ``now`` property.
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
+        # hold makes this constructor a hot-path allocation, so it
+        # files itself straight into the FIFO lane or its calendar page.
+        if not 0 <= delay < _INF:
+            raise ValueError(f"delay must be finite and >= 0, got {delay!r}")
         self.sim = sim
         self._value = value
         self._exc = None
         self._triggered = True
         self._callbacks = []
-        sim._schedule_at(sim._now + delay, self)
+        now = sim.now
+        when = now + delay
+        if when <= now:
+            sim._fifo.append(self)
+            return
+        page = sim._pages.get(when)
+        if page is None:
+            sim._pages[when] = [self]
+            heapq.heappush(sim._times, when)
+        else:
+            page.append(self)
 
 
 class Process(Event):
@@ -179,7 +192,7 @@ class Process(Event):
         self.name = name or getattr(gen, "__name__", "process")
         # Kick off at the current instant.
         boot = Event(sim)
-        boot.add_callback(self._resume)
+        boot._callbacks.append(self)
         boot.succeed()
 
     @property
@@ -194,46 +207,20 @@ class Process(Event):
         if target is not None:
             # Detach: the interrupted wait no longer resumes us.
             try:
-                target._callbacks.remove(self._resume)
+                target._callbacks.remove(self)
             except (ValueError, SimulationError):
                 pass
         self._waiting_on = None
         kick = Event(self.sim)
-        kick.add_callback(lambda _ev: self._step(Interrupt(cause)))
-        kick.succeed()
+        kick._callbacks.append(self)
+        kick.fail(Interrupt(cause))
 
     # -- kernel internals ------------------------------------------------
 
-    def _resume(self, ev: Event) -> None:
-        self._waiting_on = None
-        if ev._exc is not None:
-            self._step(ev._exc)
-        else:
-            self._step(None, ev._value)
-
-    def _step(self, exc: Optional[BaseException], value: Any = None) -> None:
-        try:
-            if exc is not None:
-                target = self._throw(exc)
-            else:
-                target = self._send(value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as err:  # noqa: BLE001 - process crashed
-            self.fail(err)
-            self.sim._note_crash(self, err)
-            return
-        if not isinstance(target, Event):
-            self._gen.close()
-            err = SimulationError(
-                f"process {self.name!r} yielded {target!r}, not an Event"
-            )
-            self.fail(err)
-            self.sim._note_crash(self, err)
-            return
-        self._waiting_on = target
-        target.add_callback(self._resume)
+    def _crash(self, err: BaseException) -> None:
+        self._gen.close()
+        self.fail(err)
+        self.sim._crashed.append((self, err))
 
 
 def _detach(events, cbs) -> None:
@@ -272,11 +259,12 @@ class Simulator:
     append-ordered event list, and ``_times`` is the min-heap fallback
     holding one entry per pending page.  ``events_dispatched`` counts
     every dispatched event; the ns/event figures in BENCH_grid.json
-    divide wall time by it.
+    divide wall time by it.  ``now`` is the simulation clock, a plain
+    attribute that only the kernel writes.
     """
 
     def __init__(self):
-        self._now = 0.0
+        self.now = 0.0
         self._fifo: deque = deque()
         self._pages: dict = {}
         self._times: List[float] = []
@@ -304,16 +292,12 @@ class Simulator:
         """
         if width <= 0:
             raise ValueError(f"slice width must be positive, got {width!r}")
-        hook = _SliceHook(width, fn, self._now + width)
+        hook = _SliceHook(width, fn, self.now + width)
         self._slice_hooks.append(hook)
         return hook
 
     def remove_slice_hook(self, hook: _SliceHook) -> None:
         self._slice_hooks.remove(hook)
-
-    @property
-    def now(self) -> float:
-        return self._now
 
     # -- construction helpers ---------------------------------------------
 
@@ -328,7 +312,7 @@ class Simulator:
 
     def schedule(self, delay: float, fn: Callable[[], None]) -> Event:
         """Run a plain callable after ``delay``; returns its trigger event."""
-        ev = self.timeout(delay)
+        ev = Timeout(self, delay)
         ev.add_callback(lambda _ev: fn())
         return ev
 
@@ -410,6 +394,8 @@ class Simulator:
         Returns the simulation time when execution stopped.  Raises the
         first uncaught process exception, if any process crashed.
         """
+        if until is not None and not -_INF < until < _INF:
+            raise ValueError(f"run horizon must be finite, got {until!r}")
         # Locals hoisted out of the dispatch loop: attribute lookups on
         # self are a measurable fraction of an event dispatch, and the
         # hook/crash lists are mutated in place (never rebound), so the
@@ -424,7 +410,7 @@ class Simulator:
         try:
             while True:
                 if fifo:
-                    if until is not None and self._now > until:
+                    if until is not None and self.now > until:
                         break
                     ev = fifo.popleft()
                 else:
@@ -440,10 +426,10 @@ class Simulator:
                     if hooks:
                         for hook in hooks:
                             while hook.next_at <= when:
-                                self._now = hook.next_at
+                                self.now = hook.next_at
                                 hook.fn(hook.next_at)
                                 hook.next_at += hook.width
-                    self._now = when
+                    self.now = when
                     page = pages.pop(when)
                     if len(page) == 1:
                         ev = page[0]
@@ -451,7 +437,41 @@ class Simulator:
                         fifo.extend(page)
                         ev = fifo.popleft()
                 dispatched += 1
-                ev._dispatch()
+                # Run the callbacks in registration order, resuming
+                # waiting processes right here.
+                callbacks = ev._callbacks
+                ev._callbacks = _CONSUMED
+                for waiter in callbacks:
+                    if type(waiter) is not Process:
+                        waiter(ev)
+                        continue
+                    waiter._waiting_on = None
+                    fired = ev
+                    # Yielding an already-dispatched event resumes at
+                    # once with its outcome: loop, not recurse.
+                    while True:
+                        try:
+                            if fired._exc is None:
+                                target = waiter._send(fired._value)
+                            else:
+                                target = waiter._throw(fired._exc)
+                            if not isinstance(target, Event):
+                                raise SimulationError(
+                                    f"process {waiter.name!r} yielded "
+                                    f"{target!r}, not an Event")
+                        except StopIteration as stop:
+                            waiter.succeed(stop.value)
+                            break
+                        except BaseException as err:  # noqa: BLE001 - process crashed
+                            waiter._crash(err)
+                            break
+                        queued = target._callbacks
+                        if queued is _CONSUMED:
+                            fired = target
+                            continue
+                        waiter._waiting_on = target
+                        queued.append(waiter)
+                        break
                 if crashed:
                     _proc, err = crashed[0]
                     raise err
@@ -464,36 +484,17 @@ class Simulator:
                 if hooks:
                     for hook in hooks:
                         while hook.next_at <= until:
-                            self._now = hook.next_at
+                            self.now = hook.next_at
                             hook.fn(hook.next_at)
                             hook.next_at += hook.width
-                if until > self._now:
-                    self._now = until
-            return self._now
+                if until > self.now:
+                    self.now = until
+            return self.now
         finally:
             self.events_dispatched += dispatched
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
         if self._fifo:
-            return self._now
-        return self._times[0] if self._times else float("inf")
-
-    # -- kernel internals ----------------------------------------------------
-
-    def _push_triggered(self, ev: Event) -> None:
-        self._fifo.append(ev)
-
-    def _schedule_at(self, when: float, ev: Event) -> None:
-        if when <= self._now:
-            self._fifo.append(ev)
-            return
-        page = self._pages.get(when)
-        if page is None:
-            self._pages[when] = [ev]
-            heapq.heappush(self._times, when)
-        else:
-            page.append(ev)
-
-    def _note_crash(self, proc: Process, err: BaseException) -> None:
-        self._crashed.append((proc, err))
+            return self.now
+        return self._times[0] if self._times else _INF

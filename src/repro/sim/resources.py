@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Optional
 
-from .engine import Event, Simulator, SimulationError
+from .engine import Event, Simulator, SimulationError, Timeout
 
 __all__ = ["Resource", "Store", "RateServer"]
 
@@ -59,14 +59,14 @@ class Resource:
     def request(self) -> Event:
         """Return an event that fires when a slot is granted."""
         self.total_requests += 1
-        ev = _ReqEvent(self.sim)
-        ev._req_time = self.sim.now
         if self._in_use < self.capacity:
             self._accrue()
             self._in_use += 1
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
+            # Granted: queued now, so same-instant order is request order.
+            return Timeout(self.sim, 0)
+        ev = _ReqEvent(self.sim)
+        ev._req_time = self.sim.now
+        self._waiters.append(ev)
         return ev
 
     def release(self) -> None:
@@ -84,7 +84,7 @@ class Resource:
         """Generator helper: acquire, hold for ``duration``, release."""
         yield self.request()
         try:
-            yield self.sim.timeout(duration)
+            yield Timeout(self.sim, duration)
         finally:
             self.release()
 
@@ -137,30 +137,27 @@ class Store:
     def put(self, item: Any) -> Event:
         """Insert ``item``; the event fires once the item is accepted."""
         self.total_puts += 1
+        if self._getters:
+            self._getters.popleft().succeed(item)
+            return Timeout(self.sim, 0)
+        if not self.is_full:
+            self._items.append(item)
+            self.max_occupancy = max(self.max_occupancy, len(self._items))
+            return Timeout(self.sim, 0)
         ev = _ReqEvent(self.sim)
         ev._item = item
         ev._req_time = self.sim.now
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            ev.succeed()
-        elif not self.is_full:
-            self._items.append(item)
-            self.max_occupancy = max(self.max_occupancy, len(self._items))
-            ev.succeed()
-        else:
-            self._putters.append(ev)
+        self._putters.append(ev)
         return ev
 
     def get(self) -> Event:
         """Remove the oldest item; the event fires with the item."""
-        ev = self.sim.event()
         if self._items:
             item = self._items.popleft()
             self._admit_waiting_putter()
-            ev.succeed(item)
-        else:
-            self._getters.append(ev)
+            return Timeout(self.sim, 0, item)
+        ev = Event(self.sim)
+        self._getters.append(ev)
         return ev
 
     def _admit_waiting_putter(self) -> None:
@@ -202,7 +199,7 @@ class RateServer:
         self.total_bytes += size_bytes
         yield self._res.request()
         try:
-            yield self.sim.timeout(self.service_time(size_bytes))
+            yield Timeout(self.sim, self.service_time(size_bytes))
         finally:
             self._res.release()
 

@@ -22,7 +22,7 @@ those measurements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
 from ..hw import Machine
 from ..hw.packet import Packet
@@ -60,6 +60,9 @@ class PerfMonitor:
         }
         self.packets_by_kind: Dict[str, int] = {}
         self.bytes_by_kind: Dict[str, int] = {}
+        #: size -> uncontended (source, lanai, net, dest) references;
+        #: the config is frozen, so each is a pure function of size.
+        self._refs: Dict[int, Tuple[float, float, float, float]] = {}
         for nic in machine.nics:
             nic.on_packet_done = self.record
 
@@ -67,29 +70,31 @@ class PerfMonitor:
 
     def record(self, pkt: Packet) -> None:
         cfg = self.config
+        size = pkt.size
         size_class = "small" if pkt.is_small else "large"
         stats = self._ratios[size_class]
         self.packets_by_kind[pkt.kind] = \
             self.packets_by_kind.get(pkt.kind, 0) + 1
         self.bytes_by_kind[pkt.kind] = \
-            self.bytes_by_kind.get(pkt.kind, 0) + pkt.size
+            self.bytes_by_kind.get(pkt.kind, 0) + size
+        refs = self._refs.get(size)
+        if refs is None:
+            refs = self._refs[size] = (
+                cfg.src_uncontended_us(size), cfg.lanai_uncontended_us(size),
+                cfg.net_uncontended_us(size), cfg.dest_uncontended_us(size))
+        src_ref, lanai_ref, net_ref, dest_ref = refs
 
         fw_consumed = not pkt.message.deliver_to_host
         # Firmware-origin control packets (lock grants/forwards) have no
         # host DMA at the source; their source stage is not comparable.
         if not (pkt.fw_origin and fw_consumed):
-            src_ref = cfg.src_uncontended_us(pkt.size)
             self._add(stats["source"], pkt.source_latency, src_ref)
-        self._add(stats["lanai"], pkt.lanai_latency,
-                  cfg.lanai_uncontended_us(pkt.size))
-        self._add(stats["net"], pkt.net_latency,
-                  cfg.net_uncontended_us(pkt.size))
+        self._add(stats["lanai"], pkt.lanai_latency, lanai_ref)
+        self._add(stats["net"], pkt.net_latency, net_ref)
         if fw_consumed:
             fw_cost = cfg.ni_lock_op_us if pkt.kind == "lock_op" \
                 else cfg.ni_fetch_setup_us
             dest_ref = cfg.ni_proc_us + fw_cost
-        else:
-            dest_ref = cfg.dest_uncontended_us(pkt.size)
         self._add(stats["dest"], pkt.dest_latency, dest_ref)
 
     @staticmethod

@@ -14,8 +14,8 @@ import hashlib
 import pytest
 
 from repro import BASE, GENIMA, run_sequential, run_svm, speedup
-from repro.apps import BarnesSpatial, WaterNsquared, WaterSpatial
-from repro.sim import Tracer
+from repro.apps import FFT, BarnesSpatial, WaterNsquared, WaterSpatial
+from repro.sim import Simulator, Tracer
 
 
 def test_water_spatial_genima_speedup_band():
@@ -74,6 +74,32 @@ def test_default_crossbar_traces_byte_identical_to_pre_topology(
     assert result.time_us == time_us
     digest = hashlib.sha256(tracer.to_jsonl().encode()).hexdigest()
     assert digest == sha
+
+
+#: Kernel events dispatched by the golden cells and FFT/Base.  Any
+#: change to the dispatch order or to which events exist moves these,
+#: so a kernel rewrite that keeps them keeps the event sequence.
+DISPATCH_PINS = [
+    (WaterSpatial, BASE, 33_864),
+    (BarnesSpatial, GENIMA, 196_415),
+    (FFT, BASE, 162_420),
+]
+
+
+@pytest.mark.parametrize("app_cls,features,events", DISPATCH_PINS,
+                         ids=["water-base", "barnes-genima", "fft-base"])
+def test_events_dispatched_pinned(monkeypatch, app_cls, features, events):
+    dispatched = []
+    orig_run = Simulator.run
+
+    def counting_run(self, until=None):
+        result = orig_run(self, until)
+        dispatched.append(self.events_dispatched)
+        return result
+
+    monkeypatch.setattr(Simulator, "run", counting_run)
+    run_svm(app_cls(), features)
+    assert dispatched[-1] == events
 
 
 @pytest.mark.parametrize("app_cls,features,sha,time_us", GOLDEN_PINS,

@@ -43,6 +43,28 @@ def test_negative_delay_rejected():
         sim.timeout(-1.0)
 
 
+@pytest.mark.parametrize("delay", [float("nan"), float("inf")],
+                         ids=["nan", "inf"])
+def test_non_finite_delay_rejected(delay):
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        sim.timeout(delay)
+    # Nothing reached the calendar: a NaN key would corrupt its order.
+    assert sim.peek() == float("inf")
+    assert sim.run() == 0.0
+
+
+@pytest.mark.parametrize("until", [float("nan"), float("inf")],
+                         ids=["nan", "inf"])
+def test_run_until_non_finite_rejected(until):
+    sim = Simulator()
+    sim.schedule(5.0, lambda: None)
+    with pytest.raises(ValueError):
+        sim.run(until=until)
+    assert sim.now == 0.0  # repro: noqa[float-time-eq] — nothing ran
+    assert sim.run() == 5.0
+
+
 def test_same_time_events_fire_in_schedule_order():
     sim = Simulator()
     order = []
@@ -90,6 +112,26 @@ def test_yield_already_triggered_event_resumes_immediately():
     sim.process(proc())
     sim.run()
     assert got == [(1.0, "pre")]
+
+
+def test_many_yields_of_dispatched_event_do_not_recurse():
+    """Each yield of an already-dispatched event resumes the process at
+    once; 5,000 in a row must loop, not grow the Python stack."""
+    sim = Simulator()
+    ev = sim.event()
+    ev.succeed(3)
+    got = []
+
+    def proc():
+        yield sim.timeout(1.0)
+        total = 0
+        for _ in range(5000):
+            total += yield ev
+        got.append((sim.now, total))
+
+    sim.process(proc())
+    sim.run()
+    assert got == [(1.0, 15000)]
 
 
 def test_event_fail_raises_in_waiter():
