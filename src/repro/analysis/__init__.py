@@ -15,23 +15,12 @@ Three cooperating passes that keep the simulator honest:
   and shared-state mutation (RACE), with SARIF export and a
   committed finding baseline (``repro lint --sarif``).
 * :mod:`repro.analysis.critpath` — critical-path extraction over the
-  causal span records of a spanned run (``repro critpath``), with its
-  own sanitizer pass reconciling path length against wall time.
+  causal span records of a spanned run (``repro critpath``); the
+  sanitizer's ``critical-path`` check reconciles its length against
+  wall time.
 """
 
-from .critpath import (CRITPATH_SCHEMA, CriticalPath, PathStep,
-                       bucket_shares, extract_critical_path,
-                       render_ladder_diff, render_path)
-from .hb import ClockHistory, HBGraph, IntervalInfo
-from .invariants import (LEGAL_TRANSITIONS, InvariantChecker,
-                         InvariantViolation)
-from .lint import (RULES, LintViolation, Rule, default_target, lint_paths,
-                   lint_source, register_rule)
-from .sanitizer import (SANITIZER_CHECKS, Finding, Sanitizer,
-                        SanitizerCheck, register_check, sanitize_run)
-from .static import (PROJECT_RULES, AnalysisReport, Baseline,
-                     ProjectModel, ProjectRule, analyze_paths,
-                     analyze_project, register_project_rule, to_sarif)
+from typing import Any, List
 
 __all__ = [
     "CriticalPath", "PathStep", "extract_critical_path",
@@ -47,3 +36,43 @@ __all__ = [
     "Finding", "Sanitizer", "SanitizerCheck", "SANITIZER_CHECKS",
     "register_check", "sanitize_run",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    # PEP 562: an export loads its module on first use; each branch is
+    # a literal import so the static import graph keeps the edge.
+    if name in ("CRITPATH_SCHEMA", "CriticalPath", "PathStep",
+                "bucket_shares", "extract_critical_path",
+                "render_ladder_diff", "render_path"):
+        from .critpath import (CRITPATH_SCHEMA, CriticalPath, PathStep,
+                               bucket_shares, extract_critical_path,
+                               render_ladder_diff, render_path)
+    elif name in ("ClockHistory", "HBGraph", "IntervalInfo"):
+        from .hb import ClockHistory, HBGraph, IntervalInfo
+    elif name in ("LEGAL_TRANSITIONS", "InvariantChecker",
+                  "InvariantViolation"):
+        from .invariants import (LEGAL_TRANSITIONS, InvariantChecker,
+                                 InvariantViolation)
+    elif name in ("RULES", "LintViolation", "Rule", "default_target",
+                  "lint_paths", "lint_source", "register_rule"):
+        from .lint import (RULES, LintViolation, Rule, default_target,
+                           lint_paths, lint_source, register_rule)
+    elif name in ("SANITIZER_CHECKS", "Finding", "Sanitizer",
+                  "SanitizerCheck", "register_check", "sanitize_run"):
+        from .sanitizer import (SANITIZER_CHECKS, Finding, Sanitizer,
+                                SanitizerCheck, register_check, sanitize_run)
+    elif name in ("PROJECT_RULES", "AnalysisReport", "Baseline",
+                  "ProjectModel", "ProjectRule", "analyze_paths",
+                  "analyze_project", "register_project_rule", "to_sarif"):
+        from .static import (PROJECT_RULES, AnalysisReport, Baseline,
+                             ProjectModel, ProjectRule, analyze_paths,
+                             analyze_project, register_project_rule, to_sarif)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    loaded = {key: value for key, value in locals().items() if key != "name"}
+    globals().update(loaded)
+    return loaded[name]
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -38,11 +38,9 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sim.trace import TraceEvent
-from .hb import HBGraph
-from .sanitizer import Finding, SanitizerCheck, register_check
 
 __all__ = ["CriticalPath", "PathStep", "extract_critical_path",
            "render_path", "render_ladder_diff", "bucket_shares",
@@ -406,39 +404,3 @@ def render_ladder_diff(paths: Dict[str, CriticalPath]) -> str:
     lines.append(row)
     return "\n".join(lines)
 
-
-# ------------------------------------------------------- sanitizer check
-
-
-@register_check
-class CriticalPathCheck(SanitizerCheck):
-    """On spanned traces, the extracted path must reconcile with wall."""
-
-    name = "critical-path"
-    description = ("the critical path extracted from span records must "
-                   "equal the timed-section wall time")
-
-    def run(self, events: Sequence[TraceEvent],
-            hb: HBGraph) -> Iterator[Finding]:
-        if not any(e.category == "span.begin"
-                   and e.fields.get("name") == "run" for e in events):
-            return  # not a spanned run: nothing to reconcile
-        # Imported here to keep repro.obs optional for trace replay.
-        from ..obs import TIME_TOLERANCE_US
-        try:
-            path = extract_critical_path(events)
-        except ValueError:
-            return  # run spans never completed (truncated trace)
-        if not path.complete:
-            yield Finding(
-                self.name,
-                f"critical-path walk ended at {path.terminal_track} "
-                f"without reaching a run begin: a flow edge or wake "
-                f"record is missing from the span stream")
-        elif abs(path.residual_us) > TIME_TOLERANCE_US:
-            yield Finding(
-                self.name,
-                f"critical path totals {path.total_us} us but the "
-                f"timed section walls {path.wall_us} us (residual "
-                f"{path.residual_us:+.3e} us): span records lost or "
-                f"mis-linked")

@@ -29,8 +29,13 @@ any app) and checks the properties the paper's argument rests on:
 * **time-accounting** — on traces carrying end-of-run ``prof.rank``
   records (emitted when a run is both traced and profiled), each
   rank's Figure-3 bucket sum must equal its timed-section wall time.
+* **critical-path** — on spanned traces, the critical path extracted
+  by :mod:`repro.analysis.critpath` must reconcile with the
+  timed-section wall time.
 
-Every finding carries the offending trace slice for debugging.
+Every check is defined in this module, so ``SANITIZER_CHECKS`` is
+complete however it was imported.  Every finding carries the offending
+trace slice for debugging.
 """
 
 from __future__ import annotations
@@ -375,6 +380,42 @@ class TimeAccountingCheck(SanitizerCheck):
                     f"{ev.fields.get('bucket_us')} us misses wall "
                     f"{ev.fields.get('wall_us')} us by {residual:.3e} us",
                     (ev,))
+
+
+@register_check
+class CriticalPathCheck(SanitizerCheck):
+    """On spanned traces, the extracted path must reconcile with wall."""
+
+    name = "critical-path"
+    description = ("the critical path extracted from span records must "
+                   "equal the timed-section wall time")
+
+    def run(self, events: Sequence[TraceEvent],
+            hb: HBGraph) -> Iterator[Finding]:
+        if not any(e.category == "span.begin"
+                   and e.fields.get("name") == "run" for e in events):
+            return  # not a spanned run: nothing to reconcile
+        # Imported here to keep repro.obs optional for trace replay,
+        # and the extractor out of unspanned sanitizer runs.
+        from ..obs import TIME_TOLERANCE_US
+        from .critpath import extract_critical_path
+        try:
+            path = extract_critical_path(events)
+        except ValueError:
+            return  # run spans never completed (truncated trace)
+        if not path.complete:
+            yield Finding(
+                self.name,
+                f"critical-path walk ended at {path.terminal_track} "
+                f"without reaching a run begin: a flow edge or wake "
+                f"record is missing from the span stream")
+        elif abs(path.residual_us) > TIME_TOLERANCE_US:
+            yield Finding(
+                self.name,
+                f"critical path totals {path.total_us} us but the "
+                f"timed section walls {path.wall_us} us (residual "
+                f"{path.residual_us:+.3e} us): span records lost or "
+                f"mis-linked")
 
 
 # ------------------------------------------------------------- sanitizer

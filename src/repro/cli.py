@@ -24,10 +24,9 @@ import argparse
 import json
 import sys
 
-from . import PROTOCOL_LADDER, FaultConfig, MachineConfig
 from .apps import APP_REGISTRY, PAPER_APPS
-from .runtime import run_hwdsm, run_sequential, run_svm, speedup
-from .svm import GENIMA_MC, GENIMA_PLUS, GENIMA_SG
+from .hw import FaultConfig, MachineConfig
+from .svm import GENIMA_MC, GENIMA_PLUS, GENIMA_SG, PROTOCOL_LADDER
 
 PROTOCOLS = {f.name: f
              for f in (*PROTOCOL_LADDER, GENIMA_SG, GENIMA_MC, GENIMA_PLUS)}
@@ -80,6 +79,7 @@ def _parse_faults(args):
 
 
 def _cmd_run(args) -> int:
+    from .runtime import run_hwdsm, run_sequential, run_svm, speedup
     config = MachineConfig(nodes=args.nodes, faults=_parse_faults(args))
     seq = run_sequential(_make_app(args), config=config)
     if args.protocol == "Origin":
@@ -110,6 +110,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_ladder(args) -> int:
     from .experiments import format_table
+    from .runtime import speedup
     cache = _make_cache(args)
     cache.warm([cache.spec_seq(args.app)]
                + [cache.spec_svm(args.app, feats)
@@ -360,6 +361,7 @@ def _run_sampled(args, with_profile: bool, with_tracer: bool):
     """One sampled run shared by ``repro metrics`` / ``repro dash``:
     returns ``(sampler, profiler, tracer, result)``."""
     from .obs import PhaseProfiler, TimeSeriesSampler
+    from .runtime import run_svm
     from .sim import Tracer
     config = _make_telemetry_config(args)
     app = _make_telemetry_app(args, config)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..obs import MetricsRegistry
+from ..obs.metrics import MetricsRegistry
 from ..sim import Simulator
 from .config import MachineConfig
 from .network import Network

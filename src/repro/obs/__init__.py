@@ -2,15 +2,7 @@
 sim-time telemetry sampling, report rendering, and the
 time-accounting invariant."""
 
-from .dash import render_dash, render_dash_html, sparkline
-from .metrics import Counter, Gauge, MetricsRegistry
-from .openmetrics import render_openmetrics
-from .profiler import (PROFILE_SCHEMA, STATIONS, TIME_TOLERANCE_US,
-                       PhaseProfiler, Profile, check_time_accounting)
-from .report import (render_profiles, render_profiles_html,
-                     render_timeline, render_utilization)
-from .timeseries import (TS_SCHEMA, LogHistogram, TimeSeriesSampler,
-                         telemetry_brief)
+from typing import Any, List
 
 __all__ = [
     "Counter",
@@ -35,3 +27,35 @@ __all__ = [
     "sparkline",
     "telemetry_brief",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    # PEP 562: an export loads its module on first use; each branch is
+    # a literal import so the static import graph keeps the edge.
+    if name in ("render_dash", "render_dash_html", "sparkline"):
+        from .dash import render_dash, render_dash_html, sparkline
+    elif name in ("Counter", "Gauge", "MetricsRegistry"):
+        from .metrics import Counter, Gauge, MetricsRegistry
+    elif name == "render_openmetrics":
+        from .openmetrics import render_openmetrics
+    elif name in ("PROFILE_SCHEMA", "STATIONS", "TIME_TOLERANCE_US",
+                  "PhaseProfiler", "Profile", "check_time_accounting"):
+        from .profiler import (PROFILE_SCHEMA, STATIONS, TIME_TOLERANCE_US,
+                               PhaseProfiler, Profile, check_time_accounting)
+    elif name in ("render_profiles", "render_profiles_html",
+                  "render_timeline", "render_utilization"):
+        from .report import (render_profiles, render_profiles_html,
+                             render_timeline, render_utilization)
+    elif name in ("TS_SCHEMA", "LogHistogram", "TimeSeriesSampler",
+                  "telemetry_brief"):
+        from .timeseries import (TS_SCHEMA, LogHistogram, TimeSeriesSampler,
+                                 telemetry_brief)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    loaded = {key: value for key, value in locals().items() if key != "name"}
+    globals().update(loaded)
+    return loaded[name]
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

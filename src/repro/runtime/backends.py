@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..analysis.invariants import InvariantChecker
 from ..hw import Machine, MachineConfig
 from ..sim import SpanTracer
 from ..svm import HLRCProtocol, ProtocolFeatures
@@ -38,9 +39,6 @@ class SVMBackend(Backend):
         self.features = features
         self.invariants = None
         if check:
-            # Imported here: repro.analysis imports the runtime for
-            # sanitize_run, so a top-level import would be circular.
-            from ..analysis.invariants import InvariantChecker
             self.invariants = InvariantChecker(self.protocol).install()
 
     @property

@@ -494,9 +494,10 @@ class GridExecutor:
 
     ``jobs`` must be at least 1.  It is clamped to the host's CPU
     count unless ``jobs_force`` is set: on an oversubscribed box the
-    extra spawn workers only add scheduling overhead (BENCH_grid's
-    ``cold_jobs4`` on a 1-CPU host regressed to 0.83x), so asking for
-    more workers than cores is almost always a mistake.
+    extra spawn workers only add scheduling overhead, on top of the
+    fresh interpreter each one starts (perfbench's ``setup_s``, about
+    0.1 s), so asking for more workers than cores is almost always a
+    mistake.
     ``requested_jobs`` keeps the caller's original ask so benchmarks
     can report oversubscription honestly.
     """

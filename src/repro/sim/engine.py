@@ -258,9 +258,9 @@ class Simulator:
     order, ``_pages`` maps each distinct future timestamp to its
     append-ordered event list, and ``_times`` is the min-heap fallback
     holding one entry per pending page.  ``events_dispatched`` counts
-    every dispatched event; the ns/event figures in BENCH_grid.json
-    divide wall time by it.  ``now`` is the simulation clock, a plain
-    attribute that only the kernel writes.
+    every dispatched event; perfbench's ``sim.engine.ns_per_event``
+    divides untraced wall time by it.  ``now`` is the simulation
+    clock, a plain attribute that only the kernel writes.
     """
 
     def __init__(self):
@@ -290,8 +290,9 @@ class Simulator:
         must not schedule events or resume processes.  Returns a handle
         for :meth:`remove_slice_hook`.
         """
-        if width <= 0:
-            raise ValueError(f"slice width must be positive, got {width!r}")
+        if not 0 < width < _INF:
+            raise ValueError(
+                f"slice width must be finite and positive, got {width!r}")
         hook = _SliceHook(width, fn, self.now + width)
         self._slice_hooks.append(hook)
         return hook

@@ -86,9 +86,19 @@ DISPATCH_PINS = [
 ]
 
 
-@pytest.mark.parametrize("app_cls,features,events", DISPATCH_PINS,
-                         ids=["water-base", "barnes-genima", "fft-base"])
-def test_events_dispatched_pinned(monkeypatch, app_cls, features, events):
+DISPATCH_IDS = ["water-base", "barnes-genima", "fft-base"]
+
+
+# The sampled cases: a TimeSeriesSampler rides slice hooks and must
+# add no kernel event, so the counts stay the unsampled pins.
+@pytest.mark.parametrize(
+    "app_cls,features,events,sampled",
+    [(*pin, False) for pin in DISPATCH_PINS]
+    + [(*pin, True) for pin in DISPATCH_PINS],
+    ids=DISPATCH_IDS + [f"{name}-sampled" for name in DISPATCH_IDS])
+def test_events_dispatched_pinned(monkeypatch, app_cls, features, events,
+                                  sampled):
+    from repro.obs import TimeSeriesSampler
     dispatched = []
     orig_run = Simulator.run
 
@@ -98,8 +108,11 @@ def test_events_dispatched_pinned(monkeypatch, app_cls, features, events):
         return result
 
     monkeypatch.setattr(Simulator, "run", counting_run)
-    run_svm(app_cls(), features)
+    sampler = TimeSeriesSampler(cadence_us=1000.0) if sampled else None
+    result = run_svm(app_cls(), features, telemetry=sampler)
     assert dispatched[-1] == events
+    if sampled:
+        assert result.telemetry["samples"] > 0
 
 
 @pytest.mark.parametrize("app_cls,features,sha,time_us", GOLDEN_PINS,

@@ -8,6 +8,7 @@ across executors sharing one store (claim, wait, stale break).
 """
 
 import json
+import multiprocessing
 import os
 import sys
 import threading
@@ -352,6 +353,51 @@ def test_concurrent_executors_compute_each_digest_once(
             outs[0], sort_keys=True)
     assert [out[s.digest()]["time_us"] for s in specs] == list(range(6))
     assert len(store) == 6
+    assert not list(store.version_dir.glob("*/*.lock"))
+
+
+def _shared_store_client(root, specs, barrier, queue):
+    """One spawned process: map ``specs`` over the store at ``root`` and
+    report the digests it computed and its encoded results."""
+    computed = []
+    evaluate = parallel.evaluate_cell
+
+    def counting(spec):
+        computed.append(spec.digest())
+        return evaluate(spec)
+    parallel.evaluate_cell = counting
+    barrier.wait(timeout=60)
+    out = GridExecutor(jobs=1, store=ResultStore(root)).map(specs)
+    queue.put((computed, {d: encode_result(r) for d, r in out.items()}))
+
+
+def test_processes_sharing_a_store_match_serial(tmp_path):
+    """Real cells, two processes, one fresh store: each digest is
+    computed once in total, both see exactly the in-process jobs=1
+    results, and no claim is left behind."""
+    specs = [svm_spec(), svm_spec(features=BASE)]
+    serial = {d: encode_result(r)
+              for d, r in GridExecutor(jobs=1).map(specs).items()}
+    context = multiprocessing.get_context("spawn")
+    barrier = context.Barrier(2)
+    queue = context.Queue()
+    procs = [context.Process(target=_shared_store_client,
+                             args=(str(tmp_path), specs, barrier, queue))
+             for _ in range(2)]
+    for proc in procs:
+        proc.start()
+    try:
+        reports = [queue.get(timeout=300) for _ in procs]
+    finally:
+        for proc in procs:
+            proc.join(timeout=60)
+    assert not any(proc.is_alive() for proc in procs)
+    assert sorted(d for computed, _ in reports for d in computed) \
+        == sorted(serial)
+    for _, encoded in reports:
+        assert encoded == serial
+    store = ResultStore(tmp_path)
+    assert len(store) == 2
     assert not list(store.version_dir.glob("*/*.lock"))
 
 

@@ -386,6 +386,16 @@ def test_slice_hooks_fire_on_empty_bounded_run():
     assert seen == [5.0, 10.0]
 
 
+@pytest.mark.parametrize("width", [0.0, -1.0, float("nan"), float("inf"),
+                                   float("-inf")],
+                         ids=["zero", "negative", "nan", "inf", "-inf"])
+def test_slice_hook_width_must_be_finite_and_positive(width):
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        sim.add_slice_hook(width, lambda t: None)
+    assert sim._slice_hooks == []
+
+
 # -- interrupt of a triggered-but-undispatched wait target ----------------
 
 
