@@ -357,31 +357,33 @@ def _make_telemetry_app(args, config: MachineConfig):
     return cls()
 
 
-def _run_sampled(args, with_profile: bool, with_tracer: bool):
+def _run_sampled(args, with_phases: bool, with_tracer: bool):
     """One sampled run shared by ``repro metrics`` / ``repro dash``:
-    returns ``(sampler, profiler, tracer, result)``."""
-    from .obs import PhaseProfiler, TimeSeriesSampler
+    returns ``(sampler, tracer, result)``."""
+    from .obs import TimeSeriesSampler, probe_phases
     from .runtime import run_svm
     from .sim import Tracer
+    tracer = Tracer() if with_tracer else None
+    try:
+        sampler = TimeSeriesSampler(cadence_us=args.cadence_us,
+                                    top_k=args.top_k, tracer=tracer)
+    except ValueError as err:
+        raise SystemExit(f"error: {err}")
     config = _make_telemetry_config(args)
     app = _make_telemetry_app(args, config)
-    tracer = Tracer() if with_tracer else None
-    sampler = TimeSeriesSampler(cadence_us=args.cadence_us,
-                                top_k=args.top_k, tracer=tracer)
-    profiler = (PhaseProfiler(slice_us=args.slice_us)
-                if with_profile else None)
+    if with_phases:
+        probe_phases(sampler)
     result = run_svm(app, PROTOCOLS[args.protocol], config=config,
-                     tracer=tracer, profiler=profiler,
-                     telemetry=sampler)
-    return sampler, profiler, tracer, result
+                     tracer=tracer, telemetry=sampler)
+    return sampler, tracer, result
 
 
 def _cmd_metrics(args) -> int:
     """Sampled run -> registry snapshot + telemetry summary, as an
     OpenMetrics exposition or a JSON document."""
     from .obs import render_openmetrics
-    sampler, _, _, result = _run_sampled(args, with_profile=False,
-                                         with_tracer=False)
+    sampler, _, result = _run_sampled(args, with_phases=False,
+                                      with_tracer=False)
     snapshot = sampler.machine.metrics.snapshot()
     if args.openmetrics:
         text = render_openmetrics(snapshot=snapshot,
@@ -403,12 +405,13 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_dash(args) -> int:
-    """Sampled + profiled run -> ASCII/HTML dashboard (and optionally
-    a Perfetto trace with telemetry counter tracks merged in)."""
-    from .obs import render_dash, render_dash_html
-    sampler, profiler, tracer, result = _run_sampled(
-        args, with_profile=True, with_tracer=bool(args.perfetto))
-    profile = profiler.build_profile(result)
+    """Sampled run with the phase set -> ASCII/HTML dashboard (and
+    optionally a Perfetto trace with telemetry counter tracks merged
+    in)."""
+    from .obs import build_profile, render_dash, render_dash_html
+    sampler, tracer, result = _run_sampled(
+        args, with_phases=True, with_tracer=bool(args.perfetto))
+    profile = build_profile(sampler, result)
     title = (f"{args.app}/{args.protocol} {args.nodes} nodes "
              f"({result.time_us / 1000:.1f} ms)")
     print(render_dash(sampler, profile=profile, title=title,
@@ -703,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--nodes", type=int, default=4,
                       help="SMP nodes (4 procs each)")
     prof.add_argument("--slice-us", type=float, default=1000.0,
-                      help="profiler slice width in microseconds")
+                      help="phase-timeline slice width in microseconds")
     prof.add_argument("--out", default="profile.json",
                       help="JSON profile output path")
     prof.add_argument("--html", metavar="PATH",
@@ -779,8 +782,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="SMP width per node (default: machine "
                            "default)")
     tele.add_argument("--cadence-us", type=float, default=1000.0,
-                      help="telemetry sampling slice width in us of "
-                           "sim time (default: 1000)")
+                      help="sampling slice width in us of sim time, "
+                           "dash phase overlay included (default: 1000)")
     tele.add_argument("--top-k", type=int, default=8,
                       help="hot nodes per metric (default: 8)")
     tele.add_argument("--scale", action="store_true",
@@ -807,9 +810,6 @@ def build_parser() -> argparse.ArgumentParser:
         "dash", parents=[telemetry_parent],
         help="sampled run: ASCII/HTML telemetry dashboard with "
              "sparklines, hot-node tables and phase overlay")
-    dash.add_argument("--slice-us", type=float, default=1000.0,
-                      help="phase-profiler slice width in us "
-                           "(default: 1000)")
     dash.add_argument("--width", type=int, default=64,
                       help="sparkline width in columns (default: 64)")
     dash.add_argument("--html", metavar="PATH",

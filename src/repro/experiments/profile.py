@@ -1,8 +1,9 @@
 """The ``repro profile`` experiment: profiled runs across variants.
 
 One :func:`collect_profile` call runs an application under one
-protocol variant with a :class:`~repro.obs.PhaseProfiler` attached and
-returns the JSON-ready :class:`~repro.obs.Profile`;
+protocol variant with the Figure-3 phase set on a
+:class:`~repro.obs.TimeSeriesSampler` and returns the JSON-ready
+:class:`~repro.obs.Profile`;
 :func:`collect_profiles` sweeps a list of variants (pass Base first to
 get the paper's Figure-3 normalization).  :func:`collect_profiles_grid`
 is the same sweep routed through an :class:`~repro.experiments.cache.
@@ -16,7 +17,8 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..hw import MachineConfig
-from ..obs import PhaseProfiler, Profile
+from ..obs import (Profile, TimeSeriesSampler, build_profile,
+                   probe_phases)
 from ..runtime import run_svm
 from .cache import ExperimentCache
 
@@ -31,10 +33,11 @@ def collect_profile(app, features, config: Optional[MachineConfig] = None,
     time-accounting violation raises at the offending rank instead of
     only flagging the profile.
     """
-    profiler = PhaseProfiler(slice_us=slice_us)
-    result = run_svm(app, features, config=config, profiler=profiler,
-                     check=check)
-    return profiler.build_profile(result)
+    sampler = TimeSeriesSampler(cadence_us=slice_us)
+    probe_phases(sampler)
+    result = run_svm(app, features, config=config, check=check,
+                     telemetry=sampler)
+    return build_profile(sampler, result)
 
 
 def collect_profiles(app_factory, variants: Sequence,

@@ -1,5 +1,5 @@
-"""Observability layer: metrics registry, time-sliced profiling,
-sim-time telemetry sampling, report rendering, and the
+"""Observability layer: metrics registry, one sim-time sampler
+(telemetry and the Figure-3 phase set), report rendering, and the
 time-accounting invariant."""
 
 from typing import Any, List
@@ -9,14 +9,15 @@ __all__ = [
     "Gauge",
     "LogHistogram",
     "MetricsRegistry",
-    "PhaseProfiler",
     "Profile",
     "PROFILE_SCHEMA",
     "STATIONS",
     "TIME_TOLERANCE_US",
     "TS_SCHEMA",
     "TimeSeriesSampler",
+    "build_profile",
     "check_time_accounting",
+    "probe_phases",
     "render_dash",
     "render_dash_html",
     "render_openmetrics",
@@ -39,9 +40,11 @@ def __getattr__(name: str) -> Any:
     elif name == "render_openmetrics":
         from .openmetrics import render_openmetrics
     elif name in ("PROFILE_SCHEMA", "STATIONS", "TIME_TOLERANCE_US",
-                  "PhaseProfiler", "Profile", "check_time_accounting"):
+                  "Profile", "build_profile", "check_time_accounting",
+                  "probe_phases"):
         from .profiler import (PROFILE_SCHEMA, STATIONS, TIME_TOLERANCE_US,
-                               PhaseProfiler, Profile, check_time_accounting)
+                               Profile, build_profile, check_time_accounting,
+                               probe_phases)
     elif name in ("render_profiles", "render_profiles_html",
                   "render_timeline", "render_utilization"):
         from .report import (render_profiles, render_profiles_html,

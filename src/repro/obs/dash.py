@@ -4,14 +4,15 @@ One screen answers the telemetry pipeline's motivating question —
 *which node, when* — for a finished sampled run:
 
 * per metric, an ASCII **sparkline** of the per-slice maximum over
-  nodes (downsampled to the terminal width, the
-  :func:`~repro.obs.report.render_timeline` idiom);
+  nodes (downsampled to the terminal width by
+  :func:`~repro.obs.report.columns`, like the phase strips);
 * a **top-k hot-node table** ranked by total (counters) or mean level
   (gauges), plus the max/median skew line that makes one hot KV shard
   among 1023 idle nodes readable at a glance;
-* optionally, a **phase overlay** strip from a
-  :class:`~repro.obs.PhaseProfiler` run alongside, so a queue-depth
-  spike lines up with the barrier (or lock) phase that caused it.
+* optionally, a **phase overlay** strip from the profile of the same
+  sampled run (the phase set, :func:`~repro.obs.probe_phases`), so a
+  queue-depth spike lines up with the barrier (or lock) phase that
+  caused it.
 
 :func:`render_dash_html` emits the same content as a dependency-free
 HTML page (inline styles, no scripts) for the CI artifact.
@@ -19,10 +20,9 @@ HTML page (inline styles, no scripts) for the CI artifact.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from ..sim import BUCKETS
-from .report import BUCKET_LETTERS
+from .report import bucket_strip, columns
 from .timeseries import TimeSeriesSampler
 
 __all__ = ["sparkline", "render_dash", "render_dash_html"]
@@ -36,13 +36,9 @@ def sparkline(values: Sequence[float], width: int = 64) -> str:
     scaled against the global maximum (all-zero input renders flat)."""
     if not values:
         return ""
-    columns = min(width, len(values))
-    per_col = len(values) / columns
     peak = max(values)
     out = []
-    for col in range(columns):
-        lo = int(col * per_col)
-        hi = max(int((col + 1) * per_col), lo + 1)
+    for lo, hi in columns(len(values), width):
         v = max(values[lo:hi])
         if peak <= 0:
             out.append(SPARK_CHARS[0])
@@ -55,23 +51,9 @@ def sparkline(values: Sequence[float], width: int = 64) -> str:
 
 def _phase_strip(profile, width: int) -> Optional[str]:
     """Dominant bucket letter per column, summed over ranks."""
-    slices = getattr(profile, "slices", None)
-    if not slices:
+    if profile is None or not profile.slices:
         return None
-    columns = min(width, len(slices))
-    per_col = len(slices) / columns
-    strip = []
-    for col in range(columns):
-        lo = int(col * per_col)
-        hi = max(int((col + 1) * per_col), lo + 1)
-        agg: Dict[str, float] = dict.fromkeys(BUCKETS, 0.0)
-        for s in slices[lo:hi]:
-            for rank_delta in s["ranks"]:
-                for name, value in rank_delta.items():
-                    agg[name] += value
-        top = max(agg, key=lambda n: agg[n])
-        strip.append(BUCKET_LETTERS[top] if agg[top] > 0.0 else ".")
-    return "".join(strip)
+    return bucket_strip([s["ranks"] for s in profile.slices], width)
 
 
 def _fmt_value(v: float) -> str:
@@ -99,6 +81,7 @@ def _metric_blocks(sampler: TimeSeriesSampler, top_k: int,
         block = {
             "metric": metric,
             "kind": series.kind,
+            "what": "total" if series.kind == "counter" else "mean level",
             "spark": sparkline(maxima, width),
             "samples": len(times),
             "peak": max(maxima) if maxima else 0.0,
@@ -120,7 +103,7 @@ def render_dash(sampler: TimeSeriesSampler, profile=None,
     lines = [f"{title} — {len(sampler.times)} samples @ "
              f"{sampler.cadence_us * sampler._stride:g} us, "
              f"window {t0 / 1000:.1f}..{t1 / 1000:.1f} ms"]
-    overlay = _phase_strip(profile, width) if profile is not None else None
+    overlay = _phase_strip(profile, width)
     if overlay:
         lines.append("")
         lines.append(f"  {'phase':16s} {overlay}")
@@ -138,9 +121,8 @@ def render_dash(sampler: TimeSeriesSampler, profile=None,
             ranked = "  ".join(
                 f"n{node}={_fmt_value(value)}"
                 for node, value in block["top"])
-            what = ("total" if block["kind"] == "counter"
-                    else "mean level")
-            lines.append(f"  {'':16s} hot nodes ({what}): {ranked}")
+            lines.append(f"  {'':16s} hot nodes ({block['what']}): "
+                         f"{ranked}")
     return "\n".join(lines)
 
 
@@ -164,7 +146,7 @@ def render_dash_html(sampler: TimeSeriesSampler, profile=None,
         f"<p class='meta'>{len(sampler.times)} samples @ "
         f"{sampler.cadence_us * sampler._stride:g} us sim time, window "
         f"{t0 / 1000:.1f}&ndash;{t1 / 1000:.1f} ms</p>")
-    overlay = _phase_strip(profile, width) if profile is not None else None
+    overlay = _phase_strip(profile, width)
     if overlay:
         parts.append("<h3>phase</h3>")
         parts.append(f"<pre class='spark'>{overlay}</pre>")
@@ -179,10 +161,8 @@ def render_dash_html(sampler: TimeSeriesSampler, profile=None,
             detail += "; " + _skew_line(block["skew"])
         parts.append(f"<p class='meta'>{detail}</p>")
         if block["top"]:
-            what = ("total" if block["kind"] == "counter"
-                    else "mean level")
-            parts.append(f"<table><tr><th>hot node</th><th>{what}</th>"
-                         "</tr>")
+            parts.append("<table><tr><th>hot node</th>"
+                         f"<th>{block['what']}</th></tr>")
             for node, value in block["top"]:
                 parts.append(f"<tr><td>{node}</td>"
                              f"<td>{_fmt_value(value)}</td></tr>")

@@ -3,43 +3,41 @@
 The paper's argument is a cost-accounting one: Figure 3's per-process
 execution-time breakdowns and the NI-occupancy discussion explain *why*
 each NI mechanism helps.  A single end-of-run :class:`TimeBuckets` per
-rank cannot show *when* the time went, so :class:`PhaseProfiler`
-samples the per-rank buckets and the contended hardware stations at
-fixed slice boundaries (an engine-level hook, no simulation events) and
-assembles:
+rank cannot show *when* the time went, so :func:`probe_phases` adds the
+**phase set** to a :class:`~repro.obs.TimeSeriesSampler`, and
+:func:`build_profile` turns its timelines into a :class:`Profile`: per
+slice, each rank's Figure-3 bucket deltas and each node's station busy
+fractions (host protocol processor, LANai, PCI/DMA, outgoing link),
+plus final breakdowns, wall times, the machine's metric snapshot and
+the time-accounting residuals.
 
-* a **phase timeline** — per slice, per rank, how much time landed in
-  each Figure-3 bucket during that slice;
-* **utilization timelines** — per slice, per node, the busy fraction of
-  the host protocol processor, the NI LANai, the PCI/DMA path and the
-  outgoing link;
-* a **profile** — the above plus final breakdowns, per-rank wall times,
-  the machine's metric snapshot, and the time-accounting residuals.
-
-The always-on invariant behind the bugfix half of this module: every
-blocked microsecond of a rank's timed section must land in exactly one
-bucket, so ``sum(buckets) == wall time`` within
-:data:`TIME_TOLERANCE_US`.  :func:`check_time_accounting` evaluates it
-on any :class:`~repro.runtime.results.RunResult`; the runtime invariant
-checker and the ``repro profile`` CLI both call it.
+That invariant: every blocked microsecond of a rank's timed section
+must land in exactly one bucket, so ``sum(buckets) == wall time``
+within :data:`TIME_TOLERANCE_US`.  :func:`check_time_accounting`
+evaluates it on any :class:`~repro.runtime.results.RunResult`; the
+runtime invariant checker and the ``repro profile`` CLI both call it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..sim import BUCKETS
 
-__all__ = ["PhaseProfiler", "Profile", "TIME_TOLERANCE_US",
-           "check_time_accounting"]
+__all__ = ["Profile", "TIME_TOLERANCE_US", "build_profile",
+           "check_time_accounting", "probe_phases"]
 
 #: |sum(buckets) - wall| beyond this is an accounting bug (microseconds).
 TIME_TOLERANCE_US = 1e-6
 
-#: stations sampled per node, in report order.
-STATIONS = ("host_proto", "lanai", "pci", "link")
+#: stations sampled per node, in report order: the machine list and
+#: attribute that hold each one.
+_STATION_ATTRS = {"host_proto": ("nodes", "protocol_proc"),
+                  "lanai": ("nics", "lanai"), "pci": ("nics", "pci"),
+                  "link": ("nics", "out_link")}
+STATIONS = tuple(_STATION_ATTRS)
 
 #: profile JSON schema version (bump on breaking change).
 PROFILE_SCHEMA = 1
@@ -139,7 +137,7 @@ class Profile:
 
         Lossless for everything the reports consume, so a profile that
         round-trips through the persistent store renders byte-identical
-        to one built live by the profiler.
+        to one built live from a sampled run.
         """
         ranks = data.get("ranks", [])
         return cls(
@@ -160,157 +158,74 @@ class Profile:
         )
 
 
-class PhaseProfiler:
-    """Samples bucket and station state at fixed slice boundaries.
+def probe_phases(sampler) -> None:
+    """Add the Figure-3 phase set to a sampler, before its run:
+    counter vectors (timelines) ``phase.<bucket>`` over every rank's
+    buckets and ``busy.<station>`` over every node's station busy
+    time::
 
-    Attach to an SVM backend *before* running, pass the instance to the
-    runner (``run_svm(..., profiler=p)``), then read
-    :attr:`~PhaseProfiler.slices` or build a :class:`Profile`::
-
-        profiler = PhaseProfiler(slice_us=1000.0)
-        result = run_svm(app, GENIMA, profiler=profiler)
-        profile = profiler.build_profile(result)
-
-    Sampling uses :meth:`Simulator.add_slice_hook`: no events enter the
-    heap, so an unprofiled run's schedule (and trace) is untouched, and
-    the simulation still terminates when its processes do.
+        sampler = TimeSeriesSampler(cadence_us=1000.0)
+        probe_phases(sampler)
+        result = run_svm(app, GENIMA, telemetry=sampler)
+        profile = build_profile(sampler, result)
     """
+    def bucket(name):
+        return lambda: [getattr(b, name) for b in sampler.protocol.buckets]
 
-    def __init__(self, slice_us: float = 1000.0):
-        if slice_us <= 0:
-            raise ValueError(f"slice_us must be positive, got {slice_us!r}")
-        self.slice_us = slice_us
-        self.slices: List[dict] = []
-        self.protocol = None
-        self.machine = None
-        self.sim = None
-        self._hook = None
-        self._tracer = None
-        self._last_t = 0.0
-        self._t_attach = 0.0
-        self._t_final: Optional[float] = None
-        self._last_buckets: List[Dict[str, float]] = []
-        self._last_busy: List[Dict[str, float]] = []
-        self._base_busy: List[Dict[str, float]] = []
+    def busy(station):
+        group, attr = _STATION_ATTRS[station]
+        return lambda: [getattr(owner, attr).sample_busy()
+                        for owner in getattr(sampler.machine, group)]
 
-    # ---------------------------------------------------------------- wiring
+    for name in BUCKETS:
+        sampler.probe_vector(f"phase.{name}", "counter", bucket(name))
+    for station in STATIONS:
+        sampler.probe_vector(f"busy.{station}", "counter", busy(station))
 
-    def attach(self, backend) -> "PhaseProfiler":
-        """Hook into an SVM backend (must expose protocol + machine)."""
-        if self._hook is not None:
-            raise RuntimeError("profiler already attached")
-        self.protocol = backend.protocol
-        self.machine = backend.machine
-        self.sim = self.machine.sim
-        self._tracer = getattr(self.protocol, "tracer", None)
-        nprocs = self.machine.config.total_procs
-        self._t_attach = self._last_t = self.sim.now
-        self._last_buckets = [dict.fromkeys(BUCKETS, 0.0)
-                              for _ in range(nprocs)]
-        self._last_busy = [self._busy_now(n)
-                           for n in range(self.machine.config.nodes)]
-        self._base_busy = [dict(b) for b in self._last_busy]
-        self._hook = self.sim.add_slice_hook(self.slice_us, self._sample)
-        return self
 
-    def on_timed_start(self, rank: int) -> None:
-        """The runner resets rank accounting at the timed-section start;
-        re-baseline so the reset does not read as negative progress."""
-        self._last_buckets[rank] = dict.fromkeys(BUCKETS, 0.0)
-
-    def finalize(self) -> None:
-        """Take the trailing partial slice and detach the engine hook."""
-        if self._hook is None:
-            return
-        if self.sim.now > self._last_t:
-            self._sample(self.sim.now)
-        self._t_final = self.sim.now
-        self.sim.remove_slice_hook(self._hook)
-        self._hook = None
-
-    # -------------------------------------------------------------- sampling
-
-    def _stations(self, node_id: int) -> Dict[str, object]:
-        node = self.machine.nodes[node_id]
-        nic = self.machine.nics[node_id]
-        return {"host_proto": node.protocol_proc, "lanai": nic.lanai,
-                "pci": nic.pci, "link": nic.out_link}
-
-    def _busy_now(self, node_id: int) -> Dict[str, float]:
-        return {name: station.sample_busy()
-                for name, station in self._stations(node_id).items()}
-
-    def _sample(self, t: float) -> None:
-        width = t - self._last_t
-        if width <= 0:
-            return
-        ranks = []
-        for rank, last in enumerate(self._last_buckets):
-            current = self.protocol.buckets[rank].as_dict()
-            delta = {}
-            for name in BUCKETS:
-                cur = current[name]
-                # A smaller value means the accumulator was replaced
-                # (timed-section reset): the fresh value is the delta.
-                delta[name] = cur - last[name] if cur >= last[name] else cur
-            self._last_buckets[rank] = current
-            ranks.append(delta)
-        utilization = []
-        for node_id, last in enumerate(self._last_busy):
-            busy = self._busy_now(node_id)
-            utilization.append({
-                name: (busy[name] - last[name]) / width
-                for name in STATIONS
-            })
-            self._last_busy[node_id] = busy
-        self.slices.append({"t0": self._last_t, "t1": t,
-                            "ranks": ranks, "utilization": utilization})
-        self._last_t = t
-        # Seal the tracer's active column block once per slice: a long
-        # traced run grows a list of frozen segments instead of one
-        # ever-reallocating array (purely observational — no events).
-        tracer = self._tracer
-        if tracer is not None:
-            flush = getattr(tracer, "flush", None)
-            if flush is not None:
-                flush()
-
-    # --------------------------------------------------------------- profile
-
-    def utilization_totals(self) -> List[Dict[str, float]]:
-        """Per node: busy fraction of each station over the profiled
-        window (attach to finalize)."""
-        t_end = self._t_final if self._t_final is not None else self.sim.now
-        span = t_end - self._t_attach
-        if span <= 0:
-            return [dict.fromkeys(STATIONS, 0.0) for _ in self._base_busy]
-        out = []
-        for node_id, base in enumerate(self._base_busy):
-            busy = self._busy_now(node_id)
-            out.append({name: (busy[name] - base[name]) / span
-                        for name in STATIONS})
-        return out
-
-    def build_profile(self, result) -> Profile:
-        """Assemble the JSON-ready profile for a finished run."""
-        if self._hook is not None:
-            self.finalize()
-        wall = list(result.wall_us)
-        buckets = [b.as_dict() for b in result.buckets]
-        residuals = [b.total - w
-                     for b, w in zip(result.buckets, wall)]
-        return Profile(
-            app=result.app,
-            system=result.system,
-            nodes=self.machine.config.nodes,
-            nprocs=result.nprocs,
-            slice_us=self.slice_us,
-            time_us=result.time_us,
-            wall_us=wall,
-            buckets=buckets,
-            barrier_protocol_us=list(result.barrier_protocol_us),
-            residual_us=residuals,
-            slices=self.slices,
-            utilization=self.utilization_totals(),
-            metrics=self.machine.metrics.snapshot(),
-        )
+def build_profile(sampler, result) -> Profile:
+    """Assemble the JSON-ready profile of a run sampled with the phase
+    set.  A traced run also gets one ``prof.rank`` record per rank, so
+    the offline sanitizer can re-check sum-equals-wall."""
+    phase = [sampler.timeline(f"phase.{name}") for name in BUCKETS]
+    busy = [sampler.timeline(f"busy.{station}") for station in STATIONS]
+    slices = []
+    for i, (t0, t1, _) in enumerate(phase[0]):
+        slices.append({
+            "t0": t0, "t1": t1,
+            "ranks": [dict(zip(BUCKETS, values))
+                      for values in zip(*(rows[i][2] for rows in phase))],
+            "utilization": [
+                {s: v / (t1 - t0) for s, v in zip(STATIONS, values)}
+                for values in zip(*(rows[i][2] for rows in busy))],
+        })
+    # Window totals: busy time since attach over the window, not a sum
+    # of the per-slice fractions.
+    span = sampler._t_final - sampler._t_attach
+    utilization = [
+        {s: v / span if span > 0 else 0.0 for s, v in zip(STATIONS, values)}
+        for values in zip(*(sampler.timeline_change(f"busy.{station}")
+                            for station in STATIONS))]
+    wall = list(result.wall_us)
+    residuals = [b.total - w for b, w in zip(result.buckets, wall)]
+    tracer = getattr(sampler.protocol, "tracer", None)
+    if tracer is not None:
+        for rank, (w, b) in enumerate(zip(wall, result.buckets)):
+            tracer.record(sampler.sim.now, "prof.rank", rank=rank,
+                          wall_us=w, bucket_us=b.total,
+                          residual_us=residuals[rank])
+    return Profile(
+        app=result.app,
+        system=result.system,
+        nodes=sampler.machine.config.nodes,
+        nprocs=result.nprocs,
+        slice_us=sampler.cadence_us,
+        time_us=result.time_us,
+        wall_us=wall,
+        buckets=[b.as_dict() for b in result.buckets],
+        barrier_protocol_us=list(result.barrier_protocol_us),
+        residual_us=residuals,
+        slices=slices,
+        utilization=utilization,
+        metrics=sampler.machine.metrics.snapshot(),
+    )

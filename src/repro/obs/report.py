@@ -8,7 +8,7 @@ per-rank phase timeline and a per-node station-utilization table.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from ..sim import BUCKETS
 from .profiler import STATIONS, Profile
@@ -24,6 +24,33 @@ BUCKET_LETTERS = {"compute": "C", "data": "D", "lock": "L",
 BUCKET_COLORS = {"compute": "#4477aa", "data": "#ee6677",
                  "lock": "#228833", "acqrel": "#ccbb44",
                  "barrier": "#aa3377"}
+
+
+def columns(n: int, width: int) -> Iterator[Tuple[int, int]]:
+    """``[lo, hi)`` index ranges pooling ``n`` slices into at most
+    ``width`` columns (every column covers at least one slice)."""
+    count = min(width, n)
+    per_col = n / count
+    for col in range(count):
+        lo = int(col * per_col)
+        yield lo, max(int((col + 1) * per_col), lo + 1)
+
+
+def bucket_strip(slices: Sequence[Sequence[Dict[str, float]]],
+                 width: int) -> str:
+    """The dominant Figure-3 bucket letter per column of ``slices``,
+    each a list of bucket dicts (one rank's, or every rank's); ``.``
+    where no time accrued (not yet started, or finished)."""
+    strip = []
+    for lo, hi in columns(len(slices), width):
+        agg: Dict[str, float] = dict.fromkeys(BUCKETS, 0.0)
+        for group in slices[lo:hi]:
+            for buckets in group:
+                for name, value in buckets.items():
+                    agg[name] += value
+        top = max(agg, key=lambda n: agg[n])
+        strip.append(BUCKET_LETTERS[top] if agg[top] > 0.0 else ".")
+    return "".join(strip)
 
 
 def _mean_total(profile: Profile) -> float:
@@ -60,32 +87,17 @@ def render_profiles(profiles: Sequence[Profile]) -> str:
 
 
 def render_timeline(profile: Profile, width: int = 64) -> str:
-    """Per-rank phase strips: the dominant bucket letter per column.
-
-    Each column covers one or more profiler slices (downsampled to
-    ``width``); ``.`` marks columns where the rank accrued no time
-    (not yet started, or finished).
-    """
+    """Per-rank phase strips (:func:`bucket_strip` of each rank's
+    slices, downsampled to ``width`` columns)."""
     slices = profile.slices
     if not slices:
         return "(no timeline: run shorter than one slice)"
-    columns = min(width, len(slices))
-    per_col = len(slices) / columns
     lines = [f"phase timeline (slice {profile.slice_us:g} us, "
              f"{len(slices)} slices, C=compute D=data L=lock "
              f"A=acqrel B=barrier)"]
     for rank in range(profile.nprocs):
-        strip = []
-        for col in range(columns):
-            lo = int(col * per_col)
-            hi = max(int((col + 1) * per_col), lo + 1)
-            agg: Dict[str, float] = dict.fromkeys(BUCKETS, 0.0)
-            for s in slices[lo:hi]:
-                for name, value in s["ranks"][rank].items():
-                    agg[name] += value
-            top = max(agg, key=lambda n: agg[n])
-            strip.append(BUCKET_LETTERS[top] if agg[top] > 0.0 else ".")
-        lines.append(f"  rank {rank:3d} {''.join(strip)}")
+        strip = bucket_strip([[s["ranks"][rank]] for s in slices], width)
+        lines.append(f"  rank {rank:3d} {strip}")
     return "\n".join(lines)
 
 

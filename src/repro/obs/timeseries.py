@@ -21,6 +21,10 @@ reading into
   when the series fills, every second point is dropped and the keep
   stride doubles, so memory is O(max_samples) for any run length.
 
+Counter *vector* probes instead keep per-slice, per-index rows (a
+timeline; the Figure-3 phase set is built from them), merged pairwise
+on decimation so they always sum to the run.
+
 On top of the series sit the scale-aware reductions:
 :meth:`~TimeSeriesSampler.summary` produces per-metric rollups, top-k
 hot-node tables and a max/median skew report that makes a hot shard
@@ -157,6 +161,20 @@ class _Series:
         return t
 
 
+class _Timeline:
+    """One counter vector probe: per-slice rows of per-index deltas."""
+
+    __slots__ = ("fn", "base", "last", "pending", "rows")
+
+    def __init__(self, fn: Callable[[], Sequence[float]]):
+        self.fn = fn
+        self.base: Optional[List[float]] = None   # reading at attach
+        self.last: Optional[List[float]] = None
+        #: deltas of ticks not kept yet (stride > 1 after decimation).
+        self.pending: Optional[List[float]] = None
+        self.rows: List[List[float]] = []
+
+
 class TimeSeriesSampler:
     """Samples registered probes at fixed sim-time boundaries.
 
@@ -178,12 +196,15 @@ class TimeSeriesSampler:
     def __init__(self, cadence_us: float = 1000.0,
                  max_samples: int = 2048, top_k: int = 8,
                  tracer=None):
-        if cadence_us <= 0:
+        if not 0 < cadence_us < math.inf:
             raise ValueError(
-                f"cadence_us must be positive, got {cadence_us!r}")
+                f"cadence_us must be finite and positive, "
+                f"got {cadence_us!r}")
         if max_samples < 2:
             raise ValueError(
                 f"max_samples must be >= 2, got {max_samples!r}")
+        if top_k < 0:
+            raise ValueError(f"top_k must be >= 0, got {top_k!r}")
         self.cadence_us = cadence_us
         self.max_samples = max_samples
         self.top_k = top_k
@@ -191,8 +212,14 @@ class TimeSeriesSampler:
         self.times = array("d")
         self._series: Dict[str, _Series] = {}
         self._order: List[str] = []
+        self._timelines: Dict[str, _Timeline] = {}
+        #: end time of each kept timeline row (a row starts where the
+        #: previous one ends, the first at attach).
+        self._row_t1 = array("d")
         self.sim = None
         self.machine = None
+        self.protocol = None
+        self._flush: Optional[Callable[[], None]] = None
         self._hook = None
         self._attached = False
         self._stride = 1
@@ -226,12 +253,20 @@ class TimeSeriesSampler:
 
     def probe_vector(self, metric: str, kind: str,
                      fn: Callable[[], Sequence[float]]) -> None:
-        """Register one function returning per-node values (index ==
-        node id) in a single pass — for probes whose state is one
-        shared structure (lock wait queues) where per-node closures
-        would rescan it O(nodes) times per sample."""
+        """Register one function returning per-index values in a
+        single pass — for probes whose state is one shared structure
+        (lock wait queues) where per-node closures would rescan it
+        O(nodes) times per sample.  A ``"gauge"`` vector indexes nodes
+        and is summarized like any metric; a ``"counter"`` vector is a
+        timeline (:meth:`timeline`): per-slice rows, no rollup."""
         if kind not in ("gauge", "counter"):
             raise ValueError(f"kind must be gauge|counter, got {kind!r}")
+        if kind == "counter":
+            if metric in self._timelines or metric in self._series:
+                raise ValueError(
+                    f"metric {metric!r} already registered")
+            self._timelines[metric] = _Timeline(fn)
+            return
         series = self._get_series(metric, kind)
         if series.vector is not None:
             raise ValueError(f"metric {metric!r} already has a vector "
@@ -254,9 +289,16 @@ class TimeSeriesSampler:
         self.sim = self.machine.sim
         self._t_attach = self.sim.now
         self.machine.register_probes(self)
-        protocol = getattr(backend, "protocol", None)
+        protocol = self.protocol = getattr(backend, "protocol", None)
         if protocol is not None:
             protocol.register_probes(self)
+            # Seal the run's trace once per slice: frozen segments
+            # instead of one ever-reallocating array.
+            tracer = getattr(protocol, "tracer", None)
+            if tracer is not None:
+                self._flush = tracer.flush
+        for timeline in self._timelines.values():
+            timeline.base = timeline.last = list(timeline.fn())
         self._hook = self.sim.add_slice_hook(self.cadence_us,
                                              self._sample)
         return self
@@ -285,8 +327,12 @@ class TimeSeriesSampler:
     def _sample(self, t: float, force: bool = False) -> None:
         keep = force or (self._tick % self._stride == 0)
         self._tick += 1
+        if self._flush is not None:
+            self._flush()
         if keep:
             self.times.append(t)
+        if self._timelines:
+            self._sample_timelines(t, keep)
         for metric in self._order:
             series = self._series[metric]
             counter = series.kind == "counter"
@@ -303,7 +349,9 @@ class TimeSeriesSampler:
                 if counter:
                     prev = track.last_raw or 0.0
                     track.last_raw = raw
-                    value = raw - prev
+                    # A smaller reading is a reset (a replaced
+                    # accumulator): the fresh value is the delta.
+                    value = raw - prev if raw >= prev else raw
                 else:
                     track.last_raw = raw
                     value = raw
@@ -325,14 +373,41 @@ class TimeSeriesSampler:
         if keep and len(self.times) >= self.max_samples:
             self._decimate()
 
+    def _sample_timelines(self, t: float, keep: bool) -> None:
+        for timeline in self._timelines.values():
+            cur = list(timeline.fn())
+            last = timeline.last or [0.0] * len(cur)
+            timeline.last = cur
+            # The runner's timed-section reset replaces each rank's
+            # buckets: the counter reset rule applies per index.
+            delta = [c - p if c >= p else c for c, p in zip(cur, last)]
+            if timeline.pending is not None:
+                delta = [a + b for a, b in zip(timeline.pending, delta)]
+            timeline.pending = None if keep else delta
+            if keep:
+                timeline.rows.append(delta)
+        if keep:
+            self._row_t1.append(t)
+
     def _decimate(self) -> None:
         """Drop every second kept sample and double the keep stride:
-        the series always spans the whole run at bounded memory."""
+        the series always spans the whole run at bounded memory.
+        Timeline rows merge pairwise instead, so they keep summing to
+        the whole run."""
         self.times = self.times[::2]
         for series in self._series.values():
             series.sum_arr = series.sum_arr[::2]
             series.max_arr = series.max_arr[::2]
             series.argmax_arr = series.argmax_arr[::2]
+        if self._timelines:
+            odd = len(self._row_t1) % 2
+            self._row_t1 = (self._row_t1[1::2]
+                            + self._row_t1[len(self._row_t1) - odd:])
+            for timeline in self._timelines.values():
+                rows = timeline.rows
+                merged = [[a + b for a, b in zip(rows[i], rows[i + 1])]
+                          for i in range(0, len(rows) - 1, 2)]
+                timeline.rows = merged + rows[len(rows) - odd:]
         self._stride *= 2
 
     # --------------------------------------------------------- reductions
@@ -381,12 +456,6 @@ class TimeSeriesSampler:
             out.merge(track.hist)
         return out
 
-    def merged_stat(self, metric: str) -> RunningStat:
-        out = RunningStat()
-        for track in self._series[metric].tracks.values():
-            out = out.merge(track.stat)
-        return out
-
     def series(self, metric: str
                ) -> Tuple[List[float], List[float], List[float],
                           List[int]]:
@@ -395,6 +464,24 @@ class TimeSeriesSampler:
         s = self._series[metric]
         return (list(self.times), list(s.sum_arr), list(s.max_arr),
                 list(s.argmax_arr))
+
+    def timeline(self, metric: str
+                 ) -> List[Tuple[float, float, List[float]]]:
+        """A counter vector probe's kept rows as ``(t0, t1, deltas)``,
+        deltas indexed like the probe's values.  A reading below the
+        previous one counts as a reset: the fresh value is the delta."""
+        rows = []
+        t0 = self._t_attach
+        for t1, row in zip(self._row_t1, self._timelines[metric].rows):
+            rows.append((t0, t1, row))
+            t0 = t1
+        return rows
+
+    def timeline_change(self, metric: str) -> List[float]:
+        """Per index: the probe's reading now minus its reading at
+        attach (a window total, not a sum of row deltas)."""
+        timeline = self._timelines[metric]
+        return [c - b for c, b in zip(timeline.fn(), timeline.base)]
 
     def _rollup(self, series: _Series) -> dict:
         stat = RunningStat()
@@ -451,18 +538,16 @@ class TimeSeriesSampler:
 
     # ---------------------------------------------------------- perfetto
 
-    def counter_events(self, pid: int = 99) -> List[dict]:
-        """The kept series as Chrome/Perfetto counter tracks.
-
-        One ``ph: "C"`` track per metric carrying the per-slice
-        ``max`` and ``sum``, under a dedicated ``telemetry`` process
-        so counters render beside (not inside) the span rows from
-        :meth:`repro.sim.Tracer.to_chrome_trace`.
-        """
-        events: List[dict] = [{
-            "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-            "args": {"name": "telemetry"},
-        }]
+    def merge_chrome_trace(self, trace_events: List[dict],
+                           pid: int = 99) -> List[dict]:
+        """Chrome-trace events plus the kept series as Perfetto counter
+        tracks: one ``ph: "C"`` track per metric carrying the per-slice
+        ``max`` and ``sum``, under a dedicated ``telemetry`` process so
+        counters render beside (not inside) the span rows from
+        :meth:`repro.sim.Tracer.to_chrome_trace`."""
+        events = list(trace_events)
+        events.append({"name": "process_name", "ph": "M", "pid": pid,
+                       "tid": 0, "args": {"name": "telemetry"}})
         for metric in self._order:
             s = self._series[metric]
             for i, t in enumerate(self.times):
@@ -471,11 +556,6 @@ class TimeSeriesSampler:
                     "args": {"max": s.max_arr[i], "sum": s.sum_arr[i]},
                 })
         return events
-
-    def merge_chrome_trace(self, trace_events: List[dict],
-                           pid: int = 99) -> List[dict]:
-        """Chrome-trace events plus this sampler's counter tracks."""
-        return list(trace_events) + self.counter_events(pid=pid)
 
 
 def telemetry_brief(summary: Optional[dict]) -> Optional[dict]:

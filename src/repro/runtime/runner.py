@@ -20,16 +20,16 @@ __all__ = ["run_svm", "run_sequential", "run_hwdsm", "run_on_backend"]
 
 def run_on_backend(app, backend, system: str,
                    nprocs: Optional[int] = None,
-                   profiler=None, telemetry=None) -> RunResult:
+                   telemetry=None) -> RunResult:
     """Execute ``app`` on ``backend`` and collect a RunResult.
 
-    ``profiler`` (a :class:`repro.obs.PhaseProfiler`) samples per-rank
-    buckets and station utilization at slice boundaries; only SVM
-    backends (those with a protocol) can be profiled.  ``telemetry``
-    (a :class:`repro.obs.TimeSeriesSampler`) samples the registered
-    machine/protocol probes the same way; its summary lands in
-    ``RunResult.telemetry``.  Both are engine-hook observers: an
-    instrumented run's event schedule is byte-identical to a bare one.
+    ``telemetry`` (a :class:`repro.obs.TimeSeriesSampler`) samples the
+    registered machine/protocol probes, plus the Figure-3 phase set
+    when the caller added it (:func:`repro.obs.probe_phases`), at slice
+    boundaries; only SVM backends (those with a protocol) can be
+    sampled.  Its summary lands in ``RunResult.telemetry``.  The
+    sampler is an engine-hook observer: an instrumented run's event
+    schedule is byte-identical to a bare one.
     """
     nprocs = nprocs or backend.nprocs
     sim = backend.sim
@@ -41,11 +41,6 @@ def run_on_backend(app, backend, system: str,
     protocol = getattr(backend, "protocol", None)
     monitor = getattr(backend, "monitor", None)
     spans = getattr(backend, "spans", None)
-    if profiler is not None:
-        if protocol is None:
-            raise ValueError(
-                f"{system}: profiling requires an SVM backend")
-        profiler.attach(backend)
     if telemetry is not None:
         if protocol is None:
             raise ValueError(
@@ -61,8 +56,6 @@ def run_on_backend(app, backend, system: str,
             # Timed section starts: clear this rank's accounting.
             protocol.buckets[rank] = TimeBuckets()
             protocol.barrier_protocol_us[rank] = 0.0
-            if profiler is not None:
-                profiler.on_timed_start(rank)
         # The rank's timed section is one root span; the critical-path
         # extractor walks backwards from the last rank's "run" end.
         sid = spans.begin("run", f"r{rank}", bucket="compute",
@@ -81,8 +74,6 @@ def run_on_backend(app, backend, system: str,
         raise RuntimeError(
             f"{app.name}/{system}: only {finished[0]}/{nprocs} "
             f"processes finished (deadlock?)")
-    if profiler is not None:
-        profiler.finalize()
     if telemetry is not None:
         telemetry.finalize()
 
@@ -98,33 +89,18 @@ def run_on_backend(app, backend, system: str,
         result.barrier_protocol_us = list(protocol.barrier_protocol_us)
         result.mprotect_us = protocol.mprotect.grand_total_us
         result.stats = _stats_delta(baseline, _stats_snapshot(backend))
-        _report_time_accounting(backend, protocol, result, profiler)
+        # End-of-run invariant, sum(buckets) == wall per rank, through
+        # the runtime invariant checker when one is installed (--check).
+        checker = getattr(backend, "invariants", None)
+        if checker is not None:
+            for rank, wall in enumerate(result.wall_us):
+                checker.on_run_complete(rank, wall, result.buckets[rank])
     if monitor is not None:
         result.monitor_small = monitor.ratios("small").as_dict()
         result.monitor_large = monitor.ratios("large").as_dict()
     if telemetry is not None:
         result.telemetry = telemetry.summary()
     return result
-
-
-def _report_time_accounting(backend, protocol, result, profiler) -> None:
-    """End-of-run invariant: ``sum(buckets) == wall``, per rank.
-
-    Reports through the runtime invariant checker when one is installed
-    (``--check``), and leaves ``prof.rank`` records in the trace when
-    the run is both traced *and* profiled, so the offline sanitizer can
-    re-check.  Untraced or unprofiled runs' traces stay byte-identical.
-    """
-    checker = getattr(backend, "invariants", None)
-    tracer = getattr(protocol, "tracer", None)
-    for rank, wall in enumerate(result.wall_us):
-        buckets = result.buckets[rank]
-        if checker is not None:
-            checker.on_run_complete(rank, wall, buckets)
-        if tracer is not None and profiler is not None:
-            tracer.record(protocol.sim.now, "prof.rank", rank=rank,
-                          wall_us=wall, bucket_us=buckets.total,
-                          residual_us=buckets.total - wall)
 
 
 def _stats_snapshot(backend) -> dict:
@@ -159,13 +135,12 @@ def _stats_delta(before: dict, after: dict) -> dict:
 def run_svm(app, features: ProtocolFeatures,
             config: Optional[MachineConfig] = None,
             with_monitor: bool = True, tracer=None,
-            check: bool = False, profiler=None,
-            spans: bool = False, telemetry=None) -> RunResult:
+            check: bool = False, spans: bool = False,
+            telemetry=None) -> RunResult:
     """Run ``app`` on the SVM cluster under one protocol variant.
 
     ``tracer`` records the protocol event stream (for the offline
     sanitizer); ``check`` installs the runtime invariant checker;
-    ``profiler`` attaches a :class:`repro.obs.PhaseProfiler`;
     ``spans`` arms causal span recording into the tracer (required for
     :mod:`repro.analysis.critpath`); ``telemetry`` attaches a
     :class:`repro.obs.TimeSeriesSampler` — all without perturbing the
@@ -175,7 +150,7 @@ def run_svm(app, features: ProtocolFeatures,
                          with_monitor=with_monitor, tracer=tracer,
                          check=check, spans=spans)
     return run_on_backend(app, backend, system=features.name,
-                          profiler=profiler, telemetry=telemetry)
+                          telemetry=telemetry)
 
 
 def run_sequential(app, config: Optional[MachineConfig] = None) -> RunResult:

@@ -27,7 +27,7 @@ one-object-per-record sink.  That legacy sink is still available as
 ``Tracer(sink="tuples")``; the golden regression tests compare the two
 bytewise on a full ladder cell.
 
-``flush()`` seals the mutable tail into a frozen segment; the profiler
+``flush()`` seals the mutable tail into a frozen segment; the sampler
 calls it once per time slice so a long traced run grows a list of
 immutable column blocks instead of one ever-reallocating array.
 """
@@ -216,7 +216,7 @@ class Tracer:
         self._counts_memo = None
 
     def flush(self) -> None:
-        """Seal the active block (called by the profiler per slice)."""
+        """Seal the active block (called by the sampler per slice)."""
         self._trim()
         self._seal()
 

@@ -85,6 +85,28 @@ def test_dash_command(capsys, tmp_path):
     assert any(e.get("ph") == "C" for e in events)
 
 
+def test_dash_samples_on_one_slice_hook(monkeypatch, capsys):
+    from repro.sim import Simulator
+    widths = []
+    add = Simulator.add_slice_hook
+
+    def counting_add(self, width, fn):
+        widths.append(width)
+        return add(self, width, fn)
+
+    monkeypatch.setattr(Simulator, "add_slice_hook", counting_add)
+    assert main(["dash", "--app", "KVStore", "--scale", "--nodes", "4",
+                 "--cadence-us", "500"]) == 0
+    assert "phase" in capsys.readouterr().out
+    assert widths == [500.0]
+
+
+def test_dash_rejects_negative_top_k():
+    with pytest.raises(SystemExit, match="top_k"):
+        main(["dash", "--app", "KVStore", "--scale", "--nodes", "4",
+              "--top-k", "-1"])
+
+
 def test_dash_scale_rejects_paper_app():
     with pytest.raises(SystemExit):
         main(["dash", "--app", "FFT", "--scale"])

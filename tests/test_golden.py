@@ -90,15 +90,19 @@ DISPATCH_IDS = ["water-base", "barnes-genima", "fft-base"]
 
 
 # The sampled cases: a TimeSeriesSampler rides slice hooks and must
-# add no kernel event, so the counts stay the unsampled pins.
+# add no kernel event, so the counts stay the unsampled pins.  The
+# profiled cases carry the Figure-3 phase set and the telemetry probes
+# on that one sampler.
 @pytest.mark.parametrize(
-    "app_cls,features,events,sampled",
-    [(*pin, False) for pin in DISPATCH_PINS]
-    + [(*pin, True) for pin in DISPATCH_PINS],
-    ids=DISPATCH_IDS + [f"{name}-sampled" for name in DISPATCH_IDS])
+    "app_cls,features,events,mode",
+    [(*pin, None) for pin in DISPATCH_PINS]
+    + [(*pin, "sampled") for pin in DISPATCH_PINS]
+    + [(*pin, "profiled") for pin in DISPATCH_PINS],
+    ids=DISPATCH_IDS + [f"{name}-sampled" for name in DISPATCH_IDS]
+    + [f"{name}-profiled" for name in DISPATCH_IDS])
 def test_events_dispatched_pinned(monkeypatch, app_cls, features, events,
-                                  sampled):
-    from repro.obs import TimeSeriesSampler
+                                  mode):
+    from repro.obs import TimeSeriesSampler, build_profile, probe_phases
     dispatched = []
     orig_run = Simulator.run
 
@@ -108,11 +112,15 @@ def test_events_dispatched_pinned(monkeypatch, app_cls, features, events,
         return result
 
     monkeypatch.setattr(Simulator, "run", counting_run)
-    sampler = TimeSeriesSampler(cadence_us=1000.0) if sampled else None
+    sampler = TimeSeriesSampler(cadence_us=1000.0) if mode else None
+    if mode == "profiled":
+        probe_phases(sampler)
     result = run_svm(app_cls(), features, telemetry=sampler)
     assert dispatched[-1] == events
-    if sampled:
+    if mode:
         assert result.telemetry["samples"] > 0
+    if mode == "profiled":
+        assert build_profile(sampler, result).slices
 
 
 @pytest.mark.parametrize("app_cls,features,sha,time_us", GOLDEN_PINS,

@@ -1,7 +1,8 @@
-"""Tests for repro.obs: metrics registry, slice hooks, profiler,
-reports and the sum-equals-wall time-accounting invariant."""
+"""Tests for repro.obs: metrics registry, slice hooks, the phase set's
+profiles, reports and the sum-equals-wall time-accounting invariant."""
 
 import json
+import math
 import random
 
 import pytest
@@ -9,9 +10,11 @@ import pytest
 from repro.analysis.invariants import InvariantChecker, InvariantViolation
 from repro.apps import Application
 from repro.cli import main
+from repro.experiments import collect_profile
 from repro.hw import Machine, MachineConfig
-from repro.obs import (MetricsRegistry, PhaseProfiler, TIME_TOLERANCE_US,
-                       check_time_accounting, render_profiles,
+from repro.obs import (MetricsRegistry, TIME_TOLERANCE_US,
+                       TimeSeriesSampler, build_profile,
+                       check_time_accounting, probe_phases, render_profiles,
                        render_profiles_html, render_timeline,
                        render_utilization)
 from repro.runtime import RunResult, run_svm
@@ -273,14 +276,14 @@ def test_slice_hook_removal_and_validation():
     assert seen == []
 
 
-# --------------------------------------------------------------- profiler
+# ---------------------------------------------------------- phase profiles
 
-def test_profiler_slice_deltas_sum_to_final_buckets():
-    profiler = PhaseProfiler(slice_us=500.0)
-    result = run_svm(TinyApp(), GENIMA, config=TWO_NODES,
-                     profiler=profiler)
-    profile = profiler.build_profile(result)
-    assert profile.slices, "run long enough for at least one slice"
+def _profile(slice_us: float = 500.0):
+    return collect_profile(TinyApp(), GENIMA, config=TWO_NODES,
+                           slice_us=slice_us)
+
+
+def _assert_slices_cover_final_buckets(profile):
     for rank in range(profile.nprocs):
         for name in BUCKETS:
             sliced = sum(s["ranks"][rank][name] for s in profile.slices)
@@ -290,26 +293,60 @@ def test_profiler_slice_deltas_sum_to_final_buckets():
             assert sliced >= profile.buckets[rank][name] - 1e-6
 
 
-def test_profiler_utilization_fractions_bounded():
-    profiler = PhaseProfiler(slice_us=500.0)
+def test_profiler_slice_deltas_sum_to_final_buckets():
+    profile = _profile()
+    assert profile.slices, "run long enough for at least one slice"
+    _assert_slices_cover_final_buckets(profile)
+
+
+def test_profile_longer_than_max_samples_merges_slices():
+    """Decimation merges adjacent phase rows instead of dropping them:
+    a profile with more slices than ``max_samples`` keeps contiguous
+    slices whose deltas sum to the undecimated profile's."""
+    full = _profile(slice_us=20.0)
+    sampler = TimeSeriesSampler(cadence_us=20.0, max_samples=8)
+    probe_phases(sampler)
     result = run_svm(TinyApp(), GENIMA, config=TWO_NODES,
-                     profiler=profiler)
-    profile = profiler.build_profile(result)
+                     telemetry=sampler)
+    merged = build_profile(sampler, result)
+    assert len(full.slices) > 8 > len(merged.slices) > 1
+    assert merged.slices[0]["t0"] == full.slices[0]["t0"]
+    assert merged.slices[-1]["t1"] == full.slices[-1]["t1"]
+    for prev, cur in zip(merged.slices, merged.slices[1:]):
+        assert cur["t0"] == prev["t1"]
+    for rank in range(merged.nprocs):
+        for name in BUCKETS:
+            total = sum(s["ranks"][rank][name] for s in merged.slices)
+            assert total == pytest.approx(
+                sum(s["ranks"][rank][name] for s in full.slices),
+                abs=1e-6)
+    _assert_slices_cover_final_buckets(merged)
+    assert merged.utilization == full.utilization
+
+
+def test_profiler_utilization_fractions_bounded():
+    profile = _profile()
     for util in profile.utilization + [u for s in profile.slices
                                        for u in s["utilization"]]:
         for value in util.values():
             assert -1e-9 <= value <= 1.0 + 1e-9
 
 
-def test_profiler_rejects_non_positive_slice():
-    with pytest.raises(ValueError):
-        PhaseProfiler(slice_us=0.0)
+def test_profiler_rejects_non_positive_slice(monkeypatch):
+    # Rejected when the sampler is built, before anything simulates.
+    monkeypatch.setattr(Simulator, "run",
+                        lambda *a, **k: pytest.fail("simulation ran"))
+    for width in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            _profile(slice_us=width)
 
 
 def test_profiling_does_not_change_the_run():
     bare = run_svm(TinyApp(), GENIMA, config=TWO_NODES)
+    sampler = TimeSeriesSampler(cadence_us=250.0)
+    probe_phases(sampler)
     profiled = run_svm(TinyApp(), GENIMA, config=TWO_NODES,
-                       profiler=PhaseProfiler(slice_us=250.0))
+                       telemetry=sampler)
     assert profiled.time_us == bare.time_us
     assert profiled.wall_us == bare.wall_us
 
@@ -356,8 +393,12 @@ def test_traced_profiled_run_leaves_prof_records_and_sanitizes_clean():
     from repro.analysis.sanitizer import Sanitizer
     from repro.sim import Tracer
     tracer = Tracer(capacity=None)
-    run_svm(TinyApp(), GENIMA, config=TWO_NODES, tracer=tracer,
-            profiler=PhaseProfiler(slice_us=500.0))
+    sampler = TimeSeriesSampler(cadence_us=500.0)
+    probe_phases(sampler)
+    result = run_svm(TinyApp(), GENIMA, config=TWO_NODES, tracer=tracer,
+                     telemetry=sampler)
+    assert not any(e.category == "prof.rank" for e in tracer.events)
+    build_profile(sampler, result)
     prof_events = [e for e in tracer.events if e.category == "prof.rank"]
     assert len(prof_events) == 4  # one per rank
     findings = Sanitizer(["time-accounting"]).run(tracer.events)
@@ -384,15 +425,8 @@ def test_untraced_runs_leave_no_prof_records():
 
 # ------------------------------------------------------------------ reports
 
-def _small_profile():
-    profiler = PhaseProfiler(slice_us=500.0)
-    result = run_svm(TinyApp(), GENIMA, config=TWO_NODES,
-                     profiler=profiler)
-    return profiler.build_profile(result)
-
-
 def test_render_profiles_and_timeline_and_utilization():
-    profile = _small_profile()
+    profile = _profile()
     text = render_profiles([profile])
     assert "GeNIMA" in text and "accounting" in text and "ok" in text
     strip = render_timeline(profile)
@@ -404,7 +438,7 @@ def test_render_profiles_and_timeline_and_utilization():
 
 
 def test_profile_json_round_trip():
-    profile = _small_profile()
+    profile = _profile()
     data = json.loads(profile.to_json())
     assert data["schema"] == 1
     assert data["invariant"]["ok"] is True

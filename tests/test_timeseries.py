@@ -9,6 +9,7 @@ the byte-identity pin itself lives in ``test_golden.py``).
 """
 
 import json
+import math
 
 import pytest
 
@@ -127,10 +128,41 @@ def test_sampler_rejects_kind_conflicts_and_double_vectors():
         s.probe_vector("v", "gauge", lambda: [])
     with pytest.raises(ValueError):
         s.probe_vector("w", "histogram", lambda: [])
-    with pytest.raises(ValueError):
-        TimeSeriesSampler(cadence_us=0.0)
+    for width in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            TimeSeriesSampler(cadence_us=width)
     with pytest.raises(ValueError):
         TimeSeriesSampler(max_samples=1)
+    s.probe_vector("t", "counter", lambda: [])
+    with pytest.raises(ValueError):
+        s.probe_vector("t", "counter", lambda: [])
+
+
+def test_sampler_rejects_negative_top_k():
+    # A negative k would slice [:-1]: every node but the coldest.
+    with pytest.raises(ValueError, match="top_k"):
+        TimeSeriesSampler(top_k=-1)
+    s = TimeSeriesSampler(top_k=0)
+    s.probe_vector("m", "gauge", lambda: [1.0, 2.0, 3.0])
+    s._sample(1.0)
+    assert s.top_nodes("m") == []
+    assert s.top_nodes("m", 2) == [(2, 3.0), (1, 2.0)]
+
+
+def test_counter_vector_probes_keep_timeline_rows():
+    box = {"v": [0.0, 0.0]}
+    s = TimeSeriesSampler(cadence_us=1.0)
+    s.probe_vector("t", "counter", lambda: box["v"])
+    for t, v in ((1.0, [2.0, 1.0]), (2.0, [5.0, 1.0]), (3.0, [1.0, 4.0])):
+        box["v"] = v
+        s._sample(t)
+    # The third reading of index 0 fell: a reset, so the delta is 1.0.
+    assert s.timeline("t") == [(0.0, 1.0, [2.0, 1.0]),
+                               (1.0, 2.0, [3.0, 0.0]),
+                               (2.0, 3.0, [1.0, 3.0])]
+    # Timelines are rows, not metrics: no rollup, no summary entry.
+    assert s.metrics() == ()
+    assert s.summary()["metrics"] == {}
 
 
 def test_sampler_decimation_bounds_memory_and_doubles_stride():
