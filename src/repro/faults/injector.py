@@ -36,6 +36,7 @@ from typing import Dict, Tuple
 
 from ..hw.config import FaultConfig, MachineConfig
 from ..hw.packet import Packet
+from ..sim import Timeout
 
 __all__ = ["FaultInjector", "MsgIds"]
 
@@ -102,14 +103,16 @@ class FaultInjector:
             self._rngs[(src, dst)] = rng
         return rng
 
-    def deliver(self, pkt: Packet, receive) -> None:
-        """Carry ``pkt``, applying link faults; ``receive(pkt)`` is the
-        destination NI's arrival entry point."""
+    def deliver(self, pkt: Packet, arrive) -> None:
+        """Carry ``pkt``, applying link faults; ``arrive`` is the
+        destination NI's arrival callback (``NIC.arrive``), run by an
+        event carrying the packet, as on the perfect fabric."""
+        sim = self.sim
         f = self.fcfg
         src, dst = pkt.src, pkt.dst
         wire = self.topology.latency_us(src, dst)
         if not f.affects(src, dst):
-            self.sim.schedule(wire, lambda: receive(pkt))
+            Timeout(sim, wire, pkt).add_callback(arrive)
             return
         rng = self._rng(src, dst)
         if f.loss and rng.random() < f.loss:
@@ -135,7 +138,7 @@ class FaultInjector:
             self._trace("fault.reorder", src=src, dst=dst, kind=pkt.kind,
                         msg=self.msg_ids.map(pkt.message.msg_id),
                         idx=pkt.index)
-        self.sim.schedule(latency, lambda: receive(pkt))
+        Timeout(sim, latency, pkt).add_callback(arrive)
         if f.dup and rng.random() < f.dup:
             self.dups += 1
             self._trace("fault.dup", src=src, dst=dst, kind=pkt.kind,
@@ -145,7 +148,7 @@ class FaultInjector:
             # the receiver's dedup discards it, but carries its own
             # stage timestamps.
             copy = dataclasses.replace(pkt)
-            self.sim.schedule(latency + wire, lambda: receive(copy))
+            Timeout(sim, latency + wire, copy).add_callback(arrive)
 
     #: counter name -> backing attribute; per-key consumers (the
     #: Machine's ``faults.*`` gauges) read one attribute instead of

@@ -22,6 +22,8 @@ from typing import Optional, Tuple
 
 __all__ = ["FaultConfig", "MachineConfig", "PAPER_16P", "PAPER_32P"]
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True)
 class FaultConfig:
@@ -199,8 +201,17 @@ class MachineConfig:
             raise ValueError(
                 f"unknown topology {self.topology!r} (choose from "
                 f"{', '.join(sorted(TOPOLOGIES))})")
-        if self.hop_latency_us < 0:
-            raise ValueError("hop_latency_us must be >= 0")
+        # Every cost is a finite duration and every bandwidth a finite
+        # positive rate: NaN or inf would otherwise surface as a late
+        # ValueError mid-run or as a silently wrong simulated time.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.endswith("_us") and not 0 <= value < _INF:
+                raise ValueError(
+                    f"{f.name} must be finite and >= 0, got {value!r}")
+            if f.name.endswith("_mbps") and not 0 < value < _INF:
+                raise ValueError(
+                    f"{f.name} must be finite and > 0, got {value!r}")
         for name in ("packet_max", "page_size"):
             value = getattr(self, name)
             if value <= 0:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..sim import Simulator
+from ..sim import Simulator, Timeout
 from .config import MachineConfig
 from .packet import Packet
 from .topology import Topology, build_topology
@@ -80,7 +80,8 @@ class Network:
         or delayed, and the reliability layer above the NICs recovers.
         """
         dst = pkt.dst
-        if dst not in self._nics:
+        nic = self._nics.get(dst)
+        if nic is None:
             raise LookupError(f"packet for unattached node {dst}")
         src = pkt.src
         if dst == src:
@@ -93,7 +94,8 @@ class Network:
                                hops=self.topology.hops(src, dst),
                                latency_us=self.topology.latency_us(src, dst))
         if self.fault_injector is not None:
-            self.fault_injector.deliver(pkt, self._nics[dst].receive)
+            self.fault_injector.deliver(pkt, nic.arrive)
             return
-        self.sim.schedule(self.topology.latency_us(src, dst),
-                          lambda: self._nics[dst].receive(pkt))
+        # One event per hop: it carries the packet to ``nic.arrive``.
+        Timeout(self.sim, self.topology.latency_us(src, dst),
+                pkt).add_callback(nic.arrive)

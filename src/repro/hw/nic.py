@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from ..sim import RateServer, Resource, RunningStat, Simulator, Store
+from ..sim import (Event, RateServer, Resource, RunningStat, Simulator,
+                   Store, Timeout)
 from .config import MachineConfig
 from .packet import Message, Packet
 
@@ -37,6 +38,12 @@ class NIC:
     link, and the receive loop serves incoming packets in FIFO order —
     on the LANai for firmware-handled kinds, else over PCI into host
     memory.
+
+    The loops hold the LANai, PCI and link stations inline (request,
+    hold a :class:`Timeout`, release in ``finally``), the same events
+    ``Resource.use``/``RateServer.transfer`` would create, without a
+    delegated generator per hold: five holds per packet make this the
+    simulator's hottest path.
     """
 
     def __init__(self, sim: Simulator, config: MachineConfig, node_id: int,
@@ -107,7 +114,11 @@ class NIC:
         host CPU time before calling.
         """
         ev = self.post_queue.put(message)
-        ev.add_callback(lambda _e: setattr(message, "_t_post", self.sim.now))
+        if ev.triggered:
+            message._t_post = self.sim.now
+        else:
+            ev.add_callback(
+                lambda _e: setattr(message, "_t_post", self.sim.now))
         return ev
 
     def _segment_sizes(self, message: Message):
@@ -135,29 +146,38 @@ class NIC:
         one source DMA per segment, then one injected packet per
         destination (the Section 5 NI multicast extension).
         """
-        cfg = self.config
+        sim = self.sim
+        pci = self.pci
+        station = pci.station
         while True:
             message = yield self.post_queue.get()
-            t_enq = getattr(message, "_t_post", self.sim.now)
-            if message.multicast_dsts:
-                dsts = message.multicast_dsts
+            t_enq = getattr(message, "_t_post", sim.now)
+            dsts = message.multicast_dsts
+            if dsts:
                 sizes = self._segment_sizes(message)
                 message.packets_remaining = len(sizes) * len(dsts)
-                for i, size in enumerate(sizes):
-                    yield from self.pci.transfer(size)
-                    for dst in dsts:
-                        pkt = Packet(message=message, size=size, index=i,
-                                     is_last=(i == len(sizes) - 1),
-                                     dst_node=dst)
-                        pkt.t_enqueue = t_enq
-                        pkt.t_src_done = self.sim.now
-                        yield self.out_queue.put(pkt)
+                last = len(sizes) - 1
             else:
-                for pkt in self._segment(message):
+                pkts = self._segment(message)
+                sizes = [pkt.size for pkt in pkts]
+            for i, size in enumerate(sizes):
+                # Host memory -> NI memory over the PCI bus.
+                pci.total_bytes += size
+                yield station.request()
+                try:
+                    yield Timeout(sim, pci.overhead + size / pci.bandwidth)
+                finally:
+                    station.release()
+                if dsts:
+                    # One copy per destination, each built as it queues.
+                    copies = (Packet(message=message, size=size, index=i,
+                                     is_last=(i == last), dst_node=dst)
+                              for dst in dsts)
+                else:
+                    copies = (pkts[i],)
+                for pkt in copies:
                     pkt.t_enqueue = t_enq
-                    # Host memory -> NI memory over the PCI bus.
-                    yield from self.pci.transfer(pkt.size)
-                    pkt.t_src_done = self.sim.now
+                    pkt.t_src_done = sim.now
                     yield self.out_queue.put(pkt)
             if message.on_sent is not None:
                 message.on_sent(message)
@@ -172,13 +192,23 @@ class NIC:
         Returns the Process that queues the packets for injection (no
         caller awaits it).
         """
+        sim = self.sim
+        pci = self.pci
+        station = pci.station
+
         def run():
-            t_enq = self.sim.now
+            t_enq = sim.now
             for pkt in self._segment(message, fw_origin=True):
                 pkt.t_enqueue = t_enq
                 if read_host_bytes:
-                    yield from self.pci.transfer(pkt.size)
-                pkt.t_src_done = self.sim.now
+                    size = pkt.size
+                    pci.total_bytes += size
+                    yield station.request()
+                    try:
+                        yield Timeout(sim, pci.overhead + size / pci.bandwidth)
+                    finally:
+                        station.release()
+                pkt.t_src_done = sim.now
                 yield self.out_queue.put(pkt)
 
         return self.sim.process(run(), name=f"ni{self.node_id}.fw_send")
@@ -186,21 +216,38 @@ class NIC:
     def _inject_loop(self):
         """LANai processing + injection into the outgoing link."""
         cfg = self.config
+        sim = self.sim
+        lanai = self.lanai
+        link = self.out_link
+        station = link.station
+        deliver = self.network.deliver
         while True:
             pkt = yield self.out_queue.get()
             if self.reliability is not None:
                 self.reliability.on_inject(self, pkt)
-            yield from self.lanai.use(cfg.ni_proc_us
-                                      + pkt.message.extra_src_lanai_us)
-            yield from self.out_link.transfer(pkt.size)
-            pkt.t_injected = self.sim.now
+            yield lanai.request()
+            try:
+                yield Timeout(sim, cfg.ni_proc_us
+                              + pkt.message.extra_src_lanai_us)
+            finally:
+                lanai.release()
+            size = pkt.size
+            link.total_bytes += size
+            yield station.request()
+            try:
+                yield Timeout(sim, link.overhead + size / link.bandwidth)
+            finally:
+                station.release()
+            pkt.t_injected = sim.now
             self.packets_sent += 1
-            self.network.deliver(pkt)
+            deliver(pkt)
 
     # --------------------------------------------------------------- receive
 
-    def receive(self, pkt: Packet) -> None:
-        """Called by the network when a packet's last word arrives."""
+    def arrive(self, ev: Event) -> None:
+        """Arrival callback: ``ev`` fires when the last word of the
+        packet it carries reaches this NI (see ``Network.deliver``)."""
+        pkt = ev.value
         pkt.t_net_arrival = self.sim.now
         self.packets_received += 1
         self.in_queue.put(pkt)
@@ -215,10 +262,18 @@ class NIC:
         a stream of data packets.
         """
         cfg = self.config
+        sim = self.sim
+        lanai = self.lanai
+        pci = self.pci
+        station = pci.station
         while True:
             pkt = yield self.in_queue.get()
-            yield from self.lanai.use(cfg.ni_proc_us
-                                      + pkt.message.extra_dst_lanai_us)
+            yield lanai.request()
+            try:
+                yield Timeout(sim, cfg.ni_proc_us
+                              + pkt.message.extra_dst_lanai_us)
+            finally:
+                lanai.release()
             if self.reliability is not None \
                     and not self.reliability.accept(self, pkt):
                 # A copy this NI already processed (injected duplicate
@@ -241,14 +296,20 @@ class NIC:
                 if result is not None:
                     # Handler needs LANai time (e.g. lock-queue ops).
                     yield from result
-                pkt.t_delivered = self.sim.now
+                pkt.t_delivered = sim.now
                 self.fw_packets += 1
                 if sp is not None:
                     sp.end(fsid)
                 self._finish(pkt)
             else:
-                yield from self.pci.transfer(pkt.size)
-                pkt.t_delivered = self.sim.now
+                size = pkt.size
+                pci.total_bytes += size
+                yield station.request()
+                try:
+                    yield Timeout(sim, pci.overhead + size / pci.bandwidth)
+                finally:
+                    station.release()
+                pkt.t_delivered = sim.now
                 if self.on_delivery is not None:
                     self.on_delivery(pkt)
                 self._finish(pkt)

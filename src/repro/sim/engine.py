@@ -171,6 +171,27 @@ class Timeout(Event):
             page.append(self)
 
 
+_new = object.__new__
+
+
+def _granted(sim: "Simulator", value: Any = None) -> Timeout:
+    """A zero-delay :class:`Timeout` for an already-granted request.
+
+    ``Resource.request``, ``Store.put`` and ``Store.get`` return one
+    per grant.  It is queued on the FIFO lane exactly as
+    ``Timeout(sim, 0, value)`` would be, without the delay check and
+    the page lookup a zero delay never needs.
+    """
+    ev = _new(Timeout)
+    ev.sim = sim
+    ev._value = value
+    ev._exc = None
+    ev._triggered = True
+    ev._callbacks = []
+    sim._fifo.append(ev)
+    return ev
+
+
 class Process(Event):
     """A running simulated process; also an event that fires on return.
 

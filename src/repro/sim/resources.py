@@ -11,7 +11,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Optional
 
-from .engine import Event, Simulator, SimulationError, Timeout
+from .engine import (_INF, Event, Simulator, SimulationError, Timeout,
+                     _granted)
 
 __all__ = ["Resource", "Store", "RateServer"]
 
@@ -35,8 +36,9 @@ class Resource:
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        if not isinstance(capacity, int) or capacity < 1:
+            raise ValueError(
+                f"capacity must be an integer >= 1, got {capacity!r}")
         self.sim = sim
         self.capacity = capacity
         self.name = name
@@ -60,10 +62,12 @@ class Resource:
         """Return an event that fires when a slot is granted."""
         self.total_requests += 1
         if self._in_use < self.capacity:
-            self._accrue()
+            now = self.sim.now
+            self.busy_time += self._in_use * (now - self._last_change)
+            self._last_change = now
             self._in_use += 1
             # Granted: queued now, so same-instant order is request order.
-            return Timeout(self.sim, 0)
+            return _granted(self.sim)
         ev = _ReqEvent(self.sim)
         ev._req_time = self.sim.now
         self._waiters.append(ev)
@@ -77,7 +81,9 @@ class Resource:
             self.total_wait_time += self.sim.now - ev._req_time
             ev.succeed()
         else:
-            self._accrue()
+            now = self.sim.now
+            self.busy_time += self._in_use * (now - self._last_change)
+            self._last_change = now
             self._in_use -= 1
 
     def use(self, duration: float):
@@ -87,11 +93,6 @@ class Resource:
             yield Timeout(self.sim, duration)
         finally:
             self.release()
-
-    def _accrue(self) -> None:
-        now = self.sim.now
-        self.busy_time += self._in_use * (now - self._last_change)
-        self._last_change = now
 
     def sample_busy(self) -> float:
         """Cumulative busy time *as of now*, including the open span.
@@ -115,8 +116,10 @@ class Store:
 
     def __init__(self, sim: Simulator, capacity: Optional[int] = None,
                  name: str = ""):
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be >= 1 or None")
+        if capacity is not None and (not isinstance(capacity, int)
+                                     or capacity < 1):
+            raise ValueError(
+                f"capacity must be an integer >= 1 or None, got {capacity!r}")
         self.sim = sim
         self.capacity = capacity
         self.name = name
@@ -139,11 +142,13 @@ class Store:
         self.total_puts += 1
         if self._getters:
             self._getters.popleft().succeed(item)
-            return Timeout(self.sim, 0)
-        if not self.is_full:
-            self._items.append(item)
-            self.max_occupancy = max(self.max_occupancy, len(self._items))
-            return Timeout(self.sim, 0)
+            return _granted(self.sim)
+        items = self._items
+        if self.capacity is None or len(items) < self.capacity:
+            items.append(item)
+            if len(items) > self.max_occupancy:
+                self.max_occupancy = len(items)
+            return _granted(self.sim)
         ev = _ReqEvent(self.sim)
         ev._item = item
         ev._req_time = self.sim.now
@@ -154,14 +159,15 @@ class Store:
         """Remove the oldest item; the event fires with the item."""
         if self._items:
             item = self._items.popleft()
-            self._admit_waiting_putter()
-            return Timeout(self.sim, 0, item)
+            if self._putters:
+                self._admit_waiting_putter()
+            return _granted(self.sim, item)
         ev = Event(self.sim)
         self._getters.append(ev)
         return ev
 
     def _admit_waiting_putter(self) -> None:
-        if self._putters and not self.is_full:
+        if not self.is_full:
             pev = self._putters.popleft()
             self._items.append(pev._item)
             self.max_occupancy = max(self.max_occupancy, len(self._items))
@@ -182,13 +188,18 @@ class RateServer:
 
     def __init__(self, sim: Simulator, bandwidth_mbps: float,
                  overhead_us: float = 0.0, name: str = ""):
-        if bandwidth_mbps <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0 < bandwidth_mbps < _INF:
+            raise ValueError(f"bandwidth must be finite and positive, "
+                             f"got {bandwidth_mbps!r}")
+        if not 0 <= overhead_us < _INF:
+            raise ValueError(f"overhead must be finite and >= 0, "
+                             f"got {overhead_us!r}")
         self.sim = sim
         self.bandwidth = bandwidth_mbps
         self.overhead = overhead_us
         self.name = name
-        self._res = Resource(sim, 1, name=name)
+        #: the FIFO station each transfer holds for its service time.
+        self.station = Resource(sim, 1, name=name)
         self.total_bytes = 0
 
     def service_time(self, size_bytes: int) -> float:
@@ -197,20 +208,20 @@ class RateServer:
     def transfer(self, size_bytes: int):
         """Generator: queue for the station and move ``size_bytes``."""
         self.total_bytes += size_bytes
-        yield self._res.request()
+        yield self.station.request()
         try:
             yield Timeout(self.sim, self.service_time(size_bytes))
         finally:
-            self._res.release()
+            self.station.release()
 
     @property
     def queue_len(self) -> int:
-        return self._res.queue_len
+        return self.station.queue_len
 
     @property
     def busy(self) -> bool:
-        return self._res.in_use > 0
+        return self.station.in_use > 0
 
     def sample_busy(self) -> float:
         """Cumulative station busy time as of now (see Resource)."""
-        return self._res.sample_busy()
+        return self.station.sample_busy()

@@ -19,6 +19,7 @@ from typing import Any, Callable, Dict, Optional
 
 from ..hw import Message
 from ..hw.packet import Packet
+from ..sim import Timeout
 from ..sim.spans import nic_track
 from .api import VMMC
 
@@ -196,9 +197,15 @@ class NILockManager:
                                   else None)
 
     def _lanai_op(self, node: int, fn, *args):
-        """Run a firmware action on ``node``'s LANai (host doorbell)."""
-        nic = self.machine.nics[node]
-        yield from nic.lanai.use(self.config.ni_lock_op_us)
+        """Run a firmware action on ``node``'s LANai (host doorbell).
+
+        The LANai is held inline, as in the NIC loops."""
+        lanai = self.machine.nics[node].lanai
+        yield lanai.request()
+        try:
+            yield Timeout(self.sim, self.config.ni_lock_op_us)
+        finally:
+            lanai.release()
         fn(*args)
 
     # -------------------------------------------------------- firmware side

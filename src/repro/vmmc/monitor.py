@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from ..hw import Machine
-from ..hw.packet import Packet
-from ..sim import RunningStat
+from ..hw.packet import SMALL_MESSAGE_BYTES, Packet
+from ..sim import RunningStat, SimulationError
 
 __all__ = ["PerfMonitor", "StageRatios"]
 
@@ -69,14 +69,17 @@ class PerfMonitor:
     # ---------------------------------------------------------------- record
 
     def record(self, pkt: Packet) -> None:
+        # Every field is read once: this runs for every packet.
         cfg = self.config
         size = pkt.size
-        size_class = "small" if pkt.is_small else "large"
-        stats = self._ratios[size_class]
-        self.packets_by_kind[pkt.kind] = \
-            self.packets_by_kind.get(pkt.kind, 0) + 1
-        self.bytes_by_kind[pkt.kind] = \
-            self.bytes_by_kind.get(pkt.kind, 0) + size
+        msg = pkt.message
+        kind = msg.kind
+        t_src_done = pkt.t_src_done
+        t_net_arrival = pkt.t_net_arrival
+        stats = self._ratios["small" if size <= SMALL_MESSAGE_BYTES
+                             else "large"]
+        self.packets_by_kind[kind] = self.packets_by_kind.get(kind, 0) + 1
+        self.bytes_by_kind[kind] = self.bytes_by_kind.get(kind, 0) + size
         refs = self._refs.get(size)
         if refs is None:
             refs = self._refs[size] = (
@@ -84,22 +87,31 @@ class PerfMonitor:
                 cfg.net_uncontended_us(size), cfg.dest_uncontended_us(size))
         src_ref, lanai_ref, net_ref, dest_ref = refs
 
-        fw_consumed = not pkt.message.deliver_to_host
+        add = self._add
+        fw_consumed = not msg.deliver_to_host
         # Firmware-origin control packets (lock grants/forwards) have no
         # host DMA at the source; their source stage is not comparable.
         if not (pkt.fw_origin and fw_consumed):
-            self._add(stats["source"], pkt.source_latency, src_ref)
-        self._add(stats["lanai"], pkt.lanai_latency, lanai_ref)
-        self._add(stats["net"], pkt.net_latency, net_ref)
+            add(stats["source"], t_src_done - pkt.t_enqueue, src_ref,
+                kind, "source")
+        add(stats["lanai"], pkt.t_injected - t_src_done, lanai_ref,
+            kind, "lanai")
+        add(stats["net"], t_net_arrival - t_src_done, net_ref, kind, "net")
         if fw_consumed:
-            fw_cost = cfg.ni_lock_op_us if pkt.kind == "lock_op" \
+            fw_cost = cfg.ni_lock_op_us if kind == "lock_op" \
                 else cfg.ni_fetch_setup_us
             dest_ref = cfg.ni_proc_us + fw_cost
-        self._add(stats["dest"], pkt.dest_latency, dest_ref)
+        add(stats["dest"], pkt.t_delivered - t_net_arrival, dest_ref,
+            kind, "dest")
 
     @staticmethod
-    def _add(stat: RunningStat, actual: float, reference: float) -> None:
-        if reference > 0 and actual >= 0:
+    def _add(stat: RunningStat, actual: float, reference: float,
+             kind: str, stage: str) -> None:
+        if actual < 0:
+            raise SimulationError(
+                f"{kind} packet has a negative {stage} latency ({actual!r} "
+                f"us): its stage timestamps are out of order")
+        if reference > 0:
             stat.add(actual / reference)
 
     # ---------------------------------------------------------------- report

@@ -10,6 +10,7 @@ simulator.  Any intentional recalibration must update the pins.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -121,6 +122,58 @@ def test_events_dispatched_pinned(monkeypatch, app_cls, features, events,
         assert result.telemetry["samples"] > 0
     if mode == "profiled":
         assert build_profile(sampler, result).slices
+
+
+def _counter_digest(backend) -> str:
+    """sha256 over every station, queue and monitor counter of a run.
+
+    None of these is in the cell digest, yet ``repro metrics`` and the
+    profile's ``busy.<station>`` timelines read them; a station hold
+    that skipped its accrual would change this digest and no other.
+    """
+    machine = backend.machine
+    monitor = backend.monitor
+
+    def res(r):
+        return [r.name, r.total_requests, r.total_wait_time, r.busy_time]
+
+    stations = [res(node.protocol_proc) for node in machine.nodes]
+    for nic in machine.nics:
+        stations.append(res(nic.lanai))
+        for rs in (nic.pci, nic.out_link):
+            stations.append(res(rs.station) + [rs.total_bytes])
+        for q in (nic.post_queue, nic.out_queue, nic.in_queue):
+            stations.append([q.name, q.total_puts, q.total_put_stall_time,
+                             q.max_occupancy])
+    blob = json.dumps({"stations": stations,
+                       "packets_by_kind": monitor.packets_by_kind,
+                       "bytes_by_kind": monitor.bytes_by_kind,
+                       "metrics": machine.metrics.snapshot()},
+                      sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+#: (app, features, counter sha256) for FFT/Base, Barnes-spatial/GeNIMA
+#: and a small Water-nsquared/GeNIMA, whose locks take the NI-lock path.
+COUNTER_PINS = [
+    (FFT, BASE,
+     "aca7f831a7fff72091e23ed01bba8d9d76bfe068d02edcf753e2d3f0d4d557f3"),
+    (BarnesSpatial, GENIMA,
+     "88421b27bdf0294f79fef38685e1fe21b5fbb32431c641b49545a87f376b1d1d"),
+    (lambda: WaterNsquared(molecules=256, steps=1), GENIMA,
+     "0db1cabbc5d7b6ca965cf587ba3520ad5cf6a8480ad112b800ab4677c001bc2f"),
+]
+
+
+@pytest.mark.parametrize("make_app,features,sha", COUNTER_PINS,
+                         ids=["fft-base", "barnes-genima",
+                              "water-nsquared-genima"])
+def test_station_counters_pinned(make_app, features, sha):
+    from repro.hw import MachineConfig
+    from repro.runtime import SVMBackend, run_on_backend
+    backend = SVMBackend(MachineConfig(), features)
+    run_on_backend(make_app(), backend, system=features.name)
+    assert _counter_digest(backend) == sha
 
 
 @pytest.mark.parametrize("app_cls,features,sha,time_us", GOLDEN_PINS,

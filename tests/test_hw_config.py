@@ -92,9 +92,16 @@ def test_topology_field_validation():
 
 @pytest.mark.parametrize("field,value", [("packet_max", 0),
                                          ("packet_max", -5),
-                                         ("page_size", 0)])
+                                         ("page_size", 0),
+                                         ("pci_bw_mbps", float("nan")),
+                                         ("link_bw_mbps", float("inf")),
+                                         ("host_memcpy_mbps", 0.0),
+                                         ("ni_proc_us", -1),
+                                         ("dma_setup_us", float("inf")),
+                                         ("interrupt_us", float("nan"))])
 def test_size_field_validation(field, value):
     # Construct only: unchecked, a non-positive packet_max never finishes
-    # segmenting, so running it would hang instead of failing.
+    # segmenting, so running it would hang instead of failing; a NaN or
+    # infinite cost or bandwidth ends in a late error or a wrong time.
     with pytest.raises(ValueError, match=field):
         MachineConfig(**{field: value})

@@ -104,6 +104,13 @@ def test_invalid_capacity_rejected():
         Resource(sim, capacity=0)
 
 
+@pytest.mark.parametrize("cls", [Resource, Store])
+@pytest.mark.parametrize("capacity", [1.5, 2.5, "2"])
+def test_non_integer_capacity_rejected(cls, capacity):
+    with pytest.raises(ValueError, match="integer"):
+        cls(Simulator(), capacity)
+
+
 # ------------------------------------------------------------------- Store
 
 def test_store_put_then_get():
@@ -258,3 +265,14 @@ def test_rate_server_rejects_nonpositive_bandwidth():
     sim = Simulator()
     with pytest.raises(ValueError):
         RateServer(sim, bandwidth_mbps=0.0)
+
+
+@pytest.mark.parametrize("bandwidth,overhead,word", [
+    (float("nan"), 0.0, "bandwidth"), (float("inf"), 0.0, "bandwidth"),
+    (10.0, -3.0, "overhead"), (10.0, float("nan"), "overhead"),
+    (10.0, float("inf"), "overhead")])
+def test_rate_server_rejects_non_finite_rates_and_bad_overheads(
+        bandwidth, overhead, word):
+    with pytest.raises(ValueError, match=word):
+        RateServer(Simulator(), bandwidth_mbps=bandwidth,
+                   overhead_us=overhead)

@@ -444,3 +444,27 @@ def test_monitor_invalid_size_class():
     monitor = PerfMonitor(machine)
     with pytest.raises(ValueError):
         monitor.ratios("medium")
+
+
+@pytest.mark.parametrize("stage,stamps", [
+    ("source", dict(t_enqueue=10.0, t_src_done=5.0, t_injected=12.0,
+                    t_net_arrival=13.0, t_delivered=14.0)),
+    ("lanai", dict(t_enqueue=1.0, t_src_done=5.0, t_injected=4.0,
+                   t_net_arrival=8.0, t_delivered=9.0)),
+    ("net", dict(t_enqueue=1.0, t_src_done=5.0, t_injected=6.0,
+                 t_net_arrival=4.0, t_delivered=14.0)),
+    ("dest", dict(t_enqueue=1.0, t_src_done=5.0, t_injected=6.0,
+                  t_net_arrival=8.0, t_delivered=7.0)),
+])
+def test_monitor_rejects_negative_stage_latency(stage, stamps):
+    """A packet whose stage timestamps run backwards is a simulator
+    bug: the monitor names it instead of dropping the sample."""
+    from repro.hw import Message, Packet
+    from repro.sim import SimulationError
+    machine, _vmmc = make_stack()
+    monitor = PerfMonitor(machine)
+    msg = Message(src=0, dst=1, size=64, kind="deposit")
+    pkt = Packet(message=msg, size=64, index=0, is_last=True, **stamps)
+    with pytest.raises(SimulationError,
+                       match=f"deposit packet has a negative {stage}"):
+        monitor.record(pkt)
