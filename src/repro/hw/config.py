@@ -66,10 +66,21 @@ class FaultConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {p!r}")
-        if self.jitter_us < 0 or self.reorder_window_us < 0:
-            raise ValueError("jitter/reorder windows must be >= 0")
-        if self.retx_timeout_us <= 0 or self.retx_timeout_max_us <= 0:
-            raise ValueError("retransmit timeouts must be positive")
+        # Range checks written so that NaN fails them too.
+        for name in ("jitter_us", "reorder_window_us"):
+            value = getattr(self, name)
+            if not 0 <= value < _INF:
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {value!r}")
+        for name in ("retx_timeout_us", "retx_timeout_max_us"):
+            value = getattr(self, name)
+            if not 0 < value < _INF:
+                raise ValueError(
+                    f"{name} must be finite and > 0, got {value!r}")
+        if self.retx_timeout_max_us < self.retx_timeout_us:
+            raise ValueError(
+                f"retx_timeout_max_us ({self.retx_timeout_max_us!r}) must "
+                f"be >= retx_timeout_us ({self.retx_timeout_us!r})")
         if self.retx_max < 1:
             raise ValueError("retx_max must be >= 1")
 
@@ -216,6 +227,13 @@ class MachineConfig:
             value = getattr(self, name)
             if value <= 0:
                 raise ValueError(f"{name} must be > 0, got {value!r}")
+        # Counts: checked here, not first inside the Store or the
+        # retry loop that would use them mid-run.
+        for name, least in (("post_queue_len", 1), ("fetch_retry_max", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < least:
+                raise ValueError(
+                    f"{name} must be an integer >= {least}, got {value!r}")
 
     # -- derived -------------------------------------------------------------
     @property

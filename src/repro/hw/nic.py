@@ -250,7 +250,7 @@ class NIC:
         pkt = ev.value
         pkt.t_net_arrival = self.sim.now
         self.packets_received += 1
-        self.in_queue.put(pkt)
+        self.in_queue.put_nowait(pkt)
 
     def _recv_loop(self):
         """One FIFO service path for all incoming packets.

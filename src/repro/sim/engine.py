@@ -10,25 +10,19 @@ Time is a ``float``; this project uses microseconds throughout.
 
 Determinism: events scheduled for the same instant fire in scheduling
 order, so a simulation with the same inputs always produces the same
-trace.  The scheduler preserves the historical ``(when, seq)`` total
-order — time-ascending, scheduling-order within an instant — but keeps
-it *structurally* instead of comparing tuples in one global heap:
+trace.  The scheduler keeps the ``(when, seq)`` total order —
+time-ascending, scheduling-order within an instant — in two lanes:
 
 * events triggered at the **current instant** (the overwhelmingly
   common case: every ``succeed``/``fail``, every queue hand-off) go to
-  a FIFO lane and never touch a heap;
-* future events land on a **calendar page** — one append-ordered list
-  per distinct timestamp — so an N-event same-time batch costs one
-  dict probe per event instead of N ``heappush``es;
-* page *keys* (the distinct pending timestamps) sit in a small min-heap
-  fallback, the only comparison-based structure left; far-future events
-  (watchdog timeouts, retransmit backoffs) cost one heap entry per
-  distinct deadline no matter how many events share it.
+  a FIFO lane and never touch the heap;
+* future events are ``(when, seq, event)`` entries on one min-heap,
+  ``seq`` being a per-simulator counter, so equal times break ties in
+  scheduling order and no two entries ever compare their events.
 
-Appending to a page preserves scheduling order because scheduling calls
-happen in dispatch order; draining pages in heap order preserves time
-order.  The determinism regression tests pin that this refactor is
-byte-identical to the old single-heap loop.
+On time advance the loop pops the head entry and moves every further
+entry due at the same instant onto the FIFO lane behind it, so an
+instant's scheduled events run before anything they trigger.
 
 Dispatch is flat: events queue themselves on trigger, and
 :meth:`Simulator.run` resumes waiting processes itself, so ``run`` is
@@ -38,8 +32,9 @@ finite.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
+from heapq import heappop, heappush
+from itertools import count
 from typing import Any, Callable, Generator, List, Optional
 
 __all__ = [
@@ -150,7 +145,7 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         # Flattened Event.__init__ + scheduling: one Timeout per station
         # hold makes this constructor a hot-path allocation, so it
-        # files itself straight into the FIFO lane or its calendar page.
+        # files itself straight into the FIFO lane or onto the heap.
         if not 0 <= delay < _INF:
             raise ValueError(f"delay must be finite and >= 0, got {delay!r}")
         self.sim = sim
@@ -163,12 +158,7 @@ class Timeout(Event):
         if when <= now:
             sim._fifo.append(self)
             return
-        page = sim._pages.get(when)
-        if page is None:
-            sim._pages[when] = [self]
-            heapq.heappush(sim._times, when)
-        else:
-            page.append(self)
+        heappush(sim._heap, (when, next(sim._seq), self))
 
 
 _new = object.__new__
@@ -179,8 +169,8 @@ def _granted(sim: "Simulator", value: Any = None) -> Timeout:
 
     ``Resource.request``, ``Store.put`` and ``Store.get`` return one
     per grant.  It is queued on the FIFO lane exactly as
-    ``Timeout(sim, 0, value)`` would be, without the delay check and
-    the page lookup a zero delay never needs.
+    ``Timeout(sim, 0, value)`` would be, without the delay check a
+    zero delay never needs.
     """
     ev = _new(Timeout)
     ev.sim = sim
@@ -274,11 +264,10 @@ class _SliceHook:
 class Simulator:
     """The event loop: a time-ordered queue of triggered events.
 
-    Storage is a three-lane calendar (see the module docstring):
-    ``_fifo`` holds events due at the current instant in scheduling
-    order, ``_pages`` maps each distinct future timestamp to its
-    append-ordered event list, and ``_times`` is the min-heap fallback
-    holding one entry per pending page.  ``events_dispatched`` counts
+    Storage is two lanes (see the module docstring): ``_fifo`` holds
+    events due at the current instant in scheduling order, and
+    ``_heap`` holds one ``(when, seq, event)`` entry per future event,
+    ``seq`` drawn from ``_seq``.  ``events_dispatched`` counts
     every dispatched event; perfbench's ``sim.engine.ns_per_event``
     divides untraced wall time by it.  ``now`` is the simulation
     clock, a plain attribute that only the kernel writes.
@@ -287,8 +276,8 @@ class Simulator:
     def __init__(self):
         self.now = 0.0
         self._fifo: deque = deque()
-        self._pages: dict = {}
-        self._times: List[float] = []
+        self._heap: List[tuple] = []
+        self._seq = count()
         self._crashed: List = []
         self._slice_hooks: List[_SliceHook] = []
         self.events_dispatched = 0
@@ -416,32 +405,36 @@ class Simulator:
         Returns the simulation time when execution stopped.  Raises the
         first uncaught process exception, if any process crashed.
         """
-        if until is not None and not -_INF < until < _INF:
-            raise ValueError(f"run horizon must be finite, got {until!r}")
+        if until is not None:
+            if not -_INF < until < _INF:
+                raise ValueError(
+                    f"run horizon must be finite, got {until!r}")
+            if self.now > until:
+                # Already past the horizon: dispatch nothing.  Inside
+                # the loop the clock only advances to times <= until,
+                # so the current-instant lane needs no horizon check.
+                return self.now
         # Locals hoisted out of the dispatch loop: attribute lookups on
         # self are a measurable fraction of an event dispatch, and the
         # hook/crash lists are mutated in place (never rebound), so the
         # local bindings stay live.
         fifo = self._fifo
-        pages = self._pages
-        times = self._times
-        heappop = heapq.heappop
+        heap = self._heap
+        pop = heappop
         hooks = self._slice_hooks
         crashed = self._crashed
         dispatched = 0
         try:
             while True:
                 if fifo:
-                    if until is not None and self.now > until:
-                        break
                     ev = fifo.popleft()
                 else:
-                    if not times:
+                    if not heap:
                         break
-                    when = times[0]
+                    when = heap[0][0]
                     if until is not None and when > until:
                         break
-                    heappop(times)
+                    ev = pop(heap)[2]
                     # Slice hooks fire only here, on time advance:
                     # within an instant ``next_at > now`` already holds
                     # (the old per-pop check was a no-op there).
@@ -452,12 +445,10 @@ class Simulator:
                                 hook.fn(hook.next_at)
                                 hook.next_at += hook.width
                     self.now = when
-                    page = pages.pop(when)
-                    if len(page) == 1:
-                        ev = page[0]
-                    else:
-                        fifo.extend(page)
-                        ev = fifo.popleft()
+                    # The rest of this instant's batch queues behind
+                    # ``ev``, ahead of anything the batch triggers.
+                    while heap and heap[0][0] == when:
+                        fifo.append(pop(heap)[2])
                 dispatched += 1
                 # Run the callbacks in registration order, resuming
                 # waiting processes right here.
@@ -519,4 +510,4 @@ class Simulator:
         """Time of the next scheduled event, or +inf if none."""
         if self._fifo:
             return self.now
-        return self._times[0] if self._times else _INF
+        return self._heap[0][0] if self._heap else _INF

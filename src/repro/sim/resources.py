@@ -139,21 +139,34 @@ class Store:
 
     def put(self, item: Any) -> Event:
         """Insert ``item``; the event fires once the item is accepted."""
+        if self.capacity is None or len(self._items) < self.capacity:
+            self.put_nowait(item)
+            return _granted(self.sim)
         self.total_puts += 1
-        if self._getters:
-            self._getters.popleft().succeed(item)
-            return _granted(self.sim)
-        items = self._items
-        if self.capacity is None or len(items) < self.capacity:
-            items.append(item)
-            if len(items) > self.max_occupancy:
-                self.max_occupancy = len(items)
-            return _granted(self.sim)
         ev = _ReqEvent(self.sim)
         ev._item = item
         ev._req_time = self.sim.now
         self._putters.append(ev)
         return ev
+
+    def put_nowait(self, item: Any) -> None:
+        """Insert ``item`` at once, for a caller that never waits on it.
+
+        Hands ``item`` to the oldest waiting getter, else buffers it;
+        :meth:`put` does the same through here and adds the granted
+        event.  Raises :class:`SimulationError` on a full bounded
+        store, where ``put`` would block.
+        """
+        items = self._items
+        if self.capacity is not None and len(items) >= self.capacity:
+            raise SimulationError(f"put_nowait on full store {self.name!r}")
+        self.total_puts += 1
+        if self._getters:
+            self._getters.popleft().succeed(item)
+            return
+        items.append(item)
+        if len(items) > self.max_occupancy:
+            self.max_occupancy = len(items)
 
     def get(self) -> Event:
         """Remove the oldest item; the event fires with the item."""

@@ -88,6 +88,8 @@ class HLRCProtocol:
         #: per gid: (needed versions, event, waiter span track).
         self._home_waiters: Dict[int, List[Tuple[Dict[int, int], object,
                                                  Optional[str]]]] = {}
+        #: per (node, gid) fetch in flight: None, or the event the
+        #: faults that joined it wait on.
         self._inflight_fetch: Dict[Tuple[int, int], object] = {}
 
         # Synchronization managers.
@@ -256,15 +258,23 @@ class HLRCProtocol:
             if self.tracer is not None:
                 self._trace("fault.read", rank=rank, gid=gid)
             yield self.sim.timeout(cfg.page_fault_us)
-            # Another process of this node may already be fetching the
-            # page.
-            key = (node_id, gid)
-            inflight = self._inflight_fetch.get(key)
-            if inflight is not None:
-                yield inflight
+            if table.access(gid) is not PageAccess.INVALID:
+                # Another process of this node validated the page during
+                # the trap: a second fetch's mark_valid could downgrade
+                # a concurrent writer's WRITE to READ.
                 return
-            done = self.sim.event()
-            self._inflight_fetch[key] = done
+            # Another process of this node may already be fetching the
+            # page.  Its entry holds None until a second fault joins;
+            # the first joiner makes the event every joiner waits on.
+            key = (node_id, gid)
+            inflight = self._inflight_fetch
+            if key in inflight:
+                done = inflight[key]
+                if done is None:
+                    done = inflight[key] = self.sim.event()
+                yield done
+                return
+            inflight[key] = None
             try:
                 # needed and the clock snapshot are read back-to-back
                 # (no yield between them): together they name the page
@@ -294,8 +304,9 @@ class HLRCProtocol:
                 if self.tracer is not None:
                     self._trace("fault.done", node=node_id, gid=gid)
             finally:
-                del self._inflight_fetch[key]
-                done.succeed()
+                done = inflight.pop(key)
+                if done is not None:
+                    done.succeed()
         finally:
             if sp is not None:
                 sp.end(sid)

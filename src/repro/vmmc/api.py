@@ -138,15 +138,17 @@ class VMMC:
                       on_delivered=on_delivered,
                       extra_src_lanai_us=extra_lanai_us,
                       extra_dst_lanai_us=extra_lanai_us)
-        delivered = self.sim.event()
-        prev_cb = msg.on_delivered
+        if await_delivery:
+            # Only a synchronous send waits on delivery; an async one
+            # builds no event that would fire with nobody waiting.
+            delivered = self.sim.event()
 
-        def _delivered(m):
-            if prev_cb is not None:
-                prev_cb(m)
-            delivered.succeed(m)
+            def _delivered(m):
+                if on_delivered is not None:
+                    on_delivered(m)
+                delivered.succeed(m)
 
-        msg.on_delivered = _delivered
+            msg.on_delivered = _delivered
         # Post overhead on the host CPU, then block until the post
         # queue accepts the descriptor.
         yield self.sim.timeout(cfg.post_overhead_us)

@@ -64,6 +64,14 @@ def test_fault_config_validates_probabilities():
         FaultConfig(dup=-0.1)
     with pytest.raises(ValueError):
         FaultConfig(retx_max=0)
+    # NaN passes a plain ``<= 0`` test; every field is named.
+    for field in ("retx_timeout_us", "retx_timeout_max_us", "jitter_us",
+                  "reorder_window_us"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=field):
+                FaultConfig(**{field: value})
+    with pytest.raises(ValueError, match="retx_timeout_max_us"):
+        FaultConfig(retx_timeout_us=800.0, retx_timeout_max_us=400.0)
 
 
 def test_fault_config_degrades_and_link_filter():

@@ -98,7 +98,10 @@ def test_topology_field_validation():
                                          ("host_memcpy_mbps", 0.0),
                                          ("ni_proc_us", -1),
                                          ("dma_setup_us", float("inf")),
-                                         ("interrupt_us", float("nan"))])
+                                         ("interrupt_us", float("nan")),
+                                         ("fetch_retry_max", -1),
+                                         ("fetch_retry_max", 1.5),
+                                         ("post_queue_len", 0)])
 def test_size_field_validation(field, value):
     # Construct only: unchecked, a non-positive packet_max never finishes
     # segmenting, so running it would hang instead of failing; a NaN or

@@ -49,7 +49,7 @@ def test_non_finite_delay_rejected(delay):
     sim = Simulator()
     with pytest.raises(ValueError):
         sim.timeout(delay)
-    # Nothing reached the calendar: a NaN key would corrupt its order.
+    # Nothing reached the heap: a NaN key would corrupt its order.
     assert sim.peek() == float("inf")
     assert sim.run() == 0.0
 
@@ -506,3 +506,49 @@ def test_events_dispatched_counter_accumulates():
     sim.process(proc())
     sim.run()
     assert sim.events_dispatched > first
+
+
+def test_one_instant_from_different_delays_fires_in_scheduling_order():
+    """Entries due at one future instant, scheduled at different times
+    with different delays, dispatch in scheduling order; the zero-delay
+    events they trigger run after the whole batch; slice hooks fire
+    before the batch and ``run(until=)`` stops after it."""
+    sim = Simulator()
+    order = []
+    sim.add_slice_hook(10.0, lambda t: order.append(f"hook{t:g}"))
+
+    def fire(tag):
+        order.append(tag)
+        sim.schedule(0.0, lambda: order.append(f"then-{tag}"))
+
+    def scheduler():
+        for start in (0.0, 2.5, 5.0, 7.5):
+            # Decoys just before and after t=10 stir the heap.
+            sim.schedule(10.5 - start,
+                         lambda s=start: order.append(f"late{s:g}"))
+            sim.schedule(10.0 - start, lambda s=start: fire(f"b{s:g}"))
+            sim.schedule(9.5 - start,
+                         lambda s=start: order.append(f"early{s:g}"))
+            yield sim.timeout(2.5)
+
+    sim.process(scheduler())
+    assert sim.run(until=10.0) == pytest.approx(10.0)
+    assert order == ["early0", "early2.5", "early5", "early7.5", "hook10",
+                     "b0", "b2.5", "b5", "b7.5",
+                     "then-b0", "then-b2.5", "then-b5", "then-b7.5"]
+    assert sim.peek() == pytest.approx(10.5)
+    del order[:]
+    sim.run()
+    assert order == ["late0", "late2.5", "late5", "late7.5"]
+
+
+def test_run_with_horizon_in_the_past_dispatches_nothing():
+    sim = Simulator()
+    sim.schedule(10.0, lambda: None)
+    sim.run()
+    fired = []
+    sim.event().succeed().add_callback(fired.append)
+    assert sim.run(until=5.0) == pytest.approx(10.0)
+    assert fired == [] and sim.events_dispatched == 1
+    sim.run()
+    assert len(fired) == 1

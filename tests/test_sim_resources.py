@@ -224,6 +224,59 @@ def test_store_handoff_to_waiting_getter_bypasses_buffer():
     assert len(store) == 0
 
 
+def _fill(use_nowait):
+    """A getter waits, then three puts arrive: one hand-off, two
+    buffered.  Returns what a caller can observe of the store."""
+    sim = Simulator()
+    store = Store(sim)
+    got = []
+
+    def consumer():
+        got.append((yield store.get()))
+
+    sim.process(consumer())
+    sim.run()
+    for item in ("a", "b", "c"):
+        if use_nowait:
+            assert store.put_nowait(item) is None
+        else:
+            store.put(item)
+    sim.run()
+    return (got, len(store), store.total_puts, store.max_occupancy,
+            sim.events_dispatched)
+
+
+def test_store_put_nowait_counts_like_put_without_events():
+    got, held, puts, peak, events = _fill(use_nowait=True)
+    assert (got, held, puts, peak) == (["a"], 2, 3, 2)
+    assert _fill(use_nowait=False) == (got, held, puts, peak, events + 3)
+
+
+def test_store_put_nowait_raises_on_full_bounded_store():
+    sim = Simulator()
+    store = Store(sim, capacity=1, name="q")
+    store.put_nowait("a")
+    with pytest.raises(SimulationError, match="full store 'q'"):
+        store.put_nowait("b")
+    assert (len(store), store.total_puts) == (1, 1)
+
+
+def test_granted_requests_combine_under_any_of_and_all_of():
+    sim = Simulator()
+    res = Resource(sim)
+    store = Store(sim)
+    store.put_nowait("x")
+    got = []
+
+    def proc():
+        got.append((yield sim.all_of([res.request(), store.put("y")])))
+        got.append((yield sim.any_of([store.get(), sim.timeout(5.0)])))
+
+    sim.process(proc())
+    sim.run()
+    assert got == [[None, None], "x"]
+
+
 def test_store_max_occupancy_tracked():
     sim = Simulator()
     store = Store(sim, capacity=16)

@@ -484,3 +484,16 @@ def test_buckets_account_for_all_elapsed_time():
     for rank, t_end in end:
         total = proto.buckets[rank].total
         assert total == pytest.approx(t_end, rel=0.02), rank
+
+
+@pytest.mark.parametrize("feats", PROTOCOL_LADDER,
+                         ids=[f.name for f in PROTOCOL_LADDER])
+def test_radix_local_passes_runtime_checks_on_every_rung(feats):
+    """A read fault whose page another rank of the node validated during
+    the fault's own trap wait must not fetch again: the redundant
+    fetch's ``mark_valid`` would downgrade a third rank's concurrent
+    WRITE to READ, which the invariant checker rejects."""
+    from repro.apps import Radix
+    from repro.runtime import run_svm
+    result = run_svm(Radix(), feats, check=True)
+    assert result.time_us > 0
