@@ -203,8 +203,18 @@ class MachineConfig:
     seed: int = 12345
 
     def __post_init__(self):
-        if self.nodes < 1 or self.procs_per_node < 1:
-            raise ValueError("nodes and procs_per_node must be >= 1")
+        # Counts: whole numbers (a bool is not a count), checked here,
+        # not first inside the machine build, the segmenter, the Store
+        # or the retry loop that would use them mid-run.
+        for name, least in (("nodes", 1), ("procs_per_node", 1),
+                            ("topology_radix", 0), ("topology_group_size", 0),
+                            ("packet_max", 1), ("page_size", 1),
+                            ("post_queue_len", 1), ("fetch_retry_max", 0)):
+            value = getattr(self, name)
+            if (not isinstance(value, int) or isinstance(value, bool)
+                    or value < least):
+                raise ValueError(
+                    f"{name} must be an integer >= {least}, got {value!r}")
         # Imported here (not at module top) purely for the name check;
         # repro.hw.topology has no imports back into this module.
         from .topology import TOPOLOGIES
@@ -223,17 +233,6 @@ class MachineConfig:
             if f.name.endswith("_mbps") and not 0 < value < _INF:
                 raise ValueError(
                     f"{f.name} must be finite and > 0, got {value!r}")
-        for name in ("packet_max", "page_size"):
-            value = getattr(self, name)
-            if value <= 0:
-                raise ValueError(f"{name} must be > 0, got {value!r}")
-        # Counts: checked here, not first inside the Store or the
-        # retry loop that would use them mid-run.
-        for name, least in (("post_queue_len", 1), ("fetch_retry_max", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < least:
-                raise ValueError(
-                    f"{name} must be an integer >= {least}, got {value!r}")
 
     # -- derived -------------------------------------------------------------
     @property

@@ -131,6 +131,12 @@ class NIC:
         return sizes
 
     def _segment(self, message: Message, fw_origin: bool = False):
+        size = max(message.size, 1)
+        if size <= self.config.packet_max:
+            # Most messages fit one packet: build it without the size list.
+            message.packets_remaining = 1
+            return [Packet(message=message, size=size, index=0,
+                           is_last=True, fw_origin=fw_origin)]
         sizes = self._segment_sizes(message)
         message.packets_remaining = len(sizes)
         return [

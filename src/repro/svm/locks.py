@@ -311,7 +311,7 @@ class InterruptLockManager:
             wn_count = 0  # notices were deposited eagerly at releases
         else:
             have = proto.node_clock[req_node]
-            wn_count = len(proto.interval_log.notices_between(have, ts))
+            wn_count = proto.interval_log.count_between(have, ts)
         tok = self._token(owner_node, lock_id)
         tok.present = False
         self.remote_grants += 1

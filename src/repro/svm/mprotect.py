@@ -42,25 +42,28 @@ class MprotectModel:
         self.calls = [0] * config.nodes
         self.pages_protected = [0] * config.nodes
 
+    def _coalesced(self, pages: Iterable[int]) -> Tuple[int, int, float]:
+        """``(calls, pages, cost)`` of protecting ``pages``: one call per
+        run of :func:`coalesce_pages`, counted without sorting (a page
+        starts a run iff its predecessor is absent)."""
+        uniq = set(pages)
+        n_runs = len([p for p in uniq if p - 1 not in uniq])
+        cfg = self.config
+        return n_runs, len(uniq), (
+            n_runs * cfg.mprotect_call_us
+            + (len(uniq) - n_runs) * cfg.mprotect_page_us)
+
     def cost_us(self, pages: Iterable[int]) -> float:
         """Cost of protecting ``pages``, with coalescing (no accounting)."""
-        runs = coalesce_pages(pages)
-        if not runs:
-            return 0.0
-        cfg = self.config
-        n_pages = sum(count for _first, count in runs)
-        return (len(runs) * cfg.mprotect_call_us
-                + (n_pages - len(runs)) * cfg.mprotect_page_us)
+        return self._coalesced(pages)[2]
 
     def protect(self, node: int, pages: Iterable[int]) -> float:
         """Account one protection change on ``node``; returns its cost."""
-        pages = list(pages)
-        cost = self.cost_us(pages)
+        n_runs, n_pages, cost = self._coalesced(pages)
         if cost > 0:
-            runs = coalesce_pages(pages)
             self.total_us[node] += cost
-            self.calls[node] += len(runs)
-            self.pages_protected[node] += sum(c for _f, c in runs)
+            self.calls[node] += n_runs
+            self.pages_protected[node] += n_pages
         return cost
 
     @property

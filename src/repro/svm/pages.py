@@ -15,6 +15,7 @@ the functional examples and correctness tests).
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -83,7 +84,10 @@ class PageDirectory:
     def __init__(self, config: MachineConfig):
         self.config = config
         self.regions: Dict[str, SharedRegion] = {}
+        #: regions in allocation order, and their bases (ascending:
+        #: regions are laid out back to back) for the bisect lookup.
         self._by_base: List[SharedRegion] = []
+        self._bases: List[int] = []
         self._next_base = 0
 
     def allocate(self, name: str, n_pages: int,
@@ -129,6 +133,7 @@ class PageDirectory:
                               self.config.page_size, concrete=concrete)
         self.regions[name] = region
         self._by_base.append(region)
+        self._bases.append(region.base)
         self._next_base += n_pages
         return region
 
@@ -137,14 +142,14 @@ class PageDirectory:
         return self._next_base
 
     def region_of(self, gid: int) -> SharedRegion:
-        for region in self._by_base:
-            if region.base <= gid < region.base + region.n_pages:
-                return region
-        raise KeyError(f"gid {gid} not allocated")
+        # Regions tile [0, total_pages): the last base <= gid owns it.
+        if not 0 <= gid < self._next_base:
+            raise KeyError(f"gid {gid} not allocated")
+        return self._by_base[bisect_right(self._bases, gid) - 1]
 
     def home_of(self, gid: int) -> int:
         region = self.region_of(gid)
-        return region.home_of(gid - region.base)
+        return region.homes[gid - region.base]
 
 
 @dataclass

@@ -741,16 +741,17 @@ class HLRCProtocol:
         if want.dominates(have) and want == have:
             return
         before = have.values
-        notices = self.interval_log.notices_between(have, want)
-        table = self.tables[node_id]
+        invalidate = self.tables[node_id].invalidate
+        home_of = self.directory.home_of
         to_protect = []
-        for wn in notices:
-            if wn.node == node_id:
+        for writer, interval in self.interval_log.windows(have, want):
+            if writer == node_id:
                 continue
-            is_home = self.directory.home_of(wn.page) == node_id
-            if table.invalidate(wn.page, wn.node, wn.interval,
-                                is_home=is_home):
-                to_protect.append(wn.page)
+            index = interval.index
+            for page in interval.pages:
+                if invalidate(page, writer, index,
+                              is_home=home_of(page) == node_id):
+                    to_protect.append(page)
         self.node_clock[node_id].merge(want)
         self._trace("clock.advance", node=node_id,
                     clock=self.node_clock[node_id].values,
@@ -878,8 +879,8 @@ class HLRCProtocol:
                 size = WN_BASE_BYTES
             else:
                 have = self.node_clock[other]
-                size = WN_BASE_BYTES + WN_PER_PAGE_BYTES * len(
-                    self.interval_log.notices_between(have, ts))
+                size = WN_BASE_BYTES + WN_PER_PAGE_BYTES * (
+                    self.interval_log.count_between(have, ts))
             fid = sp.flow(track, "flag", "acqrel", dst=other) \
                 if sp is not None else None
             yield from self.vmmc.send(

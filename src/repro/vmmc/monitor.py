@@ -48,6 +48,12 @@ class StageRatios:
                 "net": self.net, "dest": self.dest}
 
 
+def _negative(kind: str, stage: str, actual: float) -> SimulationError:
+    return SimulationError(
+        f"{kind} packet has a negative {stage} latency ({actual!r} "
+        f"us): its stage timestamps are out of order")
+
+
 class PerfMonitor:
     """Attachable packet-level monitor over every NI in the machine."""
 
@@ -87,32 +93,35 @@ class PerfMonitor:
                 cfg.net_uncontended_us(size), cfg.dest_uncontended_us(size))
         src_ref, lanai_ref, net_ref, dest_ref = refs
 
-        add = self._add
+        # Stages are fed inline, not through a helper call per stage.
         fw_consumed = not msg.deliver_to_host
         # Firmware-origin control packets (lock grants/forwards) have no
         # host DMA at the source; their source stage is not comparable.
         if not (pkt.fw_origin and fw_consumed):
-            add(stats["source"], t_src_done - pkt.t_enqueue, src_ref,
-                kind, "source")
-        add(stats["lanai"], pkt.t_injected - t_src_done, lanai_ref,
-            kind, "lanai")
-        add(stats["net"], t_net_arrival - t_src_done, net_ref, kind, "net")
+            actual = t_src_done - pkt.t_enqueue
+            if actual < 0:
+                raise _negative(kind, "source", actual)
+            if src_ref > 0:
+                stats["source"].add(actual / src_ref)
+        actual = pkt.t_injected - t_src_done
+        if actual < 0:
+            raise _negative(kind, "lanai", actual)
+        if lanai_ref > 0:
+            stats["lanai"].add(actual / lanai_ref)
+        actual = t_net_arrival - t_src_done
+        if actual < 0:
+            raise _negative(kind, "net", actual)
+        if net_ref > 0:
+            stats["net"].add(actual / net_ref)
         if fw_consumed:
             fw_cost = cfg.ni_lock_op_us if kind == "lock_op" \
                 else cfg.ni_fetch_setup_us
             dest_ref = cfg.ni_proc_us + fw_cost
-        add(stats["dest"], pkt.t_delivered - t_net_arrival, dest_ref,
-            kind, "dest")
-
-    @staticmethod
-    def _add(stat: RunningStat, actual: float, reference: float,
-             kind: str, stage: str) -> None:
+        actual = pkt.t_delivered - t_net_arrival
         if actual < 0:
-            raise SimulationError(
-                f"{kind} packet has a negative {stage} latency ({actual!r} "
-                f"us): its stage timestamps are out of order")
-        if reference > 0:
-            stat.add(actual / reference)
+            raise _negative(kind, "dest", actual)
+        if dest_ref > 0:
+            stats["dest"].add(actual / dest_ref)
 
     # ---------------------------------------------------------------- report
 

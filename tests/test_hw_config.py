@@ -101,10 +101,25 @@ def test_topology_field_validation():
                                          ("interrupt_us", float("nan")),
                                          ("fetch_retry_max", -1),
                                          ("fetch_retry_max", 1.5),
-                                         ("post_queue_len", 0)])
+                                         ("post_queue_len", 0),
+                                         ("post_queue_len", True),
+                                         ("packet_max", 1000.5),
+                                         ("packet_max", 4096.0),
+                                         ("page_size", 4096.5),
+                                         ("nodes", 2.5),
+                                         ("nodes", True),
+                                         ("nodes", 0),
+                                         ("procs_per_node", 4.0),
+                                         ("procs_per_node", False),
+                                         ("topology_radix", 4.5),
+                                         ("topology_group_size", 1.5),
+                                         ("topology_group_size", -1)])
 def test_size_field_validation(field, value):
     # Construct only: unchecked, a non-positive packet_max never finishes
     # segmenting, so running it would hang instead of failing; a NaN or
-    # infinite cost or bandwidth ends in a late error or a wrong time.
+    # infinite cost or bandwidth ends in a late error or a wrong time; a
+    # fractional packet_max makes fractional packet sizes and counts, a
+    # fractional dragonfly group size builds 5.5 groups, and a
+    # fractional node count fails late inside the machine build.
     with pytest.raises(ValueError, match=field):
         MachineConfig(**{field: value})

@@ -228,6 +228,33 @@ def test_packet_dst_override_for_multicast():
     assert pkt.dst == 2
 
 
+def _general_segments(nic, message, fw_origin):
+    """What ``NIC._segment`` builds through the multi-packet path."""
+    sizes = nic._segment_sizes(message)
+    return [(size, i, i == len(sizes) - 1, fw_origin)
+            for i, size in enumerate(sizes)]
+
+
+@pytest.mark.parametrize("fw_origin", [False, True])
+def test_segment_single_packet_path_matches_general_path(fw_origin):
+    machine = Machine(MachineConfig(packet_max=512))
+    nic = machine.nics[0]
+    pm = machine.config.packet_max
+    for size in (0, 1, pm - 1, pm, pm + 1, 3 * pm, 3 * pm + 7):
+        msg = Message(src=0, dst=1, size=size)
+        pkts = nic._segment(msg, fw_origin=fw_origin)
+        assert [(p.size, p.index, p.is_last, p.fw_origin)
+                for p in pkts] == _general_segments(nic, msg, fw_origin)
+        assert msg.packets_remaining == len(pkts)
+        assert len(pkts) == machine.config.packets_for(size)
+        assert all(p.message is msg for p in pkts)
+        # One id draw per packet, in order: the shared message/packet
+        # counter continues right after the last packet.
+        assert [p.pkt_id for p in pkts] == list(
+            range(msg.msg_id + 1, msg.msg_id + 1 + len(pkts)))
+        assert Message(src=0, dst=1, size=1).msg_id == pkts[-1].pkt_id + 1
+
+
 # -------------------------------------------------------------- NI queues
 
 def test_post_queue_depth_respected():

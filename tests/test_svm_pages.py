@@ -1,7 +1,7 @@
 """Unit tests for regions, the page directory, page tables, mprotect."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.hw import MachineConfig
 from repro.svm import (DiffShape, HomePage, NodePageTable, PageAccess,
@@ -72,6 +72,44 @@ def test_region_of_and_home_of():
     gid = a.gid(5)
     assert d.region_of(gid) is a
     assert d.home_of(gid) == 1  # 5 % 4
+
+
+@pytest.mark.parametrize("policy", ["blocked", "first_touch"])
+def test_home_of_rejects_gids_outside_every_region(policy):
+    d = PageDirectory(CFG)
+    d.allocate("a", 3, home_policy=policy)
+    d.allocate("b", 5, home_policy=policy)
+    for gid in (-1, d.total_pages):
+        with pytest.raises(KeyError):
+            d.region_of(gid)
+        with pytest.raises(KeyError):
+            d.home_of(gid)
+    with pytest.raises(KeyError):
+        PageDirectory(CFG).home_of(0)
+
+
+def test_home_of_finds_every_gid_across_regions():
+    d = PageDirectory(CFG)
+    regions = [d.allocate(name, n, home_policy="round_robin")
+               for name, n in (("a", 1), ("b", 6), ("c", 1), ("d", 9))]
+    for region in regions:
+        for index in range(region.n_pages):
+            gid = region.gid(index)
+            assert d.region_of(gid) is region
+            assert d.home_of(gid) == region.homes[index]
+
+
+def test_home_of_sees_first_touch_and_migration_writes():
+    d = PageDirectory(CFG)
+    d.allocate("a", 2)
+    ft = d.allocate("ft", 4, home_policy="first_touch")
+    gid = ft.gid(2)
+    assert d.home_of(gid) is None
+    ft.homes[2] = 3      # first touch by node 3
+    assert d.home_of(gid) == 3
+    ft.homes[2] = 1      # migrated to node 1
+    assert d.home_of(gid) == 1
+    assert d.home_of(ft.gid(1)) is None
 
 
 def test_region_gid_bounds_checked():
@@ -235,3 +273,23 @@ def test_mprotect_empty_is_free():
     m = MprotectModel(CFG)
     assert m.protect(0, []) == 0.0
     assert m.calls[0] == 0
+
+
+@given(st.lists(st.integers(0, 60), max_size=40))
+@example([])
+@example([5, 5, 5])
+@example([9, 3, 4, 3, 8])
+@example([10, 2, 1, 11, 12, 2, 40])
+def test_protect_accounting_equals_cost_us(pages):
+    # Unsorted, duplicate and empty page sets: one accounting pass must
+    # agree with cost_us and with the reference coalesce_pages runs.
+    m = MprotectModel(CFG)
+    runs = coalesce_pages(pages)
+    expected = m.cost_us(reversed(pages))
+    assert m.protect(2, iter(pages)) == expected
+    assert m.total_us[2] == expected
+    assert m.calls[2] == len(runs)
+    assert m.pages_protected[2] == sum(c for _f, c in runs)
+    assert expected == (len(runs) * CFG.mprotect_call_us
+                        + (len(set(pages)) - len(runs))
+                        * CFG.mprotect_page_us)

@@ -190,3 +190,46 @@ def test_notices_between_inverted_entry_is_empty():
     have = VectorClock(values=[2, 0])
     want = VectorClock(values=[1, 0])
     assert log.notices_between(have, want) == []
+
+
+@st.composite
+def _log_and_window(draw):
+    """A random closed-interval log plus a (have, want) window whose
+    entries may be inverted (want below have) but never unclosed."""
+    nodes = draw(st.integers(1, 4))
+    log = IntervalLog(nodes)
+    lengths = draw(st.lists(st.integers(0, 4), min_size=nodes,
+                            max_size=nodes))
+    for node, length in enumerate(lengths):
+        for index in range(1, length + 1):
+            pages = draw(st.lists(st.integers(0, 30), max_size=4))
+            log.append(Interval(node, index, tuple(pages)))
+    have = VectorClock(values=[draw(st.integers(0, n)) for n in lengths])
+    want = VectorClock(values=[draw(st.integers(0, n)) for n in lengths])
+    return log, have, want
+
+
+@given(_log_and_window())
+def test_windows_and_count_agree_with_notices_between(case):
+    log, have, want = case
+    notices = log.notices_between(have, want)
+    flat = [WriteNotice(page, node, interval.index)
+            for node, interval in log.windows(have, want)
+            for page in interval.pages]
+    assert flat == notices
+    assert log.count_between(have, want) == len(notices)
+    for node, interval in log.windows(have, want):
+        assert interval.node == node
+        assert have[node] < interval.index <= want[node]
+
+
+def test_windows_reject_unclosed_interval_like_notices_between():
+    log = IntervalLog(2)
+    log.append(Interval(0, 1, (1,)))
+    have = VectorClock(2)
+    want = VectorClock(values=[1, 1])
+    for walk in (lambda: list(log.windows(have, want)),
+                 lambda: log.notices_between(have, want),
+                 lambda: log.count_between(have, want)):
+        with pytest.raises(ValueError, match="not closed yet"):
+            walk()
