@@ -29,7 +29,7 @@ __all__ = [
     "ClockHistory", "HBGraph", "IntervalInfo",
     "InvariantChecker", "InvariantViolation", "LEGAL_TRANSITIONS",
     "LintViolation", "Rule", "RULES", "register_rule",
-    "lint_source", "lint_paths", "default_target",
+    "lint_source", "default_target",
     "AnalysisReport", "Baseline", "ProjectModel", "ProjectRule",
     "PROJECT_RULES", "register_project_rule",
     "analyze_project", "analyze_paths", "to_sarif",
@@ -54,9 +54,9 @@ def __getattr__(name: str) -> Any:
         from .invariants import (LEGAL_TRANSITIONS, InvariantChecker,
                                  InvariantViolation)
     elif name in ("RULES", "LintViolation", "Rule", "default_target",
-                  "lint_paths", "lint_source", "register_rule"):
+                  "lint_source", "register_rule"):
         from .lint import (RULES, LintViolation, Rule, default_target,
-                           lint_paths, lint_source, register_rule)
+                           lint_source, register_rule)
     elif name in ("SANITIZER_CHECKS", "Finding", "Sanitizer",
                   "SanitizerCheck", "register_check", "sanitize_run"):
         from .sanitizer import (SANITIZER_CHECKS, Finding, Sanitizer,

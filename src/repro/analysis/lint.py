@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Type, Union
 
 __all__ = ["LintViolation", "Rule", "RULES", "register_rule",
-           "lint_source", "lint_paths", "default_target"]
+           "lint_source", "default_target"]
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def register_rule(cls: Type[Rule]) -> Type[Rule]:
     return cls
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
+def dotted_name(node: ast.AST) -> Optional[str]:
     """``a.b.c`` for an Attribute/Name chain, else None."""
     parts: List[str] = []
     while isinstance(node, ast.Attribute):
@@ -125,7 +125,7 @@ class WallClockRule(Rule):
     def check(self, tree: ast.Module, path: str) -> Iterator[LintViolation]:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                dotted = _dotted(node.func)
+                dotted = dotted_name(node.func)
                 if dotted in self.BANNED:
                     yield self.hit(
                         node, path,
@@ -289,10 +289,10 @@ class GlobalMutationRule(Rule):
                 func = stmt.value.func
                 if (isinstance(func, ast.Attribute)
                         and func.attr in self.MUTATORS
-                        and _dotted(func) is not None):
+                        and dotted_name(func) is not None):
                     yield self.hit(
                         stmt, path,
-                        f"module-level call to {_dotted(func)}() mutates "
+                        f"module-level call to {dotted_name(func)}() mutates "
                         f"a global at import time; build the value in "
                         f"one expression instead")
             elif isinstance(stmt, (ast.Assign, ast.AugAssign)):
@@ -343,17 +343,6 @@ def iter_py_files(paths: Iterable[Union[str, Path]]) -> Iterator[Path]:
         else:
             raise FileNotFoundError(
                 f"no such file or directory: {p}")
-
-
-def lint_paths(paths: Iterable[Union[str, Path]],
-               rules: Optional[Sequence[str]] = None
-               ) -> List[LintViolation]:
-    """Lint every ``*.py`` under ``paths`` (files or directories)."""
-    out: List[LintViolation] = []
-    for path in iter_py_files(paths):
-        out.extend(lint_source(path.read_text(encoding="utf-8"),
-                               path=str(path), rules=rules))
-    return out
 
 
 def default_target() -> Path:

@@ -30,19 +30,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..lint import LintViolation
 
-__all__ = ["ModuleInfo", "ProjectModel", "dotted_name"]
-
-
-def dotted_name(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for an Attribute/Name chain, else None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
+__all__ = ["ModuleInfo", "ProjectModel"]
 
 
 @dataclass

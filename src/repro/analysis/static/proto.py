@@ -34,8 +34,8 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from ..lint import LintViolation
-from .project import ModuleInfo, ProjectModel, dotted_name
+from ..lint import LintViolation, dotted_name
+from .project import ModuleInfo, ProjectModel
 from .registry import ProjectRule, register_project_rule
 
 __all__ = ["ProtoRule", "extract_protocol_flow"]

@@ -23,8 +23,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Union
 
-from ..lint import LintViolation
-from .project import ModuleInfo, ProjectModel, dotted_name
+from ..lint import LintViolation, dotted_name
+from .project import ModuleInfo, ProjectModel
 from .registry import ProjectRule, register_project_rule
 
 __all__ = ["RaceRule", "SHARED_CLASSES"]

@@ -28,8 +28,8 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
-from ..lint import LintViolation
-from .project import ModuleInfo, ProjectModel, dotted_name
+from ..lint import LintViolation, dotted_name
+from .project import ModuleInfo, ProjectModel
 from .registry import ProjectRule, register_project_rule
 
 __all__ = ["TrcRule", "extract_schema", "SchemaFamily"]

@@ -96,16 +96,3 @@ class FFT(Application):
                                  runs_per_page=1)
             yield from ctx.barrier()
 
-
-def transpose_remote_pages(app: FFT, nprocs: int) -> int:
-    """Remote pages one process reads per transpose (for tests)."""
-    band = app.total_pages() // nprocs
-    block = max(band // nprocs, 1)
-    per_node = nprocs // 4 if nprocs >= 4 else 1
-    remote_owners = nprocs - per_node
-    return remote_owners * block
-
-
-def seq_time_estimate(app: FFT) -> float:
-    """Closed-form sequential compute time (for tests)."""
-    return app.compute_per_point_log * app.n * app.log2_n

@@ -6,7 +6,7 @@ from typing import Any, List
 __all__ = [
     "CACHE",
     "ExperimentCache",
-    "collect_profile", "collect_profiles", "collect_profiles_grid",
+    "collect_profile", "collect_profiles_grid",
     "CritpathRun", "collect_critpath", "collect_critpaths",
     "collect_critpaths_grid",
     "format_table",
@@ -62,10 +62,8 @@ def __getattr__(name: str) -> Any:
                               compute_figure3, compute_figure4,
                               render_figure1, render_figure2,
                               render_figure3, render_figure4)
-    elif name in ("collect_profile", "collect_profiles",
-                  "collect_profiles_grid"):
-        from .profile import (collect_profile, collect_profiles,
-                              collect_profiles_grid)
+    elif name in ("collect_profile", "collect_profiles_grid"):
+        from .profile import collect_profile, collect_profiles_grid
     elif name == "format_table":
         from .reporting import format_table
     elif name in ("SCALE_NODES", "SCALE_TELEMETRY_US", "SCALE_TOPOLOGIES",

@@ -3,10 +3,9 @@
 One :func:`collect_profile` call runs an application under one
 protocol variant with the Figure-3 phase set on a
 :class:`~repro.obs.TimeSeriesSampler` and returns the JSON-ready
-:class:`~repro.obs.Profile`;
-:func:`collect_profiles` sweeps a list of variants (pass Base first to
-get the paper's Figure-3 normalization).  :func:`collect_profiles_grid`
-is the same sweep routed through an :class:`~repro.experiments.cache.
+:class:`~repro.obs.Profile`.  :func:`collect_profiles_grid` sweeps a
+list of variants (pass Base first to get the paper's Figure-3
+normalization) through an :class:`~repro.experiments.cache.
 ExperimentCache`, so variants fan out across the worker pool and land
 in the persistent store; cached profiles decode through
 :meth:`~repro.obs.Profile.from_payload` and render byte-identically.
@@ -22,7 +21,7 @@ from ..obs import (Profile, TimeSeriesSampler, build_profile,
 from ..runtime import run_svm
 from .cache import ExperimentCache
 
-__all__ = ["collect_profile", "collect_profiles", "collect_profiles_grid"]
+__all__ = ["collect_profile", "collect_profiles_grid"]
 
 
 def collect_profile(app, features, config: Optional[MachineConfig] = None,
@@ -38,16 +37,6 @@ def collect_profile(app, features, config: Optional[MachineConfig] = None,
     result = run_svm(app, features, config=config, check=check,
                      telemetry=sampler)
     return build_profile(sampler, result)
-
-
-def collect_profiles(app_factory, variants: Sequence,
-                     config: Optional[MachineConfig] = None,
-                     slice_us: float = 1000.0,
-                     check: bool = False) -> List[Profile]:
-    """Profile ``app_factory()`` under each variant, in order."""
-    return [collect_profile(app_factory(), feats, config=config,
-                            slice_us=slice_us, check=check)
-            for feats in variants]
 
 
 def collect_profiles_grid(app_name: str, variants: Sequence,

@@ -81,8 +81,10 @@ class FaultConfig:
             raise ValueError(
                 f"retx_timeout_max_us ({self.retx_timeout_max_us!r}) must "
                 f"be >= retx_timeout_us ({self.retx_timeout_us!r})")
-        if self.retx_max < 1:
-            raise ValueError("retx_max must be >= 1")
+        if (not isinstance(self.retx_max, int)
+                or isinstance(self.retx_max, bool) or self.retx_max < 1):
+            raise ValueError(
+                f"retx_max must be an integer >= 1, got {self.retx_max!r}")
 
     @property
     def degrades(self) -> bool:
@@ -233,6 +235,10 @@ class MachineConfig:
             if f.name.endswith("_mbps") and not 0 < value < _INF:
                 raise ValueError(
                     f"{f.name} must be finite and > 0, got {value!r}")
+        # A negative factor would shorten bus-bound compute.
+        if not 0 <= self.bus_contention_factor < _INF:
+            raise ValueError(f"bus_contention_factor must be finite and "
+                             f">= 0, got {self.bus_contention_factor!r}")
 
     # -- derived -------------------------------------------------------------
     @property

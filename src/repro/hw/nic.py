@@ -40,9 +40,8 @@ class NIC:
     memory.
 
     The loops hold the LANai, PCI and link stations inline (request,
-    hold a :class:`Timeout`, release in ``finally``), the same events
-    ``Resource.use``/``RateServer.transfer`` would create, without a
-    delegated generator per hold: five holds per packet make this the
+    hold a :class:`Timeout`, release in ``finally``), with no delegated
+    generator per hold: five holds per packet make this the
     simulator's hottest path.
     """
 

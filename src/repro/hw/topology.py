@@ -69,9 +69,6 @@ class Topology(abc.ABC):
         """Worst-case traversal count between any two distinct nodes."""
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return f"{self.name}({self.config.nodes} nodes)"
-
 
 class Crossbar(Topology):
     """The paper's single non-blocking switch: one traversal, always.
@@ -136,10 +133,6 @@ class FatTree(Topology):
     def diameter_hops(self) -> int:
         return 5
 
-    def describe(self) -> str:
-        return (f"fat-tree(radix={self.radix}, "
-                f"{self.config.nodes}/{(self.radix ** 3) // 4} hosts)")
-
 
 class Dragonfly(Topology):
     """Balanced dragonfly: ``p`` hosts/router, ``a = 2p`` routers/group,
@@ -199,12 +192,6 @@ class Dragonfly(Topology):
 
     def diameter_hops(self) -> int:
         return 4
-
-    def describe(self) -> str:
-        return (f"dragonfly(p={self.hosts_per_router}, "
-                f"a={self.routers_per_group}, groups={self.groups}, "
-                f"{self.config.nodes}/"
-                f"{self._capacity(self.hosts_per_router)} hosts)")
 
 
 #: topology name -> class (the ``MachineConfig.topology`` choices).

@@ -20,6 +20,8 @@ from ..runtime.context import Backend
 
 __all__ = ["HWDSMConfig", "HWDSMBackend"]
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True)
 class HWDSMConfig:
@@ -42,6 +44,29 @@ class HWDSMConfig:
     #: Origin has two processors per node and much more bandwidth).
     bus_contention_factor: float = 0.008
     procs_per_node: int = 2
+
+    def __post_init__(self):
+        # Checked here, not as a ZeroDivisionError or a wrong time at
+        # the first miss, the same way MachineConfig checks its fields.
+        for name in ("nprocs", "cache_line", "page_size", "procs_per_node"):
+            value = getattr(self, name)
+            if (not isinstance(value, int) or isinstance(value, bool)
+                    or value < 1):
+                raise ValueError(
+                    f"{name} must be an integer >= 1, got {value!r}")
+        # Range checks written so that NaN fails them too.
+        for name in ("line_miss_us", "lock_op_us", "barrier_op_us",
+                     "bus_contention_factor"):
+            value = getattr(self, name)
+            if not 0 <= value < _INF:
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {value!r}")
+        if not 0 < self.miss_overlap < _INF:
+            raise ValueError(f"miss_overlap must be finite and > 0, "
+                             f"got {self.miss_overlap!r}")
+        if not 0 <= self.reread_miss_fraction <= 1:
+            raise ValueError(f"reread_miss_fraction must be in [0, 1], "
+                             f"got {self.reread_miss_fraction!r}")
 
     @property
     def lines_per_page(self) -> int:

@@ -5,7 +5,6 @@ time-accounting invariant."""
 from typing import Any, List
 
 __all__ = [
-    "Counter",
     "Gauge",
     "LogHistogram",
     "MetricsRegistry",
@@ -35,8 +34,8 @@ def __getattr__(name: str) -> Any:
     # a literal import so the static import graph keeps the edge.
     if name in ("render_dash", "render_dash_html", "sparkline"):
         from .dash import render_dash, render_dash_html, sparkline
-    elif name in ("Counter", "Gauge", "MetricsRegistry"):
-        from .metrics import Counter, Gauge, MetricsRegistry
+    elif name in ("Gauge", "MetricsRegistry"):
+        from .metrics import Gauge, MetricsRegistry
     elif name == "render_openmetrics":
         from .openmetrics import render_openmetrics
     elif name in ("PROFILE_SCHEMA", "STATIONS", "TIME_TOLERANCE_US",

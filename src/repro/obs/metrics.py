@@ -7,15 +7,12 @@ into instead: one hierarchical name per instrument, one ``snapshot()``
 that serializes everything (the ``repro profile`` JSON and the
 experiment tables both read it).
 
-Three instrument kinds:
+Two instrument kinds:
 
-* :class:`Counter` — a registry-owned monotonic count (or sum); new
-  metrics should be counters so the registry is their home.
 * :class:`Gauge` — a named binding to a value computed on demand.
-  Pre-existing layer counters (``VMMC.messages_sent``,
-  ``NIC.packets_sent``, ...) are exported this way: the attribute
-  stays a plain number — preserving value-capture semantics for all
-  existing code — while the registry owns the *name*.
+  Layer counters (``VMMC.messages_sent``, ``NIC.packets_sent``, ...)
+  are exported this way: the attribute stays a plain number that the
+  hot path increments, while the registry owns the *name*.
 * :class:`~repro.sim.RunningStat` — streaming count/mean/min/max for
   sampled quantities (latencies, occupancies).
 
@@ -32,28 +29,9 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..sim import RunningStat
 
-__all__ = ["Counter", "Gauge", "MetricsRegistry"]
+__all__ = ["Gauge", "MetricsRegistry"]
 
 Number = Union[int, float]
-
-
-class Counter:
-    """A registry-owned monotonic counter (integer or accumulated sum)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str, value: Number = 0):
-        self.name = name
-        self.value = value
-
-    def inc(self, amount: Number = 1) -> None:
-        if amount < 0:
-            raise ValueError(
-                f"counter {self.name!r}: negative increment {amount!r}")
-        self.value += amount
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name!r}, {self.value!r})"
 
 
 class Gauge:
@@ -72,7 +50,7 @@ class Gauge:
         return f"Gauge({self.name!r})"
 
 
-Instrument = Union[Counter, Gauge, RunningStat]
+Instrument = Union[Gauge, RunningStat]
 
 
 class MetricsRegistry:
@@ -106,21 +84,9 @@ class MetricsRegistry:
             for fn in pending:
                 fn(self)
 
-    def counter(self, name: str, value: Number = 0) -> Counter:
-        """Create (or rebind) a counter; returns the new instrument."""
-        instrument = Counter(name, value)
-        self._instruments[name] = instrument
-        return instrument
-
     def gauge(self, name: str, fn: Callable[[], Number]) -> Gauge:
         """Bind ``name`` to ``fn()``, read at snapshot time."""
         instrument = Gauge(name, fn)
-        self._instruments[name] = instrument
-        return instrument
-
-    def stat(self, name: str) -> RunningStat:
-        """Create (or rebind) a RunningStat accumulator."""
-        instrument = RunningStat()
         self._instruments[name] = instrument
         return instrument
 
@@ -177,16 +143,14 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, object]:
         """All instruments as plain JSON-serializable values.
 
-        Counters and gauges flatten to numbers; RunningStats to a
+        Gauges flatten to numbers; RunningStats to a
         ``{count, total, mean, min, max, variance, stdev}`` dict
         (min/max are None while empty, never ``inf``; variance/stdev
         are the streaming Welford values, 0.0 below two samples).
         """
         out: Dict[str, object] = {}
         for name, instrument in self:
-            if isinstance(instrument, Counter):
-                out[name] = instrument.value
-            elif isinstance(instrument, Gauge):
+            if isinstance(instrument, Gauge):
                 out[name] = instrument.read()
             else:
                 out[name] = {

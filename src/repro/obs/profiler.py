@@ -14,8 +14,11 @@ the time-accounting residuals.
 That invariant: every blocked microsecond of a rank's timed section
 must land in exactly one bucket, so ``sum(buckets) == wall time``
 within :data:`TIME_TOLERANCE_US`.  :func:`check_time_accounting`
-evaluates it on any :class:`~repro.runtime.results.RunResult`; the
-runtime invariant checker and the ``repro profile`` CLI both call it.
+evaluates it on any :class:`~repro.runtime.results.RunResult`.  The
+runtime invariant checker (``InvariantChecker.on_run_complete``) and
+the ``repro profile`` CLI (``Profile.accounting_ok``, from the residuals
+:func:`build_profile` records) apply the same tolerance to the same
+residual themselves; neither calls this function.
 """
 
 from __future__ import annotations

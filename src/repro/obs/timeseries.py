@@ -200,11 +200,12 @@ class TimeSeriesSampler:
             raise ValueError(
                 f"cadence_us must be finite and positive, "
                 f"got {cadence_us!r}")
-        if max_samples < 2:
-            raise ValueError(
-                f"max_samples must be >= 2, got {max_samples!r}")
-        if top_k < 0:
-            raise ValueError(f"top_k must be >= 0, got {top_k!r}")
+        for name, value, least in (("max_samples", max_samples, 2),
+                                   ("top_k", top_k, 0)):
+            if (not isinstance(value, int) or isinstance(value, bool)
+                    or value < least):
+                raise ValueError(
+                    f"{name} must be an integer >= {least}, got {value!r}")
         self.cadence_us = cadence_us
         self.max_samples = max_samples
         self.top_k = top_k

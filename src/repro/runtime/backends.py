@@ -18,8 +18,7 @@ class SVMBackend(Backend):
     """The shared-virtual-memory cluster (the paper's system)."""
 
     def __init__(self, config: MachineConfig, features: ProtocolFeatures,
-                 with_monitor: bool = True, tracer=None,
-                 check: bool = False, spans: bool = False):
+                 tracer=None, check: bool = False, spans: bool = False):
         self.machine = Machine(config)
         self.spans = None
         if spans:
@@ -27,7 +26,7 @@ class SVMBackend(Backend):
                 raise ValueError("spans=True requires a tracer")
             self.spans = SpanTracer(tracer, self.machine.sim)
         self.vmmc = VMMC(self.machine, spans=self.spans)
-        self.monitor = PerfMonitor(self.machine) if with_monitor else None
+        self.monitor = PerfMonitor(self.machine)
         self.protocol = HLRCProtocol(self.machine, features,
                                      vmmc=self.vmmc, tracer=tracer,
                                      spans=self.spans)

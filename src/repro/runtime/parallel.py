@@ -505,8 +505,9 @@ class GridExecutor:
     def __init__(self, jobs: int = 1,
                  store: Optional[ResultStore] = None,
                  jobs_force: bool = False):
-        if jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {jobs}")
+        if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
+            raise ValueError(f"jobs must be an integer at least 1, "
+                             f"got {jobs!r}")
         self.requested_jobs = jobs
         cap = os.cpu_count() or 1
         self.jobs = jobs if jobs_force else min(jobs, cap)

@@ -134,8 +134,7 @@ def _stats_delta(before: dict, after: dict) -> dict:
 
 def run_svm(app, features: ProtocolFeatures,
             config: Optional[MachineConfig] = None,
-            with_monitor: bool = True, tracer=None,
-            check: bool = False, spans: bool = False,
+            tracer=None, check: bool = False, spans: bool = False,
             telemetry=None) -> RunResult:
     """Run ``app`` on the SVM cluster under one protocol variant.
 
@@ -147,8 +146,7 @@ def run_svm(app, features: ProtocolFeatures,
     schedule.
     """
     backend = SVMBackend(config or MachineConfig(), features,
-                         with_monitor=with_monitor, tracer=tracer,
-                         check=check, spans=spans)
+                         tracer=tracer, check=check, spans=spans)
     return run_on_backend(app, backend, system=features.name,
                           telemetry=telemetry)
 

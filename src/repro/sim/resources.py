@@ -11,8 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Optional
 
-from .engine import (_INF, Event, Simulator, SimulationError, Timeout,
-                     _granted)
+from .engine import _INF, Event, Simulator, SimulationError, _granted
 
 __all__ = ["Resource", "Store", "RateServer"]
 
@@ -85,14 +84,6 @@ class Resource:
             self.busy_time += self._in_use * (now - self._last_change)
             self._last_change = now
             self._in_use -= 1
-
-    def use(self, duration: float):
-        """Generator helper: acquire, hold for ``duration``, release."""
-        yield self.request()
-        try:
-            yield Timeout(self.sim, duration)
-        finally:
-            self.release()
 
     def sample_busy(self) -> float:
         """Cumulative busy time *as of now*, including the open span.
@@ -196,7 +187,9 @@ class RateServer:
     Models a bus, link or DMA engine: each transfer occupies the
     station for ``overhead + size / bandwidth``; transfers queue FIFO.
     Bandwidth is in bytes per microsecond (== MB/s), matching the
-    project-wide microsecond time unit.
+    project-wide microsecond time unit.  The holder (the NIC loops)
+    requests :attr:`station`, holds it for that time, releases it and
+    adds ``size`` to :attr:`total_bytes`.
     """
 
     def __init__(self, sim: Simulator, bandwidth_mbps: float,
@@ -214,18 +207,6 @@ class RateServer:
         #: the FIFO station each transfer holds for its service time.
         self.station = Resource(sim, 1, name=name)
         self.total_bytes = 0
-
-    def service_time(self, size_bytes: int) -> float:
-        return self.overhead + size_bytes / self.bandwidth
-
-    def transfer(self, size_bytes: int):
-        """Generator: queue for the station and move ``size_bytes``."""
-        self.total_bytes += size_bytes
-        yield self.station.request()
-        try:
-            yield Timeout(self.sim, self.service_time(size_bytes))
-        finally:
-            self.station.release()
 
     @property
     def queue_len(self) -> int:

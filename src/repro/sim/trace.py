@@ -91,6 +91,11 @@ class Tracer:
                 sink: str = "columnar"):
         if sink not in ("columnar", "tuples"):
             raise ValueError(f"unknown trace sink {sink!r}")
+        if capacity is not None and (not isinstance(capacity, int)
+                                     or isinstance(capacity, bool)
+                                     or capacity < 0):
+            raise ValueError(f"capacity must be None or an integer >= 0, "
+                             f"got {capacity!r}")
         if cls is Tracer and sink == "tuples":
             return object.__new__(_TupleTracer)
         return object.__new__(cls)

@@ -22,7 +22,7 @@ present when the call spells its keywords out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 __all__ = ["TraceFamily", "TRACE_SCHEMA", "family"]
 
@@ -186,7 +186,3 @@ TRACE_SCHEMA: Dict[str, TraceFamily] = _build(
            doc="end-of-run telemetry rollup for one sampled metric"),
 )
 
-
-def schema_fields(category: str) -> Tuple[str, ...]:
-    """Sorted declared fields of ``category`` (KeyError if unknown)."""
-    return tuple(sorted(TRACE_SCHEMA[category].fields))

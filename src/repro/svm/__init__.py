@@ -10,7 +10,7 @@ from .mprotect import MprotectModel, coalesce_pages
 from .pages import (HomePage, NodePageTable, PageAccess, PageDirectory,
                     SharedRegion)
 from .protocol import HLRCProtocol
-from .timestamps import Interval, IntervalLog, VectorClock, WriteNotice
+from .timestamps import Interval, IntervalLog, VectorClock
 
 __all__ = [
     "BarrierManager",
@@ -40,5 +40,4 @@ __all__ = [
     "Interval",
     "IntervalLog",
     "VectorClock",
-    "WriteNotice",
 ]

@@ -42,28 +42,21 @@ class MprotectModel:
         self.calls = [0] * config.nodes
         self.pages_protected = [0] * config.nodes
 
-    def _coalesced(self, pages: Iterable[int]) -> Tuple[int, int, float]:
-        """``(calls, pages, cost)`` of protecting ``pages``: one call per
-        run of :func:`coalesce_pages`, counted without sorting (a page
-        starts a run iff its predecessor is absent)."""
+    def protect(self, node: int, pages: Iterable[int]) -> float:
+        """Account one protection change on ``node``; returns its cost.
+
+        One call per run of :func:`coalesce_pages`, counted without
+        sorting (a page starts a run iff its predecessor is absent).
+        """
         uniq = set(pages)
         n_runs = len([p for p in uniq if p - 1 not in uniq])
         cfg = self.config
-        return n_runs, len(uniq), (
-            n_runs * cfg.mprotect_call_us
-            + (len(uniq) - n_runs) * cfg.mprotect_page_us)
-
-    def cost_us(self, pages: Iterable[int]) -> float:
-        """Cost of protecting ``pages``, with coalescing (no accounting)."""
-        return self._coalesced(pages)[2]
-
-    def protect(self, node: int, pages: Iterable[int]) -> float:
-        """Account one protection change on ``node``; returns its cost."""
-        n_runs, n_pages, cost = self._coalesced(pages)
+        cost = (n_runs * cfg.mprotect_call_us
+                + (len(uniq) - n_runs) * cfg.mprotect_page_us)
         if cost > 0:
             self.total_us[node] += cost
             self.calls[node] += n_runs
-            self.pages_protected[node] += n_pages
+            self.pages_protected[node] += len(uniq)
         return cost
 
     @property

@@ -69,11 +69,6 @@ class SharedRegion:
     def gids(self, indices) -> List[int]:
         return [self.gid(i) for i in indices]
 
-    def index_of(self, gid: int) -> int:
-        if not self.base <= gid < self.base + self.n_pages:
-            raise IndexError(f"gid {gid} not in region {self.name!r}")
-        return gid - self.base
-
     def home_of(self, index: int) -> int:
         return self.homes[index]
 

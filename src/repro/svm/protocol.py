@@ -484,13 +484,12 @@ class HLRCProtocol:
 
     # -------------------------------------------------- intervals & diffs
 
-    def close_interval(self, node_id: int) -> Optional[Interval]:
-        """Close the node's current interval, if it dirtied anything.
+    def close_interval_timed(self, node_id: int):
+        """Generator: close the node's current interval, if it dirtied
+        anything, and pay its write-protect cost.
 
-        Returns the interval (its diffs go to ``pending_flush``); the
-        *caller* must pay the returned interval's write-protect cost via
-        :meth:`downgrade_cost` (kept separate so callers can charge the
-        right bucket) — in practice use :meth:`close_interval_timed`.
+        Returns the interval (its diffs go to ``pending_flush``), or
+        None when nothing was dirtied.
         """
         table = self.tables[node_id]
         dirty = table.take_dirty()
@@ -507,14 +506,8 @@ class HLRCProtocol:
                     clock=self.node_clock[node_id].values)
         if self.invariants is not None:
             self.invariants.on_interval_close(node_id, interval)
-        return interval
-
-    def close_interval_timed(self, node_id: int):
-        """Generator: close the interval and pay the write-protect cost."""
-        interval = self.close_interval(node_id)
-        if interval is not None:
-            cost = self.mprotect.protect(node_id, interval.pages)
-            yield self.sim.timeout(cost)
+        cost = self.mprotect.protect(node_id, interval.pages)
+        yield self.sim.timeout(cost)
         return interval
 
     def flush_pending(self, node_id: int, track: Optional[str] = None):
@@ -949,9 +942,6 @@ class HLRCProtocol:
             sp.end(sid)
 
     # ------------------------------------------------------------- results
-
-    def breakdown(self, rank: int) -> TimeBuckets:
-        return self.buckets[rank]
 
     @property
     def total_interrupts(self) -> int:

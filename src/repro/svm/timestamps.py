@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
 
-__all__ = ["VectorClock", "WriteNotice", "Interval", "IntervalLog"]
+__all__ = ["VectorClock", "Interval", "IntervalLog"]
 
 
 class VectorClock:
@@ -74,26 +74,14 @@ class VectorClock:
         return f"VectorClock({self._v})"
 
 
-@dataclass(frozen=True)
-class WriteNotice:
-    """Page ``page`` was modified by ``node`` during interval ``interval``."""
-
-    page: int
-    node: int
-    interval: int
-
-
 @dataclass
 class Interval:
-    """One closed interval of a node: its index and the pages it dirtied."""
+    """One closed interval of a node: its index and the pages it dirtied
+    (its write notices)."""
 
     node: int
     index: int
     pages: Tuple[int, ...]
-
-    def notices(self) -> List[WriteNotice]:
-        return [WriteNotice(page=p, node=self.node, interval=self.index)
-                for p in self.pages]
 
 
 class IntervalLog:
@@ -121,23 +109,14 @@ class IntervalLog:
         """Index of the last closed interval of ``node`` (0 if none)."""
         return len(self._log[node])
 
-    def intervals_between(self, node: int, have: int,
-                          want: int) -> List[Interval]:
-        """Closed intervals of ``node`` with ``have < index <= want``."""
-        if want > len(self._log[node]):
-            raise ValueError(
-                f"node {node}: interval {want} not closed yet")
-        return self._log[node][have:want]
-
     def windows(self, have: VectorClock,
                 want: VectorClock) -> Iterator[Tuple[int, Interval]]:
         """``(node, interval)`` for every closed interval in the clock
         window ``(have, want]``, node by node, each in index order.
 
-        The one walk behind :meth:`notices_between`,
-        :meth:`count_between` and the protocol's barrier and acquire
-        invalidation, which reads ``interval.pages`` straight from it
-        instead of building a :class:`WriteNotice` per page.
+        The one walk behind :meth:`count_between` and the protocol's
+        barrier and acquire invalidation, which reads ``interval.pages``
+        (the write notices) straight from it.
         """
         have_v = have._v
         want_v = want._v
@@ -149,15 +128,8 @@ class IntervalLog:
             for interval in log[have_v[node]:upto]:
                 yield node, interval
 
-    def notices_between(self, have: VectorClock,
-                        want: VectorClock) -> List[WriteNotice]:
-        """All write notices in the clock window ``(have, want]``."""
-        out: List[WriteNotice] = []
-        for _node, interval in self.windows(have, want):
-            out.extend(interval.notices())
-        return out
-
     def count_between(self, have: VectorClock, want: VectorClock) -> int:
-        """``len(notices_between(have, want))``, building no notice."""
+        """Number of write notices (pages, counted per interval) in the
+        clock window ``(have, want]``."""
         return sum(len(interval.pages)
                    for _node, interval in self.windows(have, want))

@@ -34,12 +34,10 @@ class ExportTable:
     The paper's scalability point for remote fetch (Section 2): with
     deposit-only page transfer every node must export *all* shared
     pages; with remote fetch each node exports only the pages it homes.
-    This table lets tests assert that property; enforcement is optional
-    (``strict``).
+    This table lets tests assert that property.
     """
 
-    def __init__(self, strict: bool = False):
-        self.strict = strict
+    def __init__(self):
         self._exports: Dict[int, set] = {}
 
     def export(self, node: int, region: Any) -> None:
@@ -47,14 +45,6 @@ class ExportTable:
 
     def is_exported(self, node: int, region: Any) -> bool:
         return region in self._exports.get(node, set())
-
-    def exported_count(self, node: int) -> int:
-        return len(self._exports.get(node, set()))
-
-    def check(self, node: int, region: Any) -> None:
-        if self.strict and not self.is_exported(node, region):
-            raise PermissionError(
-                f"region {region!r} not exported by node {node}")
 
 
 class VMMC:

@@ -4,7 +4,10 @@ GeNIMA, with and without packet loss, on a crossbar and a fat-tree, at
 
 Every cell's :func:`repro.runtime.parallel.encode_result` is pinned by
 its sha256: a change meant to leave the simulation alone (a host-path
-optimisation) must reproduce every digest.  ``tests/test_parity_matrix``
+optimisation) must reproduce every digest.  Rerun with spans into an
+unbounded tracer, a cell must reproduce the same digest (spans do not
+change the schedule), its critical path must telescope to the wall
+time and the sanitizer must find nothing.  ``tests/test_parity_matrix``
 runs a pairwise cover of the product; ``benchmarks/test_parity_matrix``
 runs all of it.
 """
@@ -13,10 +16,13 @@ import hashlib
 import itertools
 import json
 
+from repro.analysis import Sanitizer, extract_critical_path
 from repro.apps import APP_REGISTRY
 from repro.hw import FaultConfig, MachineConfig
+from repro.obs import TIME_TOLERANCE_US
 from repro.runtime import run_svm
 from repro.runtime.parallel import encode_result
+from repro.sim import Tracer
 from repro.svm import BASE, GENIMA
 
 APPS = ("KVStore", "Water-spatial")
@@ -132,11 +138,25 @@ FULL = tuple(itertools.product(*AXES))
 
 
 def run_digest(app: str, protocol: str, faults: str, topology: str,
-               nodes: int) -> str:
-    """Run one cell with invariant checks on; sha256 of its result."""
+               nodes: int, tracer=None) -> str:
+    """Run one cell with invariant checks on; sha256 of its result.
+
+    With a ``tracer`` the run also records spans into it.
+    """
     config = MachineConfig(nodes=nodes, topology=topology,
                            faults=FAULTS[faults])
     result = run_svm(APP_REGISTRY[app](), PROTOCOLS[protocol],
-                     config=config, check=True)
+                     config=config, check=True, tracer=tracer,
+                     spans=tracer is not None)
     encoded = json.dumps(encode_result(result), sort_keys=True)
     return hashlib.sha256(encoded.encode()).hexdigest()
+
+
+def check_spanned_cell(cell) -> None:
+    """Rerun ``cell`` with spans: same pin, a critical path within
+    ``TIME_TOLERANCE_US`` of the wall time, no sanitizer finding."""
+    tracer = Tracer(capacity=None)
+    assert run_digest(*cell, tracer=tracer) == PINS[cell]
+    path = extract_critical_path(tracer.events)
+    assert path.ok(TIME_TOLERANCE_US), (path.complete, path.residual_us)
+    assert Sanitizer().run(tracer.events) == []

@@ -16,8 +16,8 @@ import pytest
 
 from repro.analysis import (RULES, SANITIZER_CHECKS, HBGraph,
                             InvariantChecker, InvariantViolation,
-                            Sanitizer, default_target, lint_paths,
-                            lint_source, sanitize_run)
+                            Sanitizer, default_target, lint_source,
+                            sanitize_run)
 from repro.apps import APP_REGISTRY
 from repro.cli import main as cli_main
 from repro.sim.trace import TraceEvent, Tracer

@@ -62,8 +62,9 @@ def test_fault_config_validates_probabilities():
         FaultConfig(loss=1.5)
     with pytest.raises(ValueError):
         FaultConfig(dup=-0.1)
-    with pytest.raises(ValueError):
-        FaultConfig(retx_max=0)
+    for attempts in (0, 2.5, True):
+        with pytest.raises(ValueError, match="retx_max"):
+            FaultConfig(retx_max=attempts)
     # NaN passes a plain ``<= 0`` test; every field is named.
     for field in ("retx_timeout_us", "retx_timeout_max_us", "jitter_us",
                   "reorder_window_us"):

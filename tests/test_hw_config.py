@@ -113,13 +113,19 @@ def test_topology_field_validation():
                                          ("procs_per_node", False),
                                          ("topology_radix", 4.5),
                                          ("topology_group_size", 1.5),
-                                         ("topology_group_size", -1)])
+                                         ("topology_group_size", -1),
+                                         ("bus_contention_factor",
+                                          float("nan")),
+                                         ("bus_contention_factor",
+                                          float("inf")),
+                                         ("bus_contention_factor", -0.1)])
 def test_size_field_validation(field, value):
     # Construct only: unchecked, a non-positive packet_max never finishes
     # segmenting, so running it would hang instead of failing; a NaN or
     # infinite cost or bandwidth ends in a late error or a wrong time; a
     # fractional packet_max makes fractional packet sizes and counts, a
-    # fractional dragonfly group size builds 5.5 groups, and a
-    # fractional node count fails late inside the machine build.
+    # fractional dragonfly group size builds 5.5 groups, a fractional
+    # node count fails late inside the machine build, and a negative
+    # bus_contention_factor shortens bus-bound compute.
     with pytest.raises(ValueError, match=field):
         MachineConfig(**{field: value})

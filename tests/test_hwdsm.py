@@ -13,6 +13,20 @@ def test_config_derived_lines_per_page():
     assert cfg.lines_per_page == 32
 
 
+@pytest.mark.parametrize("field,value", [
+    ("cache_line", 0), ("miss_overlap", 0), ("miss_overlap", float("nan")),
+    ("nprocs", 0), ("nprocs", 2.5), ("procs_per_node", True),
+    ("page_size", 0), ("line_miss_us", float("nan")),
+    ("lock_op_us", -1.0), ("barrier_op_us", float("inf")),
+    ("bus_contention_factor", -0.1), ("reread_miss_fraction", 1.5),
+    ("reread_miss_fraction", float("nan"))])
+def test_config_rejects_bad_values(field, value):
+    # Construct only: cache_line=0 and miss_overlap=0 used to raise
+    # ZeroDivisionError at the first miss; the rest constructed.
+    with pytest.raises(ValueError, match=field):
+        HWDSMConfig(**{field: value})
+
+
 def test_cold_read_costs_lines_reread_costs_fraction():
     backend = HWDSMBackend()
     region = backend.allocate("x", 4)

@@ -99,16 +99,19 @@ def test_time_buckets_fractions_zero_total():
 # -------------------------------------------------------- MetricsRegistry
 
 def test_registry_counter_gauge_stat_snapshot():
+    class Layer:
+        events = 0
+
     reg = MetricsRegistry()
-    c = reg.counter("layer.events")
-    c.inc()
-    c.inc(4)
+    layer = Layer()
+    reg.register_gauges("layer", layer, "events")
+    layer.events += 5
     box = {"v": 10}
     reg.gauge("layer.depth", lambda: box["v"])
-    s = reg.stat("layer.latency")
+    s = reg.register_stat("layer.latency", RunningStat())
     s.add(2.0)
     s.add(4.0)
-    empty = reg.stat("layer.unused")
+    reg.register_stat("layer.unused", RunningStat())
     snap = reg.snapshot()
     assert snap["layer.events"] == 5
     assert snap["layer.depth"] == 10
@@ -120,7 +123,7 @@ def test_registry_counter_gauge_stat_snapshot():
 
 def test_snapshot_stat_variance_and_stdev():
     reg = MetricsRegistry()
-    s = reg.stat("layer.lat")
+    s = reg.register_stat("layer.lat", RunningStat())
     for x in (2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0):
         s.add(x)
     snap = reg.snapshot()["layer.lat"]
@@ -132,8 +135,8 @@ def test_snapshot_stat_variance_and_stdev():
 
 def test_snapshot_stat_variance_edge_cases():
     reg = MetricsRegistry()
-    reg.stat("empty")
-    one = reg.stat("single")
+    reg.register_stat("empty", RunningStat())
+    one = reg.register_stat("single", RunningStat())
     one.add(42.0)
     snap = reg.snapshot()
     # Below two samples the Welford estimate is defined as 0.0 (not
@@ -154,12 +157,6 @@ def test_merged_stat_variance_matches_direct():
     merged = left.merge(right)
     assert merged.variance == pytest.approx(direct.variance)
     assert merged.stdev == pytest.approx(direct.stdev)
-
-
-def test_registry_counter_rejects_negative_increment():
-    reg = MetricsRegistry()
-    with pytest.raises(ValueError):
-        reg.counter("x").inc(-1)
 
 
 def test_register_gauges_binds_attributes_and_rejects_typos():
@@ -189,7 +186,7 @@ def test_deferred_registration_runs_on_first_query():
 
     def register(r):
         calls.append(True)
-        r.counter("lazy.count", 3)
+        r.gauge("lazy.count", lambda: 3)
 
     reg.defer(register)
     assert calls == []                  # nothing ran yet
@@ -203,10 +200,10 @@ def test_deferred_registration_supports_nested_defers():
     reg = MetricsRegistry()
 
     def inner(r):
-        r.counter("b", 2)
+        r.gauge("b", lambda: 2)
 
     def outer(r):
-        r.counter("a", 1)
+        r.gauge("a", lambda: 1)
         r.defer(inner)
 
     reg.defer(outer)

@@ -245,6 +245,14 @@ def test_jobs_below_one_rejected(jobs, capsys):
     assert "--jobs: must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", [1.5, True, "2"])
+def test_non_integer_jobs_rejected(jobs):
+    # Construct only: 1.5 used to pass the ``< 1`` check and reach the
+    # worker pool.
+    with pytest.raises(ValueError, match="jobs"):
+        GridExecutor(jobs=jobs)
+
+
 # ------------------------------------------------------------ single-flight
 
 def counting_evaluator(monkeypatch, payload_for, delay_s=0.0):

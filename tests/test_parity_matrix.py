@@ -2,15 +2,15 @@
 
 Twelve cells cover every pair of axis values (app, protocol, faults,
 topology, nodes) at least once; each must reproduce its pinned result
-digest with the invariant checker on.  The full 48-cell product runs
-in ``benchmarks/test_parity_matrix.py``.
+digest with the invariant checker on, with and without spans.  The full
+48-cell product runs in ``benchmarks/test_parity_matrix.py``.
 """
 
 import itertools
 
 import pytest
 
-from tests.parity import AXES, FULL, PINS, run_digest
+from tests.parity import AXES, FULL, PINS, check_spanned_cell, run_digest
 
 #: Four cells per node count: an orthogonal array over app, protocol
 #: and faults, with the topology following the app at 1 and 3 nodes and
@@ -50,3 +50,9 @@ def test_slice_is_a_pairwise_cover():
                          ids=lambda c: "/".join(map(str, c)))
 def test_pairwise_cell_matches_pin(cell):
     assert run_digest(*cell) == PINS[cell]
+
+
+@pytest.mark.parametrize("cell", PAIRWISE,
+                         ids=lambda c: "/".join(map(str, c)))
+def test_pairwise_cell_with_spans(cell):
+    check_spanned_cell(cell)

@@ -69,19 +69,6 @@ def test_release_idle_resource_raises():
         res.release()
 
 
-def test_resource_use_helper_releases_on_completion():
-    sim = Simulator()
-    res = Resource(sim)
-
-    def worker():
-        yield from res.use(5.0)
-
-    sim.process(worker())
-    sim.run()
-    assert res.in_use == 0
-    assert sim.now == 5.0  # repro: noqa[float-time-eq] — exact determinism check
-
-
 def test_resource_wait_time_accounting():
     sim = Simulator()
     res = Resource(sim, capacity=1)
@@ -292,26 +279,28 @@ def test_store_max_occupancy_tracked():
 
 # -------------------------------------------------------------- RateServer
 
-def test_rate_server_service_time():
+def test_rate_server_serializes_transfers():
+    # Each transfer holds the station for overhead + size / bandwidth,
+    # the way the NIC loops hold it inline.
     sim = Simulator()
     link = RateServer(sim, bandwidth_mbps=100.0, overhead_us=2.0)
-    assert link.service_time(1000) == pytest.approx(2.0 + 10.0)
-
-
-def test_rate_server_serializes_transfers():
-    sim = Simulator()
-    link = RateServer(sim, bandwidth_mbps=100.0)
     done = []
 
     def sender(tag, size):
-        yield from link.transfer(size)
+        link.total_bytes += size
+        yield link.station.request()
+        try:
+            yield sim.timeout(link.overhead + size / link.bandwidth)
+        finally:
+            link.station.release()
         done.append((tag, sim.now))
 
     sim.process(sender("a", 1000))
     sim.process(sender("b", 1000))
     sim.run()
-    assert done == [("a", 10.0), ("b", 20.0)]
+    assert done == [("a", 12.0), ("b", 24.0)]
     assert link.total_bytes == 2000
+    assert not link.busy and link.queue_len == 0
 
 
 def test_rate_server_rejects_nonpositive_bandwidth():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hw import Machine, MachineConfig
-from repro.svm import PROTOCOL_LADDER, HLRCProtocol
+from repro.svm import PROTOCOL_LADDER, HLRCProtocol, VectorClock
 
 
 N_PAGES = 12
@@ -78,17 +78,18 @@ def test_protocol_invariants_after_random_workload(per_rank_ops, pidx):
                 == proto.interval_log.current_index(writer), (node, writer)
 
     # I3: every closed interval's diffs have been applied at the homes.
-    for node in range(nodes):
-        idx = proto.interval_log.current_index(node)
-        for interval in proto.interval_log.intervals_between(node, 0, idx):
-            for gid in interval.pages:
-                home = proto.directory.home_of(gid)
-                if home == interval.node:
-                    continue
-                hp = proto._homes.get(gid)
-                assert hp is not None and \
-                    hp.applied.get(interval.node, 0) >= interval.index, \
-                    (gid, interval)
+    closed = VectorClock(values=[proto.interval_log.current_index(node)
+                                 for node in range(nodes)])
+    for _node, interval in proto.interval_log.windows(VectorClock(nodes),
+                                                      closed):
+        for gid in interval.pages:
+            home = proto.directory.home_of(gid)
+            if home == interval.node:
+                continue
+            hp = proto._homes.get(gid)
+            assert hp is not None and \
+                hp.applied.get(interval.node, 0) >= interval.index, \
+                (gid, interval)
 
     # I4: no parked waiters of any kind remain.
     assert not any(proto._wn_waiters[n] for n in range(nodes))

@@ -250,8 +250,8 @@ def test_coalesce_covers_exactly_the_unique_pages(pages):
 
 def test_mprotect_coalescing_is_cheaper():
     m = MprotectModel(CFG)
-    contiguous = m.cost_us(range(100))
-    scattered = m.cost_us(range(0, 200, 2))
+    contiguous = m.protect(0, range(100))
+    scattered = m.protect(1, range(0, 200, 2))
     assert contiguous < scattered
     # one call + per-page increments
     assert contiguous == pytest.approx(
@@ -282,14 +282,13 @@ def test_mprotect_empty_is_free():
 @example([10, 2, 1, 11, 12, 2, 40])
 def test_protect_accounting_equals_cost_us(pages):
     # Unsorted, duplicate and empty page sets: one accounting pass must
-    # agree with cost_us and with the reference coalesce_pages runs.
+    # agree with the reference coalesce_pages runs, in any page order.
     m = MprotectModel(CFG)
     runs = coalesce_pages(pages)
-    expected = m.cost_us(reversed(pages))
+    expected = (len(runs) * CFG.mprotect_call_us
+                + (len(set(pages)) - len(runs)) * CFG.mprotect_page_us)
     assert m.protect(2, iter(pages)) == expected
+    assert m.protect(3, reversed(pages)) == expected
     assert m.total_us[2] == expected
     assert m.calls[2] == len(runs)
     assert m.pages_protected[2] == sum(c for _f, c in runs)
-    assert expected == (len(runs) * CFG.mprotect_call_us
-                        + (len(set(pages)) - len(runs))
-                        * CFG.mprotect_page_us)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.svm import Interval, IntervalLog, VectorClock, WriteNotice
+from repro.svm import Interval, IntervalLog, VectorClock
 
 
 # ------------------------------------------------------------- VectorClock
@@ -128,9 +128,18 @@ def test_dominates_consistent_with_merge(xs, ys):
 # ------------------------------------------------------------ IntervalLog
 
 def test_interval_notices():
-    iv = Interval(node=1, index=3, pages=(10, 11))
-    notices = iv.notices()
-    assert notices == [WriteNotice(10, 1, 3), WriteNotice(11, 1, 3)]
+    # An interval's write notices are its pages, read straight from the
+    # clock-window walk with the writer and interval index attached.
+    log = IntervalLog(2)
+    log.append(Interval(node=1, index=1, pages=()))
+    log.append(Interval(node=1, index=2, pages=()))
+    log.append(Interval(node=1, index=3, pages=(10, 11)))
+    have = VectorClock(values=[0, 2])
+    want = VectorClock(values=[0, 3])
+    notices = [(page, node, iv.index)
+               for node, iv in log.windows(have, want) for page in iv.pages]
+    assert notices == [(10, 1, 3), (11, 1, 3)]
+    assert log.count_between(have, want) == 2
 
 
 def test_log_appends_in_order():
@@ -151,7 +160,8 @@ def test_intervals_between_window():
     log = IntervalLog(1)
     for i in range(1, 6):
         log.append(Interval(0, i, (i,)))
-    ivs = log.intervals_between(0, 2, 4)
+    ivs = [iv for _node, iv in log.windows(VectorClock(values=[2]),
+                                           VectorClock(values=[4]))]
     assert [iv.index for iv in ivs] == [3, 4]
 
 
@@ -159,7 +169,12 @@ def test_intervals_between_unclosed_rejected():
     log = IntervalLog(1)
     log.append(Interval(0, 1, (1,)))
     with pytest.raises(ValueError):
-        log.intervals_between(0, 0, 2)
+        list(log.windows(VectorClock(1), VectorClock(values=[2])))
+
+
+def _pages(log, have, want):
+    return sorted(page for _node, iv in log.windows(have, want)
+                  for page in iv.pages)
 
 
 def test_notices_between_clocks():
@@ -169,16 +184,16 @@ def test_notices_between_clocks():
     log.append(Interval(0, 2, (11,)))
     have = VectorClock(values=[1, 0])
     want = VectorClock(values=[2, 1])
-    notices = log.notices_between(have, want)
-    pages = sorted(n.page for n in notices)
-    assert pages == [11, 20, 21]
+    assert _pages(log, have, want) == [11, 20, 21]
+    assert log.count_between(have, want) == 3
 
 
 def test_notices_between_empty_window():
     log = IntervalLog(2)
     log.append(Interval(0, 1, (10,)))
     have = VectorClock(values=[1, 0])
-    assert log.notices_between(have, have) == []
+    assert _pages(log, have, have) == []
+    assert log.count_between(have, have) == 0
 
 
 def test_notices_between_inverted_entry_is_empty():
@@ -189,38 +204,43 @@ def test_notices_between_inverted_entry_is_empty():
     log.append(Interval(0, 2, (11,)))
     have = VectorClock(values=[2, 0])
     want = VectorClock(values=[1, 0])
-    assert log.notices_between(have, want) == []
+    assert _pages(log, have, want) == []
+    assert log.count_between(have, want) == 0
 
 
 @st.composite
 def _log_and_window(draw):
-    """A random closed-interval log plus a (have, want) window whose
-    entries may be inverted (want below have) but never unclosed."""
+    """A random closed-interval log, the intervals appended to it, and
+    a (have, want) window whose entries may be inverted (want below
+    have) but never unclosed."""
     nodes = draw(st.integers(1, 4))
     log = IntervalLog(nodes)
+    appended = []
     lengths = draw(st.lists(st.integers(0, 4), min_size=nodes,
                             max_size=nodes))
     for node, length in enumerate(lengths):
         for index in range(1, length + 1):
             pages = draw(st.lists(st.integers(0, 30), max_size=4))
-            log.append(Interval(node, index, tuple(pages)))
+            interval = Interval(node, index, tuple(pages))
+            log.append(interval)
+            appended.append(interval)
     have = VectorClock(values=[draw(st.integers(0, n)) for n in lengths])
     want = VectorClock(values=[draw(st.integers(0, n)) for n in lengths])
-    return log, have, want
+    return log, appended, have, want
 
 
 @given(_log_and_window())
-def test_windows_and_count_agree_with_notices_between(case):
-    log, have, want = case
-    notices = log.notices_between(have, want)
-    flat = [WriteNotice(page, node, interval.index)
-            for node, interval in log.windows(have, want)
-            for page in interval.pages]
-    assert flat == notices
-    assert log.count_between(have, want) == len(notices)
-    for node, interval in log.windows(have, want):
-        assert interval.node == node
-        assert have[node] < interval.index <= want[node]
+def test_windows_and_count_agree_with_appended_intervals(case):
+    # Oracle: the appended intervals inside (have, want], node by node,
+    # each node's in index order.
+    log, appended, have, want = case
+    expected = [(iv.node, iv)
+                for node in range(log.nodes)
+                for iv in sorted(appended, key=lambda iv: iv.index)
+                if iv.node == node and have[node] < iv.index <= want[node]]
+    assert list(log.windows(have, want)) == expected
+    assert log.count_between(have, want) == sum(len(iv.pages)
+                                                for _n, iv in expected)
 
 
 def test_windows_reject_unclosed_interval_like_notices_between():
@@ -229,7 +249,6 @@ def test_windows_reject_unclosed_interval_like_notices_between():
     have = VectorClock(2)
     want = VectorClock(values=[1, 1])
     for walk in (lambda: list(log.windows(have, want)),
-                 lambda: log.notices_between(have, want),
                  lambda: log.count_between(have, want)):
         with pytest.raises(ValueError, match="not closed yet"):
             walk()

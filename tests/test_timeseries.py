@@ -131,8 +131,9 @@ def test_sampler_rejects_kind_conflicts_and_double_vectors():
     for width in (0.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             TimeSeriesSampler(cadence_us=width)
-    with pytest.raises(ValueError):
-        TimeSeriesSampler(max_samples=1)
+    for samples in (1, math.nan, 2.5):
+        with pytest.raises(ValueError, match="max_samples"):
+            TimeSeriesSampler(max_samples=samples)
     s.probe_vector("t", "counter", lambda: [])
     with pytest.raises(ValueError):
         s.probe_vector("t", "counter", lambda: [])
@@ -140,8 +141,9 @@ def test_sampler_rejects_kind_conflicts_and_double_vectors():
 
 def test_sampler_rejects_negative_top_k():
     # A negative k would slice [:-1]: every node but the coldest.
-    with pytest.raises(ValueError, match="top_k"):
-        TimeSeriesSampler(top_k=-1)
+    for k in (-1, 2.5, math.nan, True):
+        with pytest.raises(ValueError, match="top_k"):
+            TimeSeriesSampler(top_k=k)
     s = TimeSeriesSampler(top_k=0)
     s.probe_vector("m", "gauge", lambda: [1.0, 2.0, 3.0])
     s._sample(1.0)

@@ -236,6 +236,13 @@ def test_sink_arg_validated_and_selects_engine():
         Tracer(sink="parquet")
     assert type(Tracer(sink="tuples")) is not type(Tracer())
     assert isinstance(Tracer(sink="tuples"), Tracer)
+    # Both sinks reject a capacity that is not None or a count: -5 kept
+    # nothing, NaN never bounded and 2.5 failed late at the first trim.
+    for sink in ("columnar", "tuples"):
+        for capacity in (-5, float("nan"), 2.5, True):
+            with pytest.raises(ValueError, match="capacity"):
+                Tracer(capacity=capacity, sink=sink)
+        assert Tracer(capacity=0, sink=sink).capacity == 0
 
 
 def _fill(tr, n=500):
