@@ -40,14 +40,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..sim import BUCKETS, TIME_TOLERANCE_US
 from ..sim.trace import TraceEvent
 
 __all__ = ["CriticalPath", "PathStep", "extract_critical_path",
            "render_path", "render_ladder_diff", "bucket_shares",
            "CRITPATH_SCHEMA"]
-
-#: Figure-3 bucket display order (extras appear after, alphabetically).
-BUCKET_ORDER = ["compute", "data", "lock", "acqrel", "barrier"]
 
 #: critpath JSON schema version (bump on breaking change).
 CRITPATH_SCHEMA = 1
@@ -105,8 +103,8 @@ class CriticalPath:
     def residual_us(self) -> float:
         return self.total_us - self.wall_us
 
-    def ok(self, tolerance_us: float) -> bool:
-        return self.complete and abs(self.residual_us) <= tolerance_us
+    def ok(self) -> bool:
+        return self.complete and abs(self.residual_us) <= TIME_TOLERANCE_US
 
     def to_dict(self) -> dict:
         return {"total_us": self.total_us, "wall_us": self.wall_us,
@@ -330,11 +328,13 @@ def bucket_shares(path: CriticalPath) -> Dict[str, float]:
 
 
 def _bucket_names(paths) -> List[str]:
+    """Figure-3 buckets in :data:`~repro.sim.BUCKETS` order, extras
+    (``skew``) after, alphabetically."""
     seen = set()
     for p in paths:
         seen.update(p.buckets)
-    extras = sorted(seen - set(BUCKET_ORDER))
-    return [b for b in BUCKET_ORDER if b in seen] + extras
+    extras = sorted(seen - set(BUCKETS))
+    return [b for b in BUCKETS if b in seen] + extras
 
 
 def render_path(path: CriticalPath, name: str = "",

@@ -18,7 +18,7 @@ commit points:
   episodes.
 * **time accounting** — at the end of the timed section every rank's
   Figure-3 bucket sum must equal its wall time within
-  :data:`~repro.obs.profiler.TIME_TOLERANCE_US` (each blocked
+  :data:`~repro.sim.stats.TIME_TOLERANCE_US` (each blocked
   microsecond lands in exactly one bucket).
 
 :class:`HLRCProtocol` calls the ``on_*`` hooks when a checker is
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple
 
-from ..obs import TIME_TOLERANCE_US
+from ..sim import TIME_TOLERANCE_US
 from ..svm.pages import PageAccess
 from ..svm.timestamps import Interval, VectorClock
 
@@ -151,14 +151,15 @@ class InvariantChecker:
                 f"from {self._last_epoch_clock.values}")
         self._last_epoch_clock = clock.copy()
 
-    def on_run_complete(self, rank: int, wall_us: float, buckets,
-                        tol: float = TIME_TOLERANCE_US) -> None:
-        """Called by the runner once per rank after the timed section."""
-        self.checked += 1
-        residual = buckets.total - wall_us
-        if abs(residual) > tol:
-            self._fail(
-                f"time accounting broken at rank {rank}: bucket sum "
-                f"{buckets.total:.6f} us misses wall {wall_us:.6f} us "
-                f"by {residual:.3e} us (every blocked microsecond must "
-                f"land in exactly one bucket)")
+    def on_run_complete(self, result) -> None:
+        """Called by the runner with the run's result after the timed
+        section: checks every rank's sum-equals-wall residual."""
+        for rank, residual in enumerate(result.residual_us):
+            self.checked += 1
+            if abs(residual) > TIME_TOLERANCE_US:
+                self._fail(
+                    f"time accounting broken at rank {rank}: bucket sum "
+                    f"{result.buckets[rank].total:.6f} us misses wall "
+                    f"{result.wall_us[rank]:.6f} us by {residual:.3e} us "
+                    f"(every blocked microsecond must land in exactly "
+                    f"one bucket)")

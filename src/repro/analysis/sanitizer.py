@@ -43,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
+from ..sim import TIME_TOLERANCE_US
 from ..sim.trace import TraceEvent
 from .hb import HBGraph
 
@@ -367,8 +368,6 @@ class TimeAccountingCheck(SanitizerCheck):
 
     def run(self, events: Sequence[TraceEvent],
             hb: HBGraph) -> Iterator[Finding]:
-        # Imported here to keep repro.obs optional for trace replay.
-        from ..obs import TIME_TOLERANCE_US
         for ev in events:
             if ev.category != "prof.rank":
                 continue
@@ -395,9 +394,8 @@ class CriticalPathCheck(SanitizerCheck):
         if not any(e.category == "span.begin"
                    and e.fields.get("name") == "run" for e in events):
             return  # not a spanned run: nothing to reconcile
-        # Imported here to keep repro.obs optional for trace replay,
-        # and the extractor out of unspanned sanitizer runs.
-        from ..obs import TIME_TOLERANCE_US
+        # Imported here to keep the extractor out of unspanned
+        # sanitizer runs.
         from .critpath import extract_critical_path
         try:
             path = extract_critical_path(events)
@@ -409,7 +407,7 @@ class CriticalPathCheck(SanitizerCheck):
                 f"critical-path walk ended at {path.terminal_track} "
                 f"without reaching a run begin: a flow edge or wake "
                 f"record is missing from the span stream")
-        elif abs(path.residual_us) > TIME_TOLERANCE_US:
+        elif not path.ok():
             yield Finding(
                 self.name,
                 f"critical path totals {path.total_us} us but the "

@@ -43,8 +43,7 @@ def _make_cache(args, config=None):
     from .experiments import ExperimentCache
     from .runtime import ResultStore
     store = None if args.no_cache else ResultStore(args.cache_dir)
-    return ExperimentCache(config=config, jobs=args.jobs, store=store,
-                           jobs_force=args.jobs_force)
+    return ExperimentCache(config=config, jobs=args.jobs, store=store)
 
 
 def _cmd_list(_args) -> int:
@@ -235,7 +234,6 @@ def _cmd_critpath(args) -> int:
     """
     from .analysis import (CRITPATH_SCHEMA, Sanitizer, render_ladder_diff,
                            render_path)
-    from .obs import TIME_TOLERANCE_US
     from .experiments import collect_critpath, collect_critpaths_grid
     app_name = _resolve_name(args.app, APP_REGISTRY, "application")
     variant_names = [_resolve_name(v, PROTOCOLS, "protocol variant")
@@ -287,7 +285,7 @@ def _cmd_critpath(args) -> int:
                 print(finding, file=sys.stderr)
             if findings:
                 status = 1
-    bad = [r for r in runs if not r.path.ok(TIME_TOLERANCE_US)]
+    bad = [r for r in runs if not r.path.ok()]
     for r in bad:
         print(f"CRITICAL PATH DOES NOT RECONCILE: {app_name}/{r.variant} "
               f"total {r.path.total_us} us vs wall {r.path.wall_us} us "
@@ -620,10 +618,6 @@ def _grid_parent() -> argparse.ArgumentParser:
     grid.add_argument("--cache-dir", metavar="DIR", default=None,
                       help="persistent run-cache root (default: "
                            "$REPRO_CACHE_DIR or ~/.cache/repro)")
-    grid.add_argument("--jobs-force", action="store_true",
-                      help="allow --jobs above the CPU count (by "
-                           "default jobs is clamped: oversubscribed "
-                           "spawn pools only add overhead)")
     grid.add_argument("--no-cache", action="store_true",
                       help="do not read or write the persistent cache")
     return parent

@@ -7,8 +7,7 @@ __all__ = [
     "CACHE",
     "ExperimentCache",
     "collect_profile", "collect_profiles_grid",
-    "CritpathRun", "collect_critpath", "collect_critpaths",
-    "collect_critpaths_grid",
+    "CritpathRun", "collect_critpath", "collect_critpaths_grid",
     "format_table",
     "measure_comm_layer",
     "measure_page_fetch",
@@ -47,10 +46,10 @@ def __getattr__(name: str) -> Any:
                   "render_calibration"):
         from .calibration import (measure_comm_layer, measure_page_fetch,
                                   render_calibration)
-    elif name in ("CritpathRun", "collect_critpath", "collect_critpaths",
+    elif name in ("CritpathRun", "collect_critpath",
                   "collect_critpaths_grid"):
         from .critpath import (CritpathRun, collect_critpath,
-                               collect_critpaths, collect_critpaths_grid)
+                               collect_critpaths_grid)
     elif name in ("DEFAULT_LOSS_RATES", "compute_faultsweep",
                   "render_faultsweep"):
         from .faultsweep import (DEFAULT_LOSS_RATES, compute_faultsweep,

@@ -36,18 +36,16 @@ class ExperimentCache:
     """Lazily-computed ``(kind, app, params, features, config)`` grid.
 
     ``jobs`` bounds the worker pool used for cache misses (clamped to
-    the CPU count unless ``jobs_force``); ``store`` (a
+    the CPU count); ``store`` (a
     :class:`~repro.runtime.parallel.ResultStore`) makes the cache
     persistent, and single-flights cells across processes sharing it.
     Both default off, which reproduces the old in-process memo exactly.
     """
 
     def __init__(self, config: Optional[MachineConfig] = None,
-                 jobs: int = 1, store: Optional[ResultStore] = None,
-                 jobs_force: bool = False):
+                 jobs: int = 1, store: Optional[ResultStore] = None):
         self.config = config or MachineConfig()
-        self.executor = GridExecutor(jobs=jobs, store=store,
-                                     jobs_force=jobs_force)
+        self.executor = GridExecutor(jobs=jobs, store=store)
         self._results: Dict[str, RunResult] = {}
 
     # ------------------------------------------------------------- specs

@@ -5,9 +5,9 @@ protocol variant with causal span recording armed (``spans=True``),
 extracts the critical path offline
 (:func:`repro.analysis.extract_critical_path`) and returns the run,
 the path and the full tracer (kept so callers can export the span
-stream to Perfetto); :func:`collect_critpaths` sweeps a list of
-variants (pass Base first so the ladder diff normalizes the way the
-paper does).
+stream to Perfetto); :func:`collect_critpaths_grid` sweeps a list of
+variants through the run cache (pass Base first so the ladder diff
+normalizes the way the paper does).
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from ..hw import MachineConfig
 from ..runtime import run_svm
 from ..sim import Tracer
 
-__all__ = ["CritpathRun", "collect_critpath", "collect_critpaths",
-           "collect_critpaths_grid"]
+__all__ = ["CritpathRun", "collect_critpath", "collect_critpaths_grid"]
 
 
 @dataclass
@@ -56,15 +55,6 @@ def collect_critpath(app, features,
                        path=path, tracer=tracer)
 
 
-def collect_critpaths(app_factory, variants: Sequence,
-                      config: Optional[MachineConfig] = None,
-                      check: bool = False) -> List[CritpathRun]:
-    """Collect ``app_factory()``'s critical path under each variant."""
-    return [collect_critpath(app_factory(), feats, config=config,
-                             check=check)
-            for feats in variants]
-
-
 def collect_critpaths_grid(app_name: str, variants: Sequence, cache,
                            config: Optional[MachineConfig] = None,
                            check: bool = False,
@@ -76,7 +66,7 @@ def collect_critpaths_grid(app_name: str, variants: Sequence, cache,
     Returned runs carry ``tracer=None`` even on a cache miss — every
     evaluation path must yield the same object, and the store keeps
     only path + result.  Callers that need the span stream (Perfetto,
-    ``--check``) must use :func:`collect_critpaths`.
+    ``--check``) must call :func:`collect_critpath` per variant.
     """
     specs = [cache.spec_critpath(app_name, feats, config=config,
                                  check=check, **(params or {}))

@@ -14,7 +14,6 @@ processors on the node and the application's bus intensity.
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from ..sim import Resource, Simulator
 from .config import MachineConfig
@@ -47,22 +46,20 @@ class Node:
 
     # -- compute ------------------------------------------------------------
 
-    def compute_time(self, t_us: float, bus_intensity: float = 0.0,
-                     active_procs: Optional[int] = None) -> float:
+    def compute_time(self, t_us: float, bus_intensity: float = 0.0) -> float:
         """Inflate ``t_us`` of local compute for SMP memory-bus contention.
 
         ``bus_intensity`` in [0, 1] is how memory-bandwidth-bound the
         code is (FFT/Ocean high, Water low); each additional active
-        processor on the bus adds ``bus_contention_factor * intensity``.
+        processor on the bus adds ``bus_contention_factor * intensity``;
+        every processor of the node counts as active.
         """
         if t_us < 0:
             raise ValueError("negative compute time")
         if not 0.0 <= bus_intensity <= 1.0:
             raise ValueError("bus_intensity must be within [0, 1]")
-        if active_procs is None:
-            active_procs = self.config.procs_per_node
         extra = self.config.bus_contention_factor * bus_intensity \
-            * max(active_procs - 1, 0)
+            * max(self.config.procs_per_node - 1, 0)
         return t_us * (1.0 + extra)
 
     # -- interrupts ------------------------------------------------------------

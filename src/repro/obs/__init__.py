@@ -1,6 +1,6 @@
 """Observability layer: metrics registry, one sim-time sampler
-(telemetry and the Figure-3 phase set), report rendering, and the
-time-accounting invariant."""
+(telemetry and the Figure-3 phase set), the profiles built from it, and
+report rendering."""
 
 from typing import Any, List
 
@@ -11,11 +11,9 @@ __all__ = [
     "Profile",
     "PROFILE_SCHEMA",
     "STATIONS",
-    "TIME_TOLERANCE_US",
     "TS_SCHEMA",
     "TimeSeriesSampler",
     "build_profile",
-    "check_time_accounting",
     "probe_phases",
     "render_dash",
     "render_dash_html",
@@ -38,12 +36,10 @@ def __getattr__(name: str) -> Any:
         from .metrics import Gauge, MetricsRegistry
     elif name == "render_openmetrics":
         from .openmetrics import render_openmetrics
-    elif name in ("PROFILE_SCHEMA", "STATIONS", "TIME_TOLERANCE_US",
-                  "Profile", "build_profile", "check_time_accounting",
+    elif name in ("PROFILE_SCHEMA", "STATIONS", "Profile", "build_profile",
                   "probe_phases"):
-        from .profiler import (PROFILE_SCHEMA, STATIONS, TIME_TOLERANCE_US,
-                               Profile, build_profile, check_time_accounting,
-                               probe_phases)
+        from .profiler import (PROFILE_SCHEMA, STATIONS, Profile,
+                               build_profile, probe_phases)
     elif name in ("render_profiles", "render_profiles_html",
                   "render_timeline", "render_utilization"):
         from .report import (render_profiles, render_profiles_html,

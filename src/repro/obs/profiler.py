@@ -11,29 +11,21 @@ fractions (host protocol processor, LANai, PCI/DMA, outgoing link),
 plus final breakdowns, wall times, the machine's metric snapshot and
 the time-accounting residuals.
 
-That invariant: every blocked microsecond of a rank's timed section
-must land in exactly one bucket, so ``sum(buckets) == wall time``
-within :data:`TIME_TOLERANCE_US`.  :func:`check_time_accounting`
-evaluates it on any :class:`~repro.runtime.results.RunResult`.  The
-runtime invariant checker (``InvariantChecker.on_run_complete``) and
-the ``repro profile`` CLI (``Profile.accounting_ok``, from the residuals
-:func:`build_profile` records) apply the same tolerance to the same
-residual themselves; neither calls this function.
+Each rank's residual is ``RunResult.residual_us`` (bucket total minus
+wall time); :func:`build_profile` records it, ``Profile.accounting_ok``
+holds it to :data:`~repro.sim.stats.TIME_TOLERANCE_US`, and a traced
+run's ``prof.rank`` records carry it to the sanitizer.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
-from ..sim import BUCKETS
+from ..sim import BUCKETS, TIME_TOLERANCE_US
 
-__all__ = ["Profile", "TIME_TOLERANCE_US", "build_profile",
-           "check_time_accounting", "probe_phases"]
-
-#: |sum(buckets) - wall| beyond this is an accounting bug (microseconds).
-TIME_TOLERANCE_US = 1e-6
+__all__ = ["Profile", "build_profile", "probe_phases"]
 
 #: stations sampled per node, in report order: the machine list and
 #: attribute that hold each one.
@@ -44,27 +36,6 @@ STATIONS = tuple(_STATION_ATTRS)
 
 #: profile JSON schema version (bump on breaking change).
 PROFILE_SCHEMA = 1
-
-
-def check_time_accounting(result,
-                          tol: float = TIME_TOLERANCE_US
-                          ) -> List[Tuple[int, float, float]]:
-    """Evaluate the sum-equals-wall invariant on a run result.
-
-    Returns ``(rank, wall_us, residual_us)`` triples for every rank
-    whose bucket sum misses its timed-section wall time by more than
-    ``tol`` (empty list == invariant holds).  Results without per-rank
-    wall times (sequential / hardware-DSM runs) trivially pass.
-    """
-    violations = []
-    if not result.wall_us or not result.buckets:
-        return violations
-    for rank, (wall, buckets) in enumerate(zip(result.wall_us,
-                                               result.buckets)):
-        residual = buckets.total - wall
-        if abs(residual) > tol:
-            violations.append((rank, wall, residual))
-    return violations
 
 
 @dataclass
@@ -210,7 +181,7 @@ def build_profile(sampler, result) -> Profile:
         for values in zip(*(sampler.timeline_change(f"busy.{station}")
                             for station in STATIONS))]
     wall = list(result.wall_us)
-    residuals = [b.total - w for b, w in zip(result.buckets, wall)]
+    residuals = result.residual_us
     tracer = getattr(sampler.protocol, "tracer", None)
     if tracer is not None:
         for rank, (w, b) in enumerate(zip(wall, result.buckets)):

@@ -539,13 +539,13 @@ class TimeSeriesSampler:
 
     # ---------------------------------------------------------- perfetto
 
-    def merge_chrome_trace(self, trace_events: List[dict],
-                           pid: int = 99) -> List[dict]:
+    def merge_chrome_trace(self, trace_events: List[dict]) -> List[dict]:
         """Chrome-trace events plus the kept series as Perfetto counter
         tracks: one ``ph: "C"`` track per metric carrying the per-slice
         ``max`` and ``sum``, under a dedicated ``telemetry`` process so
         counters render beside (not inside) the span rows from
         :meth:`repro.sim.Tracer.to_chrome_trace`."""
+        pid = 99  # the telemetry process, apart from the trace's pid 1
         events = list(trace_events)
         events.append({"name": "process_name", "ph": "M", "pid": pid,
                        "tid": 0, "args": {"name": "telemetry"}})

@@ -493,24 +493,17 @@ class GridExecutor:
     evaluate.
 
     ``jobs`` must be at least 1.  It is clamped to the host's CPU
-    count unless ``jobs_force`` is set: on an oversubscribed box the
-    extra spawn workers only add scheduling overhead, on top of the
-    fresh interpreter each one starts (perfbench's ``setup_s``, about
-    0.1 s), so asking for more workers than cores is almost always a
-    mistake.
-    ``requested_jobs`` keeps the caller's original ask so benchmarks
-    can report oversubscription honestly.
+    count: on an oversubscribed box the extra spawn workers only add
+    scheduling overhead, on top of the fresh interpreter each one
+    starts (perfbench's ``setup_s``, about 0.1 s).
     """
 
     def __init__(self, jobs: int = 1,
-                 store: Optional[ResultStore] = None,
-                 jobs_force: bool = False):
+                 store: Optional[ResultStore] = None):
         if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
             raise ValueError(f"jobs must be an integer at least 1, "
                              f"got {jobs!r}")
-        self.requested_jobs = jobs
-        cap = os.cpu_count() or 1
-        self.jobs = jobs if jobs_force else min(jobs, cap)
+        self.jobs = min(jobs, os.cpu_count() or 1)
         self.store = store
 
     def map(self, specs: Iterable[CellSpec]) -> Dict[str, object]:

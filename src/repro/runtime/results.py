@@ -33,6 +33,12 @@ class RunResult:
     telemetry: Optional[dict] = None
 
     @property
+    def residual_us(self) -> List[float]:
+        """Per rank, bucket total minus wall time: the sum-equals-wall
+        residual (``[]`` for runs without buckets)."""
+        return [b.total - w for b, w in zip(self.buckets, self.wall_us)]
+
+    @property
     def mean_breakdown(self) -> TimeBuckets:
         return TimeBuckets.average(self.buckets)
 

@@ -93,8 +93,7 @@ def run_on_backend(app, backend, system: str,
         # the runtime invariant checker when one is installed (--check).
         checker = getattr(backend, "invariants", None)
         if checker is not None:
-            for rank, wall in enumerate(result.wall_us):
-                checker.on_run_complete(rank, wall, result.buckets[rank])
+            checker.on_run_complete(result)
     if monitor is not None:
         result.monitor_small = monitor.ratios("small").as_dict()
         result.monitor_large = monitor.ratios("large").as_dict()

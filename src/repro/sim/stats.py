@@ -5,6 +5,13 @@ The paper reports means, breakdown percentages and contention ratios;
 samples, and :class:`TimeBuckets` is the per-process execution-time
 breakdown accumulator behind Figure 3.
 
+**Time-accounting rule**: every blocked microsecond of a rank's timed
+section lands in exactly one of the :data:`BUCKETS`, so each rank's
+bucket total equals its wall time within :data:`TIME_TOLERANCE_US`.
+``RunResult.residual_us`` computes the per-rank residual once; the
+runtime invariant checker, the profile (``Profile.accounting_ok``) and
+the sanitizer's ``time-accounting`` pass all read that number.
+
 **Message-accounting convention** (used by ``VMMC.messages_sent`` /
 ``bytes_sent`` and everything derived from them, e.g. the ``messages``
 and ``bytes`` columns of the experiment tables): counts are per
@@ -20,7 +27,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List
 
-__all__ = ["RunningStat", "TimeBuckets", "weighted_mean"]
+__all__ = ["BUCKETS", "RunningStat", "TIME_TOLERANCE_US", "TimeBuckets",
+           "weighted_mean"]
 
 
 class RunningStat:
@@ -105,6 +113,9 @@ class RunningStat:
 
 # Execution-time bucket names, in the order Figure 3 stacks them.
 BUCKETS = ("compute", "data", "lock", "acqrel", "barrier")
+
+#: |sum(buckets) - wall| beyond this is an accounting bug (microseconds).
+TIME_TOLERANCE_US = 1e-6
 
 
 class TimeBuckets:

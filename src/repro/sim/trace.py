@@ -328,7 +328,7 @@ class Tracer:
                   sort_keys=True, separators=(",", ":"))
             for s, t, c, f in self._rows())
 
-    def to_chrome_trace(self, rank_field: str = "rank") -> List[dict]:
+    def to_chrome_trace(self) -> List[dict]:
         """Events in Chrome tracing (``chrome://tracing`` / Perfetto)
         JSON format.
 
@@ -340,7 +340,7 @@ class Tracer:
         (``ph: i``) on its rank's row.  Rows: ranks first (tid ==
         rank, shared with ``r<k>`` span tracks), then the remaining
         span tracks, then one dedicated row for instant events that
-        carry no ``rank_field`` (previously these collided with rank
+        carry no ``rank`` field (previously these collided with rank
         0).  Chrome metadata events (``ph: M``) label the process and
         every row."""
         import re
@@ -365,7 +365,7 @@ class Tracer:
                     span_name[e.fields.get("sid")] = \
                         e.fields.get("name", "span")
             else:
-                rank = e.fields.get(rank_field)
+                rank = e.fields.get("rank")
                 if isinstance(rank, int) and not isinstance(rank, bool):
                     ranks.add(rank)
                 else:
@@ -443,7 +443,7 @@ class Tracer:
                                 "ts": e.t, "pid": 1, "tid": tid,
                                 "args": dict(f)})
             else:
-                rank = f.get(rank_field)
+                rank = f.get("rank")
                 has_rank = (isinstance(rank, int)
                             and not isinstance(rank, bool))
                 out.append({"name": e.category, "ph": "i", "ts": e.t,
@@ -451,12 +451,6 @@ class Tracer:
                             "tid": rank if has_rank else shared_tid,
                             "s": "t", "args": dict(f)})
         return out
-
-    def save_chrome_trace(self, path, rank_field: str = "rank") -> None:
-        """Write the Chrome-tracing JSON to ``path``."""
-        import json
-        with open(path, "w") as fh:
-            json.dump(self.to_chrome_trace(rank_field=rank_field), fh)
 
 
 class _TupleTracer(Tracer):

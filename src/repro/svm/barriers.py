@@ -65,12 +65,12 @@ class _Episode:
 class BarrierManager:
     """One global barrier spanning all processes."""
 
-    def __init__(self, protocol, master_node: int = 0):
+    def __init__(self, protocol):
         self.proto = protocol
         self.machine = protocol.machine
         self.sim = protocol.sim
         self.config = protocol.config
-        self.master = master_node
+        self.master = 0  # node 0 gathers arrivals and sends releases
         self._episodes: Dict[int, _Episode] = {}
         self._rank_epoch = [0] * self.config.total_procs
         self.crossings = 0

@@ -19,7 +19,6 @@ import json
 from repro.analysis import Sanitizer, extract_critical_path
 from repro.apps import APP_REGISTRY
 from repro.hw import FaultConfig, MachineConfig
-from repro.obs import TIME_TOLERANCE_US
 from repro.runtime import run_svm
 from repro.runtime.parallel import encode_result
 from repro.sim import Tracer
@@ -158,5 +157,5 @@ def check_spanned_cell(cell) -> None:
     tracer = Tracer(capacity=None)
     assert run_digest(*cell, tracer=tracer) == PINS[cell]
     path = extract_critical_path(tracer.events)
-    assert path.ok(TIME_TOLERANCE_US), (path.complete, path.residual_us)
+    assert path.ok(), (path.complete, path.residual_us)
     assert Sanitizer().run(tracer.events) == []

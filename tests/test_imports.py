@@ -91,7 +91,9 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro"))))
      ["repro.analysis.static", "repro.analysis.lint"]),
     ("import repro",
      ["repro.sim", "repro.hw", "repro.runtime"]),
-], ids=["sim", "hw", "sanitize_run", "repro"])
+    ("from repro.runtime import run_svm",
+     ["repro.obs.profiler", "repro.experiments"]),
+], ids=["sim", "hw", "sanitize_run", "repro", "run_svm"])
 def test_entry_loads_no_higher_layer(entry, forbidden):
     loaded = fresh(LOADED.format(entry=entry))
     leaks = [m for m in loaded for f in forbidden

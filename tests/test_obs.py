@@ -12,13 +12,12 @@ from repro.apps import Application
 from repro.cli import main
 from repro.experiments import collect_profile
 from repro.hw import Machine, MachineConfig
-from repro.obs import (MetricsRegistry, TIME_TOLERANCE_US,
-                       TimeSeriesSampler, build_profile,
-                       check_time_accounting, probe_phases, render_profiles,
-                       render_profiles_html, render_timeline,
-                       render_utilization)
+from repro.obs import (MetricsRegistry, TimeSeriesSampler, build_profile,
+                       probe_phases, render_profiles, render_profiles_html,
+                       render_timeline, render_utilization)
 from repro.runtime import RunResult, run_svm
-from repro.sim import BUCKETS, RunningStat, Simulator, TimeBuckets
+from repro.sim import (BUCKETS, TIME_TOLERANCE_US, RunningStat, Simulator,
+                       TimeBuckets)
 from repro.svm import PROTOCOL_LADDER, GENIMA
 
 
@@ -355,21 +354,21 @@ def test_profiling_does_not_change_the_run():
 def test_sum_equals_wall_across_the_ladder(features):
     result = run_svm(TinyApp(), features, config=TWO_NODES, check=True)
     assert result.wall_us
-    assert check_time_accounting(result) == []
+    assert len(result.residual_us) == len(result.wall_us)
+    assert all(abs(r) <= TIME_TOLERANCE_US for r in result.residual_us)
     for wall, buckets in zip(result.wall_us, result.buckets):
         assert buckets.total == pytest.approx(wall, abs=TIME_TOLERANCE_US)
 
 
-def test_check_time_accounting_flags_violations():
+def test_run_result_residual_us_flags_violations():
     b = TimeBuckets()
     b.charge("compute", 80.0)
     result = RunResult(app="x", system="y", nprocs=1, time_us=100.0,
                        wall_us=[100.0], buckets=[b])
-    violations = check_time_accounting(result)
-    assert violations == [(0, 100.0, pytest.approx(-20.0))]
+    assert result.residual_us == [pytest.approx(-20.0)]
     # Results without per-rank wall times trivially pass.
-    assert check_time_accounting(
-        RunResult(app="x", system="y", nprocs=1, time_us=1.0)) == []
+    assert RunResult(app="x", system="y", nprocs=1,
+                     time_us=1.0).residual_us == []
 
 
 def test_invariant_checker_on_run_complete_raises():
@@ -379,11 +378,18 @@ def test_invariant_checker_on_run_complete_raises():
     checker = InvariantChecker(backend.protocol).install()
     good = TimeBuckets()
     good.charge("compute", 10.0)
-    checker.on_run_complete(0, 10.0, good)
     bad = TimeBuckets()
     bad.charge("compute", 9.0)
+    checker.on_run_complete(RunResult(
+        app="x", system="y", nprocs=1, time_us=10.0, wall_us=[10.0],
+        buckets=[good]))
+    # Results without per-rank wall times trivially pass.
+    checker.on_run_complete(RunResult(app="x", system="y", nprocs=1,
+                                      time_us=1.0))
     with pytest.raises(InvariantViolation, match="time accounting"):
-        checker.on_run_complete(1, 10.0, bad)
+        checker.on_run_complete(RunResult(
+            app="x", system="y", nprocs=2, time_us=10.0,
+            wall_us=[10.0, 10.0], buckets=[good, bad]))
 
 
 def test_traced_profiled_run_leaves_prof_records_and_sanitizes_clean():

@@ -197,12 +197,14 @@ def test_executor_dedupes_equal_specs(tmp_path):
     assert len(store) == 1
 
 
-def test_pool_matches_serial(tmp_path, svm_payload):
+def test_pool_matches_serial(tmp_path, svm_payload, monkeypatch):
     """jobs=2 through a real spawn pool == jobs=1 in-process, bytewise."""
     specs = [svm_spec(), svm_spec(features=BASE)]
     serial = GridExecutor(jobs=1).map(specs)
     store = ResultStore(tmp_path)
-    pooled = GridExecutor(jobs=2, jobs_force=True, store=store).map(specs)
+    # two workers even on a one-CPU host, so the pool path runs
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+    pooled = GridExecutor(jobs=2, store=store).map(specs)
     assert serial.keys() == pooled.keys()
     # the parent claimed and wrote both cells, and released every claim
     assert len(store) == 2
@@ -219,14 +221,6 @@ def test_jobs_clamped_to_cpu_count(monkeypatch):
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
     ex = GridExecutor(jobs=8)
     assert ex.jobs == 2
-    assert ex.requested_jobs == 8  # original ask kept for reporting
-
-
-def test_jobs_force_overrides_clamp(monkeypatch):
-    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
-    ex = GridExecutor(jobs=8, jobs_force=True)
-    assert ex.jobs == 8
-    assert ex.requested_jobs == 8
 
 
 def test_jobs_within_cpu_count_untouched(monkeypatch):
