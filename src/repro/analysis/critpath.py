@@ -38,6 +38,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sim import BUCKETS, TIME_TOLERANCE_US
@@ -131,6 +132,9 @@ class CriticalPath:
 
 # -------------------------------------------------------------- parsing
 
+#: sort key of the ``(key, ...)`` tuples below: their ``(t, seq)`` key.
+_first = itemgetter(0)
+
 
 class _Trace:
     """Span records indexed for the backward walk."""
@@ -150,10 +154,9 @@ class _Trace:
         self.run_begin: Dict[str, Tuple[Tuple[float, int], float]] = {}
         run_end: Dict[str, Tuple[Tuple[float, int], float]] = {}
         sid_info: Dict[int, Tuple[str, str, str]] = {}  # track,bucket,name
-        for e in events:
-            if e.category == "span.begin":
-                f = e.fields
-                key = (e.t, e.seq)
+        for t, category, f, seq in events:
+            if category == "span.begin":
+                key = (t, seq)
                 sid, track = f["sid"], f["track"]
                 bucket, name = f.get("bucket", "other"), f.get("name", "")
                 sid_info[sid] = (track, bucket, name)
@@ -162,32 +165,29 @@ class _Trace:
                 link = f.get("link")
                 if link is not None:
                     self.resumes.setdefault(track, []).append(
-                        (key, e.t, link))
+                        (key, t, link))
                 if name == "run":
-                    self.run_begin[track] = (key, e.t)
-            elif e.category == "span.end":
-                f = e.fields
+                    self.run_begin[track] = (key, t)
+            elif category == "span.end":
                 sid = f["sid"]
                 info = sid_info.get(sid)
                 if info is None:
                     continue
                 track, bucket, name = info
-                key = (e.t, e.seq)
+                key = (t, seq)
                 cover.setdefault(track, []).append(
                     (key, -1, sid, bucket, name))
                 if name == "run":
-                    run_end[track] = (key, e.t)
-            elif e.category == "span.flow":
-                f = e.fields
-                self.flows[f["fid"]] = ((e.t, e.seq), e.t, f["track"],
+                    run_end[track] = (key, t)
+            elif category == "span.flow":
+                self.flows[f["fid"]] = ((t, seq), t, f["track"],
                                         f.get("kind", "flow"),
                                         f.get("bucket", "other"))
-            elif e.category == "span.wake":
-                f = e.fields
+            elif category == "span.wake":
                 self.resumes.setdefault(f["track"], []).append(
-                    ((e.t, e.seq), e.t, f["fid"]))
+                    ((t, seq), t, f["fid"]))
         for lst in self.resumes.values():
-            lst.sort(key=lambda r: r[0])
+            lst.sort(key=_first)
         self.resume_keys = {tr: [r[0] for r in lst]
                             for tr, lst in self.resumes.items()}
         #: run spans that both began and ended, as (end_key, end_t, track)
@@ -202,7 +202,7 @@ class _Trace:
     @staticmethod
     def _pieces(evs):
         """Sweep begin/end events into innermost-span coverage pieces."""
-        evs = sorted(evs, key=lambda e: e[0])
+        evs = sorted(evs, key=_first)
         open_spans: Dict[int, Tuple[Tuple[float, int], str, str]] = {}
         pieces = []
         prev_key = None

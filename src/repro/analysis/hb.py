@@ -10,8 +10,12 @@ offline from any :class:`~repro.sim.trace.Tracer` event stream —
 ThreadSanitizer-style, but for SVM protocol actions instead of loads
 and stores.
 
-The sanitizer (:mod:`repro.analysis.sanitizer`) asks two questions of
-this module:
+The graph reads the trace once: its constructor indexes every row by
+category, and :meth:`HBGraph.rows` hands each sanitizer check only the
+categories it reads, merged back into trace order.
+
+The sanitizer (:mod:`repro.analysis.sanitizer`) also asks two
+questions of this module:
 
 * which closed intervals wrote a given page (``writes_to``), and
 * was interval ``(w, i)`` ordered before trace point ``seq`` of node
@@ -21,6 +25,7 @@ this module:
 from __future__ import annotations
 
 import bisect
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..sim.trace import TraceEvent
@@ -80,29 +85,60 @@ class HBGraph:
     """The happens-before structure of one traced run."""
 
     def __init__(self, events: Sequence[TraceEvent]):
-        self.events = list(events)
+        self.events = events = list(events)
+        #: category -> positions of its rows in ``events``
+        self._index: Dict[str, List[int]] = {}
+        by_category = self._index
+        for i, ev in enumerate(events):
+            at = by_category.get(ev[1])
+            if at is None:
+                by_category[ev[1]] = [i]
+            else:
+                at.append(i)
         self.clocks = ClockHistory()
         #: (node, index) -> IntervalInfo
         self.intervals: Dict[Tuple[int, int], IntervalInfo] = {}
         #: page gid -> [IntervalInfo] in trace order
         self._writes: Dict[int, List[IntervalInfo]] = {}
-        for ev in self.events:
-            if ev.category == "interval.close":
-                node = ev.fields["node"]
-                index = ev.fields["index"]
-                pages = tuple(ev.fields.get("written", ()))
+        for ev in self.rows("interval.close", "clock.advance"):
+            _, category, f, seq = ev
+            if category == "interval.close":
+                node = f["node"]
+                index = f["index"]
+                pages = tuple(f.get("written", ()))
                 info = IntervalInfo(node, index, pages, ev)
                 self.intervals[(node, index)] = info
                 for gid in pages:
                     self._writes.setdefault(gid, []).append(info)
-                clock = ev.fields.get("clock")
+                clock = f.get("clock")
                 if clock is not None:
-                    self.clocks.add(node, ev.seq, tuple(clock))
-            elif ev.category == "clock.advance":
-                self.clocks.add(ev.fields["node"], ev.seq,
-                                tuple(ev.fields["clock"]))
+                    self.clocks.add(node, seq, tuple(clock))
+            else:
+                self.clocks.add(f["node"], seq, tuple(f["clock"]))
 
     # ------------------------------------------------------------- queries
+
+    def rows(self, *categories: str) -> List[TraceEvent]:
+        """The rows of ``categories``, in trace order.
+
+        A name ending in ``.*`` stands for its whole family:
+        ``rows("nilock.*")`` is every ``nilock.<op>`` row.  Rows of
+        several categories are merged by their position in the trace,
+        not concatenated.
+        """
+        index = self._index
+        names: List[str] = []
+        for category in categories:
+            if category.endswith(".*"):
+                prefix = category[:-1]
+                names.extend(n for n in index if n.startswith(prefix))
+            elif category in index:
+                names.append(category)
+        if len(names) == 1:
+            at = index[names[0]]
+        else:
+            at = sorted(chain.from_iterable(index[n] for n in names))
+        return list(map(self.events.__getitem__, at))
 
     def writes_to(self, gid: int) -> List[IntervalInfo]:
         """Closed intervals that dirtied page ``gid``, in trace order."""

@@ -66,7 +66,12 @@ class Finding:
 
 
 class SanitizerCheck:
-    """Base class: one pass over the trace yielding findings."""
+    """Base class: one pass over the trace yielding findings.
+
+    ``hb.rows(...)`` gives a check just the categories it reads, in
+    trace order, from the index :class:`HBGraph` built in its one pass
+    over ``events``.
+    """
 
     name = "abstract"
     description = ""
@@ -101,15 +106,14 @@ class WriteNoticeCheck(SanitizerCheck):
 
     def run(self, events: Sequence[TraceEvent],
             hb: HBGraph) -> Iterator[Finding]:
-        for ev in events:
-            if ev.category != "fault.fetch":
-                continue
-            node = ev.fields["node"]
-            gid = ev.fields["gid"]
-            needed = dict(ev.fields.get("needed", ()))
-            clock = tuple(ev.fields.get("clock", ()))
+        for ev in hb.rows("fault.fetch"):
+            _, _, f, seq = ev
+            node = f["node"]
+            gid = f["gid"]
+            needed = dict(f.get("needed", ()))
+            clock = tuple(f.get("clock", ()))
             for info in hb.writes_to(gid):
-                if info.node == node or info.event.seq >= ev.seq:
+                if info.node == node or info.event[3] >= seq:
                     continue
                 seen = (info.node < len(clock)
                         and clock[info.node] >= info.index)
@@ -134,13 +138,12 @@ class ClockMonotonicityCheck(SanitizerCheck):
     def run(self, events: Sequence[TraceEvent],
             hb: HBGraph) -> Iterator[Finding]:
         last: Dict[int, Tuple[Tuple[int, ...], TraceEvent]] = {}
-        for ev in events:
-            if ev.category not in ("interval.close", "clock.advance"):
-                continue
-            clock = tuple(ev.fields.get("clock", ()))
+        for ev in hb.rows("interval.close", "clock.advance"):
+            _, category, f, _ = ev
+            clock = tuple(f.get("clock", ()))
             if not clock:
                 continue
-            node = ev.fields["node"]
+            node = f["node"]
             prev = last.get(node)
             if prev is not None:
                 prev_clock, prev_ev = prev
@@ -151,8 +154,8 @@ class ClockMonotonicityCheck(SanitizerCheck):
                         f"node {node} clock regressed from {prev_clock} "
                         f"to {clock} (non-monotone merge)",
                         (prev_ev, ev))
-            if ev.category == "clock.advance":
-                want = tuple(ev.fields.get("want", ()))
+            if category == "clock.advance":
+                want = tuple(f.get("want", ()))
                 if want and (len(want) != len(clock) or any(
                         c < w for c, w in zip(clock, want))):
                     yield Finding(
@@ -176,32 +179,31 @@ class LockQueueCheck(SanitizerCheck):
     def run(self, events: Sequence[TraceEvent],
             hb: HBGraph) -> Iterator[Finding]:
         for prefix in self.prefixes:
-            yield from self._check_prefix(prefix, events)
+            yield from self._check_family(hb.rows(prefix + ".*"))
 
-    def _check_prefix(self, prefix: str,
-                      events: Sequence[TraceEvent]) -> Iterator[Finding]:
+    def _check_family(self, rows: Sequence[TraceEvent]
+                      ) -> Iterator[Finding]:
         #: lock -> ("at", node) or ("flight", dst); unknown until the
         #: first grant (the token starts at the lock's home).
         location: Dict[int, Tuple[str, int]] = {}
         acquires: Dict[Tuple[int, int], List[TraceEvent]] = {}
         grants: Dict[Tuple[int, int], int] = {}
-        for ev in events:
-            if not ev.category.startswith(prefix + "."):
-                continue
-            op = ev.category.split(".", 1)[1]
-            lock = ev.fields.get("lock")
-            node = ev.fields.get("node")
+        for ev in rows:
+            _, category, f, _ = ev
+            op = category.split(".", 1)[1]
+            lock = f.get("lock")
+            node = f.get("node")
             if op == "acquire":
                 acquires.setdefault((node, lock), []).append(ev)
             elif op == "grant":
-                requester = ev.fields["requester"]
-                queue = tuple(ev.fields.get("queue", ()))
-                if ev.fields.get("present") is False:
+                requester = f["requester"]
+                queue = tuple(f.get("queue", ()))
+                if f.get("present") is False:
                     yield Finding(
                         self.name,
                         f"lock {lock}: node {node} granted without "
                         f"holding the token (double grant)", (ev,))
-                if ev.fields.get("held") is True:
+                if f.get("held") is True:
                     yield Finding(
                         self.name,
                         f"lock {lock}: node {node} granted while the "
@@ -257,19 +259,20 @@ class FetchRaceCheck(SanitizerCheck):
     def run(self, events: Sequence[TraceEvent],
             hb: HBGraph) -> Iterator[Finding]:
         applied: Dict[Tuple[int, int], Tuple[int, TraceEvent]] = {}
-        for ev in events:
-            if ev.category == "home.apply":
-                gid = ev.fields["gid"]
-                writer = ev.fields["writer"]
-                index = ev.fields["index"]
+        for ev in hb.rows("home.apply", "fetch.ok"):
+            _, category, f, _ = ev
+            if category == "home.apply":
+                gid = f["gid"]
+                writer = f["writer"]
+                index = f["index"]
                 prev = applied.get((gid, writer))
                 if prev is None or index > prev[0]:
                     applied[(gid, writer)] = (index, ev)
-            elif ev.category == "fetch.ok":
-                gid = ev.fields["gid"]
-                node = ev.fields["node"]
-                snapshot = dict(ev.fields.get("snapshot", ()))
-                needed = dict(ev.fields.get("needed", ()))
+            else:
+                gid = f["gid"]
+                node = f["node"]
+                snapshot = dict(f.get("snapshot", ()))
+                needed = dict(f.get("needed", ()))
                 for writer, want in sorted(needed.items()):
                     if snapshot.get(writer, 0) < want:
                         yield Finding(
@@ -301,11 +304,10 @@ class BarrierEpochCheck(SanitizerCheck):
             hb: HBGraph) -> Iterator[Finding]:
         enters: Dict[int, List[TraceEvent]] = {}
         exits: Dict[int, List[TraceEvent]] = {}
-        for ev in events:
-            if ev.category == "barrier.enter":
-                enters.setdefault(ev.fields.get("epoch", 0), []).append(ev)
-            elif ev.category == "barrier.exit":
-                exits.setdefault(ev.fields.get("epoch", 0), []).append(ev)
+        for ev in hb.rows("barrier.enter"):
+            enters.setdefault(ev[2].get("epoch", 0), []).append(ev)
+        for ev in hb.rows("barrier.exit"):
+            exits.setdefault(ev[2].get("epoch", 0), []).append(ev)
         for epoch, exit_evs in sorted(exits.items()):
             enter_evs = enters.get(epoch, [])
             if not enter_evs:
@@ -332,22 +334,19 @@ class FaultRecoveryCheck(SanitizerCheck):
     def run(self, events: Sequence[TraceEvent],
             hb: HBGraph) -> Iterator[Finding]:
         #: (msg_id, destination) pairs the sender saw acked.
-        acked = set()
-        for ev in events:
-            if ev.category == "retx.ack":
-                acked.add((ev.fields["msg"], ev.fields["dst"]))
-        for ev in events:
-            if ev.category != "fault.drop":
-                continue
-            if ev.fields.get("kind") == "retx_ack":
+        acked = {(f["msg"], f["dst"])
+                 for _, _, f, _ in hb.rows("retx.ack")}
+        for ev in hb.rows("fault.drop"):
+            f = ev[2]
+            if f.get("kind") == "retx_ack":
                 # A lost ack is repaired by the sender's retransmit and
                 # the receiver's re-ack of the original message.
-                need = (ev.fields["acks_msg"], ev.fields["acker"])
+                need = (f["acks_msg"], f["acker"])
                 what = (f"ack for message {need[0]} from node "
                         f"{need[1]}")
             else:
-                need = (ev.fields["msg"], ev.fields["dst"])
-                what = (f"{ev.fields.get('kind')} message {need[0]} "
+                need = (f["msg"], f["dst"])
+                what = (f"{f.get('kind')} message {need[0]} "
                         f"to node {need[1]}")
             if need not in acked:
                 yield Finding(
@@ -368,16 +367,15 @@ class TimeAccountingCheck(SanitizerCheck):
 
     def run(self, events: Sequence[TraceEvent],
             hb: HBGraph) -> Iterator[Finding]:
-        for ev in events:
-            if ev.category != "prof.rank":
-                continue
-            residual = ev.fields.get("residual_us", 0.0)
+        for ev in hb.rows("prof.rank"):
+            f = ev[2]
+            residual = f.get("residual_us", 0.0)
             if abs(residual) > TIME_TOLERANCE_US:
                 yield Finding(
                     self.name,
-                    f"rank {ev.fields.get('rank')}: bucket sum "
-                    f"{ev.fields.get('bucket_us')} us misses wall "
-                    f"{ev.fields.get('wall_us')} us by {residual:.3e} us",
+                    f"rank {f.get('rank')}: bucket sum "
+                    f"{f.get('bucket_us')} us misses wall "
+                    f"{f.get('wall_us')} us by {residual:.3e} us",
                     (ev,))
 
 
@@ -391,14 +389,15 @@ class CriticalPathCheck(SanitizerCheck):
 
     def run(self, events: Sequence[TraceEvent],
             hb: HBGraph) -> Iterator[Finding]:
-        if not any(e.category == "span.begin"
-                   and e.fields.get("name") == "run" for e in events):
+        if not any(f.get("name") == "run"
+                   for _, _, f, _ in hb.rows("span.begin")):
             return  # not a spanned run: nothing to reconcile
         # Imported here to keep the extractor out of unspanned
         # sanitizer runs.
         from .critpath import extract_critical_path
         try:
-            path = extract_critical_path(events)
+            # The extractor reads span rows only.
+            path = extract_critical_path(hb.rows("span.*"))
         except ValueError:
             return  # run spans never completed (truncated trace)
         if not path.complete:

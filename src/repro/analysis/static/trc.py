@@ -9,9 +9,13 @@ emit site is checked against it:
 * **TRC001** — emit with a category the schema does not declare.
 * **TRC002** — emit whose keyword fields do not match the declared
   family: missing required fields, or extra fields on a non-variadic
-  family (``**kwargs`` splats disable the extra-field check but not
-  the required-field one when other keywords are present).
-* **TRC003** — a *direct* ``tracer.record(...)`` / ``tracer.emit``
+  family (``**kwargs`` splats disable the missing-field check), or,
+  on a variadic family, an extra field spelled like a declared one.
+  ``tracer.append(t, category, fields)`` takes its fields from a dict
+  literal, or from the literal a local name was assigned (plus its
+  constant-key stores; an ``update`` call counts as a splat).
+* **TRC003** — a *direct* ``tracer.record(...)`` / ``tracer.emit`` /
+  ``tracer.append``
   call on an attribute whose owning class can hold ``tracer = None``,
   outside any ``if ... is not None`` guard: an AttributeError on the
   hot path of exactly the runs where tracing is off.
@@ -25,6 +29,7 @@ without such a module (plain fixture packages) skip the TRC pass.
 from __future__ import annotations
 
 import ast
+import difflib
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
@@ -112,7 +117,7 @@ class EmitSite:
     category: Optional[str]     #: None when dynamic
     fields: Tuple[str, ...]
     has_splat: bool             #: call contains **kwargs
-    direct: bool                #: tracer.record / tracer.emit attribute
+    direct: bool                #: tracer.record / emit / append call
     owner: Optional[str]        #: receiver chain, e.g. "self.tracer"
 
 
@@ -130,26 +135,90 @@ def _emit_sites(project: ProjectModel) -> Iterator[EmitSite]:
             # method wrapper: self._trace("cat", **fields)
             yield _site(info, node, node.args[0], direct=False,
                         owner=None)
-        elif func.attr in ("record", "emit"):
+        elif func.attr in ("record", "emit", "append"):
             owner = dotted_name(func.value)
             if owner is None or owner.split(".")[-1] != "tracer":
                 continue
-            # Tracer.record(sim, category, **fields): category is the
+            # Tracer.record(t, category, **fields) and
+            # Tracer.append(t, category, fields): category is the
             # second positional argument.
             if len(node.args) < 2:
                 continue
+            fields_node = (node.args[2] if func.attr == "append"
+                           and len(node.args) > 2 else None)
             yield _site(info, node, node.args[1], direct=True,
-                        owner=owner)
+                        owner=owner, fields_node=fields_node)
 
 
 def _site(info: ModuleInfo, node: ast.Call, cat_node: ast.expr,
-          direct: bool, owner: Optional[str]) -> EmitSite:
+          direct: bool, owner: Optional[str],
+          fields_node: Optional[ast.expr] = None) -> EmitSite:
     category = info.resolve_str(cat_node)
-    fields = tuple(k.arg for k in node.keywords if k.arg is not None)
-    has_splat = any(k.arg is None for k in node.keywords)
+    if fields_node is not None:
+        fields, has_splat = _dict_fields(info, node, fields_node)
+    else:
+        fields = tuple(k.arg for k in node.keywords if k.arg is not None)
+        has_splat = any(k.arg is None for k in node.keywords)
     return EmitSite(info=info, node=node, category=category,
                     fields=fields, has_splat=has_splat,
                     direct=direct, owner=owner)
+
+
+def _literal_keys(node: ast.Dict) -> Tuple[Tuple[str, ...], bool]:
+    """Constant string keys of a dict literal, and whether any key is
+    a ``**`` splat or not a constant string."""
+    keys = tuple(k.value for k in node.keys
+                 if isinstance(k, ast.Constant) and isinstance(k.value, str))
+    return keys, len(keys) != len(node.keys)
+
+
+def _dict_fields(info: ModuleInfo, call: ast.Call,
+                 arg: ast.expr) -> Tuple[Tuple[str, ...], bool]:
+    """The field names an ``append`` call's dict argument carries.
+
+    A dict literal gives its keys.  A local name gives the keys of the
+    dict literal it was assigned in the enclosing function, plus its
+    ``name["key"] = ...`` stores; ``name.update(...)`` makes it a
+    splat.  Anything else is an unknown splat (no field check).
+    """
+    if isinstance(arg, ast.Dict):
+        return _literal_keys(arg)
+    fn = next((a for a in info.ancestors(call)
+               if isinstance(a, (ast.FunctionDef, ast.AsyncFunctionDef))),
+              None)
+    if not isinstance(arg, ast.Name) or fn is None:
+        return (), True
+    name = arg.id
+    fields: List[str] = []
+    literal = splat = False
+    for node in ast.walk(fn):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id == name \
+                        and isinstance(node.value, ast.Dict):
+                    keys, dynamic = _literal_keys(node.value)
+                    fields.extend(keys)
+                    literal = True
+                    splat = splat or dynamic
+                elif isinstance(target, ast.Subscript) \
+                        and isinstance(target.value, ast.Name) \
+                        and target.value.id == name:
+                    key = info.resolve_str(target.slice)
+                    if key is None:
+                        splat = True
+                    else:
+                        fields.append(key)
+        elif isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "update" \
+                and isinstance(node.func.value, ast.Name) \
+                and node.func.value.id == name:
+            splat = True
+    if not literal:
+        return (), True
+    return tuple(dict.fromkeys(fields)), splat
 
 
 def _optional_tracer_classes(project: ProjectModel) -> Set[str]:
@@ -328,6 +397,18 @@ class TrcRule(ProjectRule):
                 f"trace {site.category!r} emit passes undeclared "
                 f"field(s) {', '.join(extra)}; declared fields are "
                 f"{', '.join(sorted(declared))}")
+        else:
+            # A variadic family takes any extra field, but one spelled
+            # like a declared field is a typo of it.
+            for name in extra:
+                near = difflib.get_close_matches(name, sorted(declared),
+                                                 n=1, cutoff=0.8)
+                if near:
+                    yield self.hit(
+                        site.info, site.node, "TRC002",
+                        f"trace {site.category!r} emit passes field "
+                        f"{name!r}, a misspelling of declared field "
+                        f"{near[0]!r}?")
 
     def _check_guard(self, site: EmitSite,
                      optional_classes: Set[str]

@@ -92,7 +92,7 @@ class FaultInjector:
 
     def _trace(self, category: str, **fields) -> None:
         if self.tracer is not None:
-            self.tracer.record(self.sim.now, category, **fields)
+            self.tracer.append(self.sim.now, category, fields)
 
     def _rng(self, src: int, dst: int) -> random.Random:
         rng = self._rngs.get((src, dst))

@@ -123,7 +123,7 @@ class ReliabilityLayer:
 
     def _trace(self, category: str, **fields) -> None:
         if self.tracer is not None:
-            self.tracer.record(self.sim.now, category, **fields)
+            self.tracer.append(self.sim.now, category, fields)
 
     # ------------------------------------------------------------- sender
 

@@ -175,7 +175,8 @@ def build_profile(sampler, result) -> Profile:
         })
     # Window totals: busy time since attach over the window, not a sum
     # of the per-slice fractions.
-    span = sampler._t_final - sampler._t_attach
+    t0, t1 = sampler.window_us
+    span = t1 - t0
     utilization = [
         {s: v / span if span > 0 else 0.0 for s, v in zip(STATIONS, values)}
         for values in zip(*(sampler.timeline_change(f"busy.{station}")

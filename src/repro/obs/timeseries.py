@@ -507,13 +507,22 @@ class TimeSeriesSampler:
 
     # ----------------------------------------------------------- summary
 
+    @property
+    def window_us(self) -> Tuple[float, float]:
+        """The sampled window ``(t0, t1)`` in simulated microseconds:
+        attach to :meth:`finalize` (to now while still attached;
+        ``(0.0, 0.0)`` before attach)."""
+        if self._t_final is not None:
+            return self._t_attach, self._t_final
+        return (self._t_attach,
+                self.sim.now if self.sim is not None else 0.0)
+
     def summary(self) -> dict:
         """Everything JSON-serializable: per-metric rollups, top-k hot
         nodes, skew, and the merged log-bucketed histogram.  This is
         what lands in ``RunResult.telemetry`` and the run cache, so it
         must round-trip losslessly through ``json.dumps``/``loads``."""
-        t_end = self._t_final if self._t_final is not None else (
-            self.sim.now if self.sim is not None else 0.0)
+        t0, t1 = self.window_us
         metrics = {}
         for metric in self._order:
             series = self._series[metric]
@@ -532,8 +541,8 @@ class TimeSeriesSampler:
             "cadence_us": self.cadence_us,
             "stride": self._stride,
             "samples": len(self.times),
-            "t0_us": self._t_attach,
-            "t1_us": t_end,
+            "t0_us": t0,
+            "t1_us": t1,
             "metrics": metrics,
         }
 

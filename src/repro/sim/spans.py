@@ -107,26 +107,36 @@ class SpanTracer:
         if link is not None:
             rec["link"] = link
         rec.update(fields)
-        self.tracer.record(self.sim.now, "span.begin", **rec)
+        self.tracer.append(self.sim.now, "span.begin", rec)
         stack.append(sid)
         self._span_track[sid] = track
         return sid
+
+    def _track_of(self, sid: int) -> str:
+        track = self._span_track.get(sid)
+        if track is None:
+            # The extractor skips a row it cannot place on a track, so
+            # an unknown sid would silently drop out of the path.
+            raise ValueError(f"span {sid!r} was never begun on this "
+                             f"SpanTracer")
+        return track
 
     def end(self, sid: Optional[int], **fields) -> None:
         """Close span ``sid`` (no-op when ``sid`` is None).
 
         Tolerates non-LIFO closing: handler activations on the same
         track may interleave, so the sid is removed wherever it sits
-        in the track's stack.
+        in the track's stack.  A sid this tracer never began raises
+        :class:`ValueError`.
         """
         if sid is None:
             return
-        track = self._span_track.get(sid)
-        stack = self._stacks.get(track) if track is not None else None
-        if stack is not None and sid in stack:
+        track = self._track_of(sid)
+        stack = self._stacks[track]
+        if sid in stack:
             stack.remove(sid)
-        self.tracer.record(self.sim.now, "span.end", sid=sid,
-                           track=track, **fields)
+        self.tracer.append(self.sim.now, "span.end",
+                           {"sid": sid, "track": track, **fields})
 
     # ------------------------------------------------------------- flows
 
@@ -145,17 +155,19 @@ class SpanTracer:
         if src is not None:
             rec["src"] = src
         rec.update(fields)
-        self.tracer.record(self.sim.now, "span.flow", **rec)
+        self.tracer.append(self.sim.now, "span.flow", rec)
         return fid
 
     def flow_from(self, sid: int, kind: str, bucket: str = "other",
                   **fields) -> int:
-        """Record a flow whose source is span ``sid`` explicitly."""
+        """Record a flow whose source is span ``sid`` explicitly (a
+        sid this tracer never began raises :class:`ValueError`)."""
+        track = self._track_of(sid)
         fid = self._next_fid
         self._next_fid += 1
-        track = self._span_track.get(sid)
-        self.tracer.record(self.sim.now, "span.flow", fid=fid, kind=kind,
-                           bucket=bucket, track=track, src=sid, **fields)
+        self.tracer.append(self.sim.now, "span.flow",
+                           {"fid": fid, "kind": kind, "bucket": bucket,
+                            "track": track, "src": sid, **fields})
         return fid
 
     def wake(self, fid: Optional[int], track: Optional[str],
@@ -167,5 +179,5 @@ class SpanTracer:
         """
         if fid is None or track is None:
             return
-        self.tracer.record(self.sim.now, "span.wake", fid=fid,
-                           track=track, **fields)
+        self.tracer.append(self.sim.now, "span.wake",
+                           {"fid": fid, "track": track, **fields})

@@ -15,17 +15,23 @@ tests without threading counters everywhere.
     assert tracer.count("fetch.retry") == 0
     assert tracer.count_prefix("fetch") == len(tracer.filter("fetch"))
 
+``tracer.append(t, category, fields)`` records a field dict the caller
+hands over; ``record(t, category, **fields)`` is the keyword form of
+it.  Instrumented components that build their dict anyway (the span
+tracer, the ``_trace`` helpers) call ``append``, so no record re-packs
+its fields.
+
 Storage is **columnar** by default: an admitted record appends a float
 timestamp to an ``array('d')``, an interned category id to an
 ``array('H')`` and the field dict to a parallel list — no
-:class:`TraceEvent` object, no per-record counter update.  Sequence
+:class:`TraceEvent` row, no per-record counter update.  Sequence
 numbers are implicit (``seq = dropped + index + 1``), per-category
 counts are folded lazily from the id columns, and :class:`TraceEvent`
-rows are materialized only on query, so ``to_jsonl()`` (and everything
-the sanitizer/critpath readers see) is byte-identical to the historical
-one-object-per-record sink.  That legacy sink is still available as
-``Tracer(sink="tuples")``; the golden regression tests compare the two
-bytewise on a full ladder cell.
+rows (immutable ``(t, category, fields, seq)`` tuples) are materialized
+only on query, so ``to_jsonl()`` (and everything the sanitizer/critpath
+readers see) is byte-identical to the one-row-per-record sink.  That
+sink is still available as ``Tracer(sink="tuples")``; the golden
+regression tests compare the two bytewise on a full ladder cell.
 
 ``flush()`` seals the mutable tail into a frozen segment; the sampler
 calls it once per time slice so a long traced run grows a list of
@@ -35,8 +41,8 @@ immutable column blocks instead of one ever-reallocating array.
 from __future__ import annotations
 
 from array import array
-from collections import Counter, deque
-from dataclasses import dataclass, field
+from collections import Counter, deque, namedtuple
+from itertools import chain, count, repeat
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 __all__ = ["TraceEvent", "Tracer"]
@@ -44,33 +50,45 @@ __all__ = ["TraceEvent", "Tracer"]
 #: one sealed column block: (timestamps, category ids, field dicts)
 _Segment = Tuple[array, array, List[Dict[str, Any]]]
 
+#: ``_new_row(TraceEvent, (t, category, fields, seq))`` builds one row
+#: without running ``TraceEvent.__new__``'s defaulting.
+_new_row = tuple.__new__
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One recorded occurrence.
+
+class TraceEvent(namedtuple("_TraceRow", "t category fields seq")):
+    """One recorded occurrence: the row ``(t, category, fields, seq)``.
 
     ``seq`` is the tracer-assigned record order: a monotonically
     increasing sequence number that gives events a stable total order
     even when several fire at the same simulated instant (the engine
     dispatches same-time events in scheduling order, so record order
     *is* causal order within an instant).
+
+    An immutable tuple, so readers may unpack it
+    (``for t, category, fields, seq in events``) instead of paying an
+    attribute lookup per field; the sinks build rows with one
+    ``tuple.__new__`` each.  ``fields`` defaults to a fresh dict.
     """
 
-    t: float
-    category: str
-    fields: Dict[str, Any] = field(default_factory=dict)
-    seq: int = 0
+    __slots__ = ()
+
+    def __new__(cls, t: float, category: str,
+                fields: Optional[Dict[str, Any]] = None,
+                seq: int = 0) -> "TraceEvent":
+        return _new_row(cls, (t, category,
+                              {} if fields is None else fields, seq))
 
     def __str__(self) -> str:
-        parts = " ".join(f"{k}={v}" for k, v in self.fields.items())
-        return f"[{self.t:12.2f} #{self.seq:06d}] {self.category:20s} {parts}"
+        t, category, fields, seq = self
+        parts = " ".join(f"{k}={v}" for k, v in fields.items())
+        return f"[{t:12.2f} #{seq:06d}] {category:20s} {parts}"
 
     def to_json(self) -> str:
         """One-line canonical JSON (stable key order) for this event."""
         import json
+        t, category, fields, seq = self
         return json.dumps(
-            {"seq": self.seq, "t": self.t, "category": self.category,
-             "fields": self.fields},
+            {"seq": seq, "t": t, "category": category, "fields": fields},
             sort_keys=True, separators=(",", ":"))
 
 
@@ -91,6 +109,11 @@ class Tracer:
                 sink: str = "columnar"):
         if sink not in ("columnar", "tuples"):
             raise ValueError(f"unknown trace sink {sink!r}")
+        if isinstance(categories, str):
+            # set("fetch") would admit the prefixes f, e, t, c and h.
+            raise ValueError(f"categories must be None or an iterable of "
+                             f"category names, not the string "
+                             f"{categories!r}")
         if capacity is not None and (not isinstance(capacity, int)
                                      or isinstance(capacity, bool)
                                      or capacity < 0):
@@ -141,11 +164,25 @@ class Tracer:
         return admit
 
     def record(self, t: float, category: str, **fields) -> None:
+        self.append(t, category, fields)
+
+    #: hot-path alias: instrumented components may hold a bound
+    #: ``tracer.emit`` reference; it shares ``record``'s fast path.
+    emit = record
+
+    def append(self, t: float, category: str,
+               fields: Dict[str, Any]) -> None:
+        """Record one event whose field dict the caller hands over.
+
+        The tracer keeps ``fields`` itself, so the caller must not
+        mutate it afterwards; :meth:`record` is this with the keyword
+        arguments as the dict.
+        """
         # Fast path: a no-sink tracer (``categories=()``) or a filtered
         # category returns before touching any storage — the memo makes
         # the rejection one dict probe.  An admitted record is three
-        # appends and an intern probe; counts and TraceEvent objects
-        # are deferred to query time.
+        # appends and an intern probe; counts and TraceEvent rows are
+        # deferred to query time.
         categories = self.categories
         if categories is not None:
             admit = self._admit.get(category)
@@ -167,10 +204,6 @@ class Tracer:
         if len(fds) >= self._trim_at:
             self._seal()
             self._trim()
-
-    #: hot-path alias: instrumented components may hold a bound
-    #: ``tracer.emit`` reference; it shares ``record``'s fast path.
-    emit = record
 
     # ------------------------------------------------- columnar internals
 
@@ -225,19 +258,21 @@ class Tracer:
         self._trim()
         self._seal()
 
-    def _rows(self) -> Iterator[Tuple[int, float, str, Dict[str, Any]]]:
-        """Yield ``(seq, t, category, fields)`` for retained records."""
+    def _rows(self) -> Iterator[TraceEvent]:
+        """The retained records as :class:`TraceEvent` rows, in order.
+
+        Each block zips its columns with the implicit sequence numbers,
+        so a row costs one ``tuple.__new__`` and no Python frame.
+        """
         self._trim()
-        seq = self._dropped
-        cats = self._cats
-        for ts, cids, fds in self._segs:
-            for i in range(len(fds)):
-                seq += 1
-                yield seq, ts[i], cats[cids[i]], fds[i]
-        ts, cids, fds = self._ts, self._cids, self._fds
-        for i in range(len(fds)):
-            seq += 1
-            yield seq, ts[i], cats[cids[i]], fds[i]
+        name = self._cats.__getitem__
+        blocks = []
+        seq = self._dropped + 1
+        for ts, cids, fds in (*self._segs, (self._ts, self._cids, self._fds)):
+            blocks.append(map(_new_row, repeat(TraceEvent), zip(
+                ts, map(name, cids), fds, count(seq))))
+            seq += len(fds)
+        return chain.from_iterable(blocks)
 
     def _total_counts(self) -> Counter:
         memo = self._counts_memo
@@ -260,15 +295,13 @@ class Tracer:
     @property
     def events(self) -> List[TraceEvent]:
         """Retained records, lazily materialized as :class:`TraceEvent`."""
-        return [TraceEvent(t=t, category=c, fields=f, seq=s)
-                for s, t, c, f in self._rows()]
+        return list(self._rows())
 
     def filter(self, category: str) -> List[TraceEvent]:
         """Events whose category equals or starts with ``category``."""
         prefix = category + "."
-        return [TraceEvent(t=t, category=c, fields=f, seq=s)
-                for s, t, c, f in self._rows()
-                if c == category or c.startswith(prefix)]
+        return [e for e in self._rows()
+                if e[1] == category or e[1].startswith(prefix)]
 
     def count(self, category: str) -> int:
         """Total admitted events for an *exact* category.
@@ -292,8 +325,7 @@ class Tracer:
         return dict(self._total_counts())
 
     def between(self, t0: float, t1: float) -> List[TraceEvent]:
-        return [TraceEvent(t=t, category=c, fields=f, seq=s)
-                for s, t, c, f in self._rows() if t0 <= t <= t1]
+        return [e for e in self._rows() if t0 <= e[0] <= t1]
 
     def to_text(self, limit: Optional[int] = None) -> str:
         events = self.events
@@ -326,7 +358,7 @@ class Tracer:
         return "\n".join(
             dumps({"seq": s, "t": t, "category": c, "fields": f},
                   sort_keys=True, separators=(",", ":"))
-            for s, t, c, f in self._rows())
+            for t, c, f, s in self._rows())
 
     def to_chrome_trace(self) -> List[dict]:
         """Events in Chrome tracing (``chrome://tracing`` / Perfetto)
@@ -474,7 +506,8 @@ class _TupleTracer(Tracer):
         self._seq = 0
         self._admit = {}
 
-    def record(self, t: float, category: str, **fields) -> None:
+    def append(self, t: float, category: str,
+               fields: Dict[str, Any]) -> None:
         categories = self.categories
         if categories is not None:
             admit = self._admit.get(category)
@@ -485,17 +518,14 @@ class _TupleTracer(Tracer):
                 return
         self._counts[category] += 1
         self._seq += 1
-        self._events.append(TraceEvent(t=t, category=category,
-                                       fields=fields, seq=self._seq))
-
-    emit = record
+        self._events.append(
+            _new_row(TraceEvent, (t, category, fields, self._seq)))
 
     def flush(self) -> None:
         pass
 
-    def _rows(self) -> Iterator[Tuple[int, float, str, Dict[str, Any]]]:
-        for e in self._events:
-            yield e.seq, e.t, e.category, e.fields
+    def _rows(self) -> Iterator[TraceEvent]:
+        return iter(self._events)
 
     @property
     def events(self) -> List[TraceEvent]:

@@ -65,7 +65,9 @@ class InterruptLockManager:
     # -------------------------------------------------------------- helpers
 
     def _trace(self, category: str, **fields) -> None:
-        self.proto._trace(category, **fields)
+        tracer = self.proto.tracer
+        if tracer is not None:
+            tracer.append(self.sim.now, category, fields)
 
     def wait_depths(self) -> list:
         """Per-node lock wait depth: host ranks blocked on a grant at

@@ -124,7 +124,7 @@ class HLRCProtocol:
 
     def _trace(self, category: str, **fields) -> None:
         if self.tracer is not None:
-            self.tracer.record(self.sim.now, category, **fields)
+            self.tracer.append(self.sim.now, category, fields)
 
     def register_probes(self, sampler) -> None:
         """Join a TimeSeriesSampler (repro.obs.timeseries): per-node

@@ -81,7 +81,7 @@ class NILockManager:
 
     def _trace(self, category: str, **fields) -> None:
         if self.tracer is not None:
-            self.tracer.record(self.sim.now, category, **fields)
+            self.tracer.append(self.sim.now, category, fields)
 
     def wait_depths(self) -> list:
         """Per-node lock wait depth: host ranks blocked on a doorbell

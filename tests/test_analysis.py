@@ -230,6 +230,37 @@ def test_barrier_epochs_independent():
     assert findings_of("barrier-epoch", events) == []
 
 
+def test_checks_read_their_categories_in_trace_order():
+    """Every check reads only its own categories from the HBGraph
+    index; rows of several categories must come back in trace order,
+    not grouped by category."""
+    events = [
+        # A clean NI-lock chain, 0 -> 1 -> 2, its rows interleaved
+        # with other families.  Grouped by op, the second grant would
+        # leave a token still in flight to node 1.
+        ev(1, "nilock.acquire", node=1, lock=0),
+        ev(2, "nilock.grant", node=0, lock=0, requester=1, queue=(1,)),
+        ev(3, "barrier.enter", rank=0, epoch=0),
+        ev(4, "nilock.granted", node=1, lock=0),
+        ev(5, "nilock.acquire", node=2, lock=0),
+        # Claims version 1 of writer 1 before any home applied it:
+        # the apply below comes too late to back the claim.
+        ev(6, "fetch.ok", node=0, gid=5, snapshot=((1, 1),), needed=()),
+        ev(7, "nilock.grant", node=1, lock=0, requester=2, queue=(2,)),
+        ev(8, "home.apply", gid=5, writer=1, index=1),
+        ev(9, "nilock.granted", node=2, lock=0),
+        ev(10, "barrier.exit", rank=0, epoch=0),
+    ]
+    found = Sanitizer().run(events)
+    assert [(f.check, [e.seq for e in f.events]) for f in found] \
+        == [("fetch-race", [6])], "\n".join(str(f) for f in found)
+    assert "no such diff" in found[0].message
+    hb = HBGraph(events)
+    assert [e.seq for e in hb.rows("nilock.*")] == [1, 2, 4, 5, 7, 9]
+    assert [e.seq for e in hb.rows("home.apply", "fetch.ok")] == [6, 8]
+    assert hb.rows("svmlock.*") == [] and hb.rows("no.such") == []
+
+
 def test_unknown_check_rejected():
     with pytest.raises(ValueError):
         Sanitizer(checks=["no-such-check"])

@@ -347,6 +347,23 @@ def test_profiling_does_not_change_the_run():
     assert profiled.wall_us == bare.wall_us
 
 
+def test_sampler_window_spans_attach_to_finalize():
+    sampler = TimeSeriesSampler(cadence_us=250.0)
+    assert sampler.window_us == (0.0, 0.0)     # not attached yet
+    probe_phases(sampler)
+    result = run_svm(TinyApp(), GENIMA, config=TWO_NODES,
+                     telemetry=sampler)
+    t0, t1 = sampler.window_us
+    assert 0.0 <= t0 < t1
+    assert abs(t1 - sampler.sim.now) <= TIME_TOLERANCE_US
+    summary = sampler.summary()
+    assert (summary["t0_us"], summary["t1_us"]) == (t0, t1)
+    # The profile's window utilisation divides by the same span.
+    profile = build_profile(sampler, result)
+    busy = sampler.timeline_change("busy.lanai")
+    assert profile.utilization[0]["lanai"] == busy[0] / (t1 - t0)
+
+
 # ------------------------------------------------- sum-equals-wall invariant
 
 @pytest.mark.parametrize("features", PROTOCOL_LADDER,

@@ -82,6 +82,68 @@ def test_trc_guard_and_mandatory_are_clean():
     assert not (clean & flagged)
 
 
+_APPEND_EMITTERS = """
+class Emitter:
+    def __init__(self, sim, tracer=None):
+        self.sim = sim
+        self.tracer = tracer
+
+    def _trace(self, category, **fields):
+        if self.tracer is not None:
+            self.tracer.append(self.sim.now, category, fields)
+
+    def literal_ok(self):
+        if self.tracer is not None:
+            self.tracer.append(self.sim.now, "fault.read",
+                               {"rank": 0, "gid": 1})
+
+    def literal_extra(self):
+        if self.tracer is not None:
+            self.tracer.append(self.sim.now, "fault.read",
+                               {"rank": 0, "gid": 1, "gdi": 1})
+
+    def local_ok(self, parent, fields):
+        rec = {"sid": 1, "name": "x"}
+        if parent is not None:
+            rec["extra"] = parent
+        rec.update(fields)
+        if self.tracer is not None:
+            self.tracer.append(self.sim.now, "span.begin", rec)
+
+    def local_misspelled(self, parent):
+        rec = {"sid": 1, "name": "x"}
+        rec["extar"] = parent
+        if self.tracer is not None:
+            self.tracer.append(self.sim.now, "span.begin", rec)
+
+    def unguarded(self):
+        self.tracer.append(self.sim.now, "fault.read",
+                           {"rank": 0, "gid": 1})
+"""
+
+
+def test_trc_checks_dict_taking_append(tmp_path):
+    """``tracer.append(t, category, fields)`` sites are checked like
+    ``record`` ones: fields from a dict literal or from the literal a
+    local was assigned, variadic misspellings, and the None guard."""
+    pkg = tmp_path / "apkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("")
+    (pkg / "trace_schema.py").write_text(
+        (FIXTURES / "trcpkg" / "trace_schema.py").read_text())
+    (pkg / "emitters.py").write_text(_APPEND_EMITTERS)
+    report = analyze_project(pkg)
+    got = sorted((v.rule, v.symbol) for v in report.violations)
+    assert got == [
+        ("TRC002", "Emitter.literal_extra"),
+        ("TRC002", "Emitter.local_misspelled"),
+        ("TRC003", "Emitter.unguarded"),
+    ]
+    by_symbol = {v.symbol: v.message for v in report.violations}
+    assert "field(s) gdi" in by_symbol["Emitter.literal_extra"]
+    assert "'extar'" in by_symbol["Emitter.local_misspelled"]
+
+
 # -------------------------------------------------------------- golden: FPR
 
 

@@ -99,6 +99,55 @@ def test_event_str():
     assert "lock.acquire" in str(e) and "rank=3" in str(e)
 
 
+def test_trace_event_row_contract():
+    import pytest
+    e = TraceEvent(t=12.5, category="lock.acquire")
+    assert e.fields == {} and e.seq == 0
+    assert TraceEvent(1.0, "x").fields is not TraceEvent(1.0, "x").fields
+    e = TraceEvent(t=12.5, category="lock.acquire", fields={"rank": 3},
+                   seq=7)
+    assert (e.t, e.category, e.fields, e.seq) == \
+        (12.5, "lock.acquire", {"rank": 3}, 7)
+    t, category, fields, seq = e           # a row unpacks in field order
+    assert (t, category, fields, seq) == tuple(e)
+    with pytest.raises(AttributeError):
+        e.t = 1.0
+    with pytest.raises(AttributeError):
+        e.extra = 1
+    assert e == TraceEvent(12.5, "lock.acquire", {"rank": 3}, 7)
+    assert e != TraceEvent(12.5, "lock.acquire", {"rank": 4}, 7)
+    assert str(e) == "[       12.50 #000007] lock.acquire         rank=3"
+    assert repr(e) == ("TraceEvent(t=12.5, category='lock.acquire', "
+                       "fields={'rank': 3}, seq=7)")
+    assert e.to_json() == ('{"category":"lock.acquire","fields":'
+                           '{"rank":3},"seq":7,"t":12.5}')
+
+
+def test_categories_must_not_be_a_bare_string():
+    import pytest
+    for sink in ("columnar", "tuples"):
+        # set("fetch") is {'f', 'e', 't', 'c', 'h'}: it recorded nothing.
+        with pytest.raises(ValueError, match="categories"):
+            Tracer(categories="fetch", sink=sink)
+        for categories in ((), {"fetch"}, ["fetch"], None):
+            tr = Tracer(categories=categories, sink=sink)
+            tr.record(1.0, "fetch.ok", gid=1)
+            assert tr.count("fetch.ok") == (0 if categories == () else 1)
+
+
+def test_append_keeps_the_callers_dict():
+    for sink in ("columnar", "tuples"):
+        tr = Tracer(sink=sink)
+        fields = {"gid": 7}
+        tr.append(1.0, "fetch.ok", fields)
+        tr.record(2.0, "fetch.ok", gid=8)
+        rows = tr.events
+        assert rows[0].fields is fields
+        assert rows == [TraceEvent(1.0, "fetch.ok", {"gid": 7}, 1),
+                        TraceEvent(2.0, "fetch.ok", {"gid": 8}, 2)]
+        Tracer(categories=(), sink=sink).append(1.0, "x", {})
+
+
 # ------------------------------------------------------------ span tracing
 
 def test_span_tracer_records_parent_and_link():
@@ -119,6 +168,25 @@ def test_span_tracer_records_parent_and_link():
     assert flow.fields["src"] == begin_outer.fields["sid"]
     assert begin_inner.fields["link"] == fid
     assert wake.fields == {"fid": fid, "track": "r0"}
+
+
+def test_span_tracer_rejects_a_sid_it_never_began():
+    import pytest
+    tr = Tracer()
+    sp = SpanTracer(tr, Simulator())
+    sid = sp.begin("run", "r0")
+    other = SpanTracer(Tracer(), Simulator()).begin("run", "r0")
+    # Before, these wrote rows with track=None that the critical-path
+    # extractor skipped without a word.
+    with pytest.raises(ValueError, match="never begun"):
+        sp.end(sid + 1)
+    with pytest.raises(ValueError, match="never begun"):
+        sp.flow_from(sid + 1, "page_req")
+    assert len(tr.events) == 1
+    sp.end(None)                           # still a no-op
+    sp.flow_from(sid, "page_req")
+    sp.end(sid)
+    assert other == sid and len(tr.events) == 3
 
 
 def test_span_tracer_nested_parent_on_same_track():
@@ -304,6 +372,23 @@ def test_columnar_clear_resets_but_keeps_admission_memo():
     col.record(2.0, "lock.a")
     assert col.count("lock.a") == 1
     assert [e.seq for e in col.events] == [1]
+
+
+def test_sinks_equal_row_for_row_on_a_spanned_cell():
+    from repro.apps import APP_REGISTRY
+    from repro.runtime.runner import run_svm
+    from repro.svm import BASE
+
+    rows = {}
+    for sink in ("columnar", "tuples"):
+        tracer = Tracer(capacity=None, sink=sink)
+        run_svm(APP_REGISTRY["Barnes-spatial"](), BASE,
+                config=MachineConfig(), tracer=tracer, spans=True)
+        rows[sink] = tracer.events
+    assert rows["columnar"] and rows["columnar"] == rows["tuples"]
+    assert all(type(r) is TraceEvent for sink in rows
+               for r in rows[sink])
+    assert any(r.category == "span.begin" for r in rows["columnar"])
 
 
 def test_columnar_sink_full_ladder_cell_bytewise():
