@@ -250,7 +250,13 @@ class LockQueueCheck(SanitizerCheck):
 
 @register_check
 class FetchRaceCheck(SanitizerCheck):
-    """Fetches must return versions that exist and satisfy the reader."""
+    """Fetches must return versions that exist and satisfy the reader.
+
+    A ``fetch.ok`` row's ``snapshot`` and ``needed`` are ``(writer,
+    version)`` pairs sorted by writer, as the protocol records them,
+    so the check walks them as they are; dicts are built only for a
+    finding's message.
+    """
 
     name = "fetch-race"
     description = ("an accepted page fetch must satisfy the needed "
@@ -271,26 +277,40 @@ class FetchRaceCheck(SanitizerCheck):
             else:
                 gid = f["gid"]
                 node = f["node"]
-                snapshot = dict(f.get("snapshot", ()))
-                needed = dict(f.get("needed", ()))
-                for writer, want in sorted(needed.items()):
-                    if snapshot.get(writer, 0) < want:
-                        yield Finding(
-                            self.name,
-                            f"node {node} accepted page {gid} at versions "
-                            f"{snapshot} while needing {needed}: a diff "
-                            f"application raced with the fetch",
-                            (ev,))
-                        break
-                for writer, version in sorted(snapshot.items()):
-                    have = applied.get((gid, writer))
-                    if version > 0 and (have is None or version > have[0]):
-                        yield Finding(
-                            self.name,
-                            f"page {gid} fetch by node {node} claims "
-                            f"version {version} of writer {writer}, but "
-                            f"no such diff was applied at the home",
-                            (ev,) if have is None else (have[1], ev))
+                snapshot = f.get("snapshot", ())
+                needed = f.get("needed", ())
+                if needed and not _covers(snapshot, needed):
+                    yield Finding(
+                        self.name,
+                        f"node {node} accepted page {gid} at versions "
+                        f"{dict(snapshot)} while needing {dict(needed)}: "
+                        f"a diff application raced with the fetch",
+                        (ev,))
+                for writer, version in snapshot:
+                    if version > 0:
+                        have = applied.get((gid, writer))
+                        if have is None or version > have[0]:
+                            yield Finding(
+                                self.name,
+                                f"page {gid} fetch by node {node} claims "
+                                f"version {version} of writer {writer}, "
+                                f"but no such diff was applied at the home",
+                                (ev,) if have is None else (have[1], ev))
+
+
+def _covers(snapshot: Sequence[Tuple[int, int]],
+            needed: Sequence[Tuple[int, int]]) -> bool:
+    """True if ``snapshot`` reaches every version in ``needed`` (both
+    sorted ``(writer, version)`` pairs; a missing writer is at 0)."""
+    j = 0
+    n = len(snapshot)
+    for writer, want in needed:
+        while j < n and snapshot[j][0] < writer:
+            j += 1
+        have = snapshot[j][1] if j < n and snapshot[j][0] == writer else 0
+        if have < want:
+            return False
+    return True
 
 
 @register_check

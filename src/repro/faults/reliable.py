@@ -38,7 +38,7 @@ the *packets* until the fabric delivers them.
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple
+from typing import Dict, Set, Tuple, Union
 
 from ..hw.config import FaultConfig
 from ..hw.packet import Message, Packet
@@ -82,9 +82,23 @@ class _RecvState:
         self.seen: Set[int] = set()
         self.processed = 0
 
-    @property
-    def complete(self) -> bool:
-        return self.processed >= self.expected
+
+class _Finished:
+    """Table entry of a finished message: acked on the sender side,
+    complete on the receiver side.
+
+    It holds nothing, so the message, its delivery callbacks and its
+    packet set are freed; only the table key stays, so a late
+    retransmitted copy is not tracked again and a late duplicate is
+    still discarded and, for data, re-acked.
+    """
+
+    __slots__ = ()
+    acked = True
+
+
+#: The one entry every finished message shares.
+_FINISHED = _Finished()
 
 
 class ReliabilityLayer:
@@ -105,12 +119,17 @@ class ReliabilityLayer:
         #: dense trace names for messages, shared with the injector so
         #: the sanitizer can join fault.* and retx.* streams.
         self.msg_ids = msg_ids if msg_ids is not None else MsgIds()
-        #: sender side: (src_node, msg_id, dst) -> _SendState.
-        self._sends: Dict[Tuple[int, int, int], _SendState] = {}
+        #: sender side: (src_node, msg_id, dst) -> _SendState, or
+        #: _FINISHED once acked.
+        self._sends: Dict[Tuple[int, int, int],
+                          Union[_SendState, _Finished]] = {}
         #: per-channel message ordinals: (src, dst) -> next seq.
         self._channel_seq: Dict[Tuple[int, int], int] = {}
-        #: receiver side: (recv_node, src, msg_id) -> _RecvState.
-        self._recvs: Dict[Tuple[int, int, int], _RecvState] = {}
+        #: receiver side: (recv_node, src, msg_id) -> _RecvState, or
+        #: _FINISHED once every packet is processed (data) or seen
+        #: (acks).
+        self._recvs: Dict[Tuple[int, int, int],
+                          Union[_RecvState, _Finished]] = {}
         for nic in machine.nics:
             nic.reliability = self
             nic.fw_handlers[ACK_KIND] = self._fw_ack
@@ -144,6 +163,10 @@ class ReliabilityLayer:
             self._sends[key] = state
             self.sim.process(self._watchdog(nic, state),
                              name=f"retx.{nic.node_id}.{msg.msg_id}")
+        elif state is _FINISHED:
+            # A retransmitted copy leaving after the ack: nothing left
+            # to retransmit it for.
+            return
         state.pkts[pkt.index] = (pkt.size, pkt.is_last)
 
     def _watchdog(self, nic, state: _SendState):
@@ -205,9 +228,13 @@ class ReliabilityLayer:
         self.acks_received += 1
         self._trace("retx.ack", node=pkt.dst,
                     msg=self.msg_ids.map(acked_msg), dst=acker)
-        state = self._sends.get((pkt.dst, acked_msg, acker))
+        key = (pkt.dst, acked_msg, acker)
+        state = self._sends.get(key)
         if state is not None and not state.acked:
             state.acked = True
+            # The watchdog holds the state until it wakes; the table
+            # forgets the message now.
+            self._sends[key] = _FINISHED
             state.acked_event.succeed()
 
     # ----------------------------------------------------------- receiver
@@ -220,28 +247,36 @@ class ReliabilityLayer:
         message if the sender evidently missed the first ack.
         """
         key = (nic.node_id, pkt.src, pkt.message.msg_id)
-        state = self._recvs.get(key)
-        if state is None:
-            state = _RecvState(self.config.packets_for(pkt.message.size))
-            self._recvs[key] = state
-        if pkt.index in state.seen:
+        recvs = self._recvs
+        state = recvs.get(key)
+        if state is _FINISHED or (state is not None
+                                  and pkt.index in state.seen):
             self.dup_discards += 1
             self._trace("retx.dup_discard", node=nic.node_id, src=pkt.src,
                         msg=self.msg_ids.map(pkt.message.msg_id),
                         idx=pkt.index, kind=pkt.kind)
-            if pkt.kind != ACK_KIND and state.complete:
+            if pkt.kind != ACK_KIND and state is _FINISHED:
                 self._send_ack(nic, pkt)
             return False
+        if state is None:
+            state = _RecvState(self.config.packets_for(pkt.message.size))
+            recvs[key] = state
         state.seen.add(pkt.index)
+        if pkt.kind == ACK_KIND and len(state.seen) == state.expected:
+            # Acks are firmware-consumed, never processed: an ack is
+            # complete once all its packets are seen.
+            recvs[key] = _FINISHED
         return True
 
     def packet_done(self, nic, pkt: Packet) -> None:
         """Called by the NIC once a packet is fully processed here."""
         if pkt.kind == ACK_KIND:
             return
-        state = self._recvs[(nic.node_id, pkt.src, pkt.message.msg_id)]
+        key = (nic.node_id, pkt.src, pkt.message.msg_id)
+        state = self._recvs[key]
         state.processed += 1
-        if state.complete:
+        if state.processed == state.expected:
+            self._recvs[key] = _FINISHED
             self._send_ack(nic, pkt)
 
     def _send_ack(self, nic, pkt: Packet) -> None:

@@ -249,6 +249,80 @@ def _detach(events, cbs) -> None:
                 pass
 
 
+# The combination callbacks below are slotted objects, not closures: a
+# closure that names itself (or a list of its siblings) is a reference
+# cycle, which only the cyclic collector frees.  Each drops its inputs
+# when the combination triggers, so a finished combination is freed by
+# reference counting alone.
+
+
+class _AnyOf:
+    """The callback one :meth:`Simulator.any_of` shares among its inputs."""
+
+    __slots__ = ("done", "events")
+
+    def __init__(self, done: Event, events: List[Event]):
+        self.done = done
+        self.events: Optional[List[Event]] = events
+
+    def __call__(self, ev: Event) -> None:
+        done = self.done
+        if done._triggered:
+            return
+        if ev._exc is not None:
+            done.fail(ev._exc)
+        else:
+            done.succeed(ev._value)
+        events = self.events
+        self.events = None
+        _detach(events, [self] * len(events))
+
+
+class _AllOf:
+    """The shared state of one :meth:`Simulator.all_of` combination."""
+
+    __slots__ = ("done", "events", "cbs", "values", "remaining")
+
+    def __init__(self, done: Event, events: List[Event]):
+        self.done = done
+        self.events: Optional[List[Event]] = events
+        self.cbs: Optional[List["_AllOfInput"]] = []
+        self.values: List[Any] = [None] * len(events)
+        self.remaining = len(events)
+
+    def release(self) -> None:
+        """Detach from the pending inputs and drop them (on trigger)."""
+        _detach(self.events, self.cbs)
+        self.events = self.cbs = None
+
+
+class _AllOfInput:
+    """The callback of input ``index`` of an :class:`_AllOf`."""
+
+    __slots__ = ("combo", "index")
+
+    def __init__(self, combo: _AllOf, index: int):
+        self.combo = combo
+        self.index = index
+
+    def __call__(self, ev: Event) -> None:
+        combo = self.combo
+        done = combo.done
+        if done._triggered:
+            return
+        if ev._exc is not None:
+            # Fail without touching ev._value: a failed event has no
+            # value to collect.
+            done.fail(ev._exc)
+            combo.release()
+            return
+        combo.values[self.index] = ev._value
+        combo.remaining -= 1
+        if combo.remaining == 0:
+            done.succeed(combo.values)
+            combo.release()
+
+
 class _SliceHook:
     """One registered time-slice observer (see ``add_slice_hook``)."""
 
@@ -333,36 +407,17 @@ class Simulator:
         Once the combined event triggers (first failure, or last
         success), its callbacks are detached from every still-pending
         input, so waiting on long-lived events in a retry loop does not
-        accumulate dead closures on them.
+        accumulate dead callbacks on them.
         """
         events = list(events)
         done = self.event()
         if not events:
             done.succeed([])
             return done
-        values: List[Any] = [None] * len(events)
-        remaining = [len(events)]
-        cbs: List[Callable[[Event], None]] = []
-
-        def make_cb(i):
-            def cb(ev: Event):
-                if done._triggered:
-                    return
-                if ev._exc is not None:
-                    # Fail without touching ev._value: a failed event
-                    # has no value to collect.
-                    done.fail(ev._exc)
-                    _detach(events, cbs)
-                    return
-                values[i] = ev._value
-                remaining[0] -= 1
-                if remaining[0] == 0:
-                    done.succeed(values)
-
-            return cb
-
+        combo = _AllOf(done, events)
+        cbs = combo.cbs
         for i, ev in enumerate(events):
-            cb = make_cb(i)
+            cb = _AllOfInput(combo, i)
             cbs.append(cb)
             ev.add_callback(cb)
         if done._triggered:
@@ -381,16 +436,7 @@ class Simulator:
         """
         events = list(events)
         done = self.event()
-
-        def cb(e: Event):
-            if done._triggered:
-                return
-            if e._exc is not None:
-                done.fail(e._exc)
-            else:
-                done.succeed(e._value)
-            _detach(events, [cb] * len(events))
-
+        cb = _AnyOf(done, events)
         for ev in events:
             ev.add_callback(cb)
         if done._triggered:

@@ -186,6 +186,30 @@ def test_catches_fetch_race():
     assert "raced" in found[0].message
 
 
+def test_catches_fetch_race_among_several_writers():
+    events = [
+        ev(1, "home.apply", gid=5, writer=1, index=2),
+        ev(2, "home.apply", gid=5, writer=4, index=1),
+        # Writer 1 is ahead of need, writer 3 is missing (version 0)
+        # and writer 4 is behind: the walk must not stop at writer 1.
+        ev(3, "fetch.ok", node=0, gid=5, snapshot=((1, 2), (4, 1)),
+           needed=((1, 1), (3, 0), (4, 2))),
+        # Writer 2 missing from the snapshot entirely.
+        ev(4, "fetch.ok", node=1, gid=5, snapshot=((1, 2),),
+           needed=((2, 1),)),
+        # Satisfied, with writers the reader did not need.
+        ev(5, "fetch.ok", node=2, gid=5, snapshot=((1, 2), (4, 1)),
+           needed=((4, 1),)),
+    ]
+    found = findings_of("fetch-race", events)
+    assert [f.message for f in found] == [
+        "node 0 accepted page 5 at versions {1: 2, 4: 1} while needing "
+        "{1: 1, 3: 0, 4: 2}: a diff application raced with the fetch",
+        "node 1 accepted page 5 at versions {1: 2} while needing "
+        "{2: 1}: a diff application raced with the fetch",
+    ]
+
+
 def test_catches_phantom_version():
     events = [
         # Snapshot claims a diff no home.apply ever produced.

@@ -11,6 +11,7 @@ Three levels:
   fault layers when ``faults=None``.
 """
 
+import gc
 import hashlib
 
 import pytest
@@ -205,6 +206,150 @@ def test_same_seed_gives_byte_identical_traces():
 def test_different_seed_gives_different_faults():
     assert _trace_digest(7) != _trace_digest(8)
 
+
+def _lossy_kvstore_config():
+    return MachineConfig(nodes=8, topology="fat-tree",
+                         faults=FaultConfig(loss=0.02, dup=0.02,
+                                            reorder=0.02, seed=3))
+
+
+#: (protocol, spanned-trace sha256, kernel events dispatched,
+#: (retransmits, dup_discards, acks_sent)) of KVStore on an 8-node
+#: fat-tree under loss, duplication and reordering.  Unlike the
+#: run-to-run digest above these are stored values: a change to the
+#: transport's book-keeping that keeps them keeps the lossy schedule.
+LOSSY_PINS = [
+    ("Base",
+     "5c05677fff75f41b78ef67545028237ba4c3cb566fa790d419ef68735248082d",
+     92_804, (123, 164, 2095)),
+    ("GeNIMA",
+     "5b470ffb887d066142a06471b36073256a292ddd3a1c003afa8e70b0bc31aad6",
+     137_335, (250, 321, 3674)),
+]
+
+
+@pytest.mark.parametrize("protocol,sha,events,counters", LOSSY_PINS,
+                         ids=["base", "genima"])
+def test_lossy_fat_tree_trace_pinned(monkeypatch, protocol, sha, events,
+                                     counters):
+    from repro.apps import APP_REGISTRY
+    from repro.runtime import run_svm
+    from repro.sim import Simulator
+    from repro.svm import BASE, GENIMA
+    dispatched = []
+    orig_run = Simulator.run
+
+    def counting_run(self, until=None):
+        result = orig_run(self, until)
+        dispatched.append(self.events_dispatched)
+        return result
+
+    monkeypatch.setattr(Simulator, "run", counting_run)
+    tracer = Tracer(capacity=None)
+    result = run_svm(APP_REGISTRY["KVStore"](),
+                     {"Base": BASE, "GeNIMA": GENIMA}[protocol],
+                     config=_lossy_kvstore_config(), tracer=tracer,
+                     spans=True)
+    assert hashlib.sha256(tracer.to_jsonl().encode()).hexdigest() == sha
+    assert dispatched[-1] == events
+    assert (result.stats["retransmits"], result.stats["dup_discards"],
+            result.stats["acks_sent"]) == counters
+
+
+# ---------------------------------------------------------- retained state
+
+def _cyclic_garbage_of_runs(monkeypatch, run):
+    """Call ``run()``; for each ``Simulator.run`` inside it, the number
+    of unreachable objects the cyclic collector finds just before that
+    run returns, with the collector off for the run itself."""
+    from repro.sim import Simulator
+    found = []
+    orig_run = Simulator.run
+
+    def collecting_run(self, until=None):
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            result = orig_run(self, until)
+            found.append(gc.collect())
+        finally:
+            if was_enabled:
+                gc.enable()
+        return result
+
+    monkeypatch.setattr(Simulator, "run", collecting_run)
+    run()
+    return found
+
+
+@pytest.mark.parametrize("app,faults", [("KVStore", True),
+                                        ("Ocean-rowwise", False)],
+                         ids=["kvstore-lossy", "ocean-barriers"])
+def test_run_leaves_no_cyclic_garbage(monkeypatch, app, faults):
+    """Watchdog waits (any_of) on the lossy cell and barrier episodes
+    (all_of) on the faults-off one build no reference cycles."""
+    from repro.apps import APP_REGISTRY
+    from repro.runtime import run_svm
+    from repro.svm import BASE
+    config = _lossy_kvstore_config() if faults else MachineConfig()
+    found = _cyclic_garbage_of_runs(
+        monkeypatch,
+        lambda: run_svm(APP_REGISTRY[app](), BASE, config=config))
+    assert found and all(n == 0 for n in found), found
+
+
+def test_finished_sends_keep_no_message():
+    from repro.apps import APP_REGISTRY
+    from repro.hw.packet import Message
+    from repro.runtime import SVMBackend, run_on_backend
+    from repro.svm import BASE
+    backend = SVMBackend(_lossy_kvstore_config(), BASE)
+    run_on_backend(APP_REGISTRY["KVStore"](), backend, system="Base")
+    rel = backend.machine.reliability
+    assert rel.retransmits > 0
+    assert rel.outstanding_by_node() == [0] * backend.machine.config.nodes
+    assert rel._sends
+    for entry in rel._sends.values():
+        assert entry.acked
+        assert not [r for r in gc.get_referents(entry)
+                    if isinstance(r, Message)]
+
+
+def test_duplicate_after_completion_is_discarded_and_reacked():
+    from repro.hw.packet import Packet
+    machine, vmmc = make_stack(faults=FaultConfig(**LOSSY))
+    rel = machine.reliability
+    tracer = Tracer(capacity=None)
+    rel.tracer = tracer
+    delivered = []
+
+    def sender():
+        yield from vmmc.send(0, 1, size=64, kind="wn",
+                             await_delivery=True,
+                             on_delivered=delivered.append)
+
+    _run_senders(machine, sender())
+    first = rel.counters()
+    assert first["acks_sent"] == first["acks_received"] == 1
+    assert first["dup_discards"] == 0
+
+    def late_copy():
+        # A spurious retransmission of the already-acked message.
+        copy = Packet(message=delivered[0], size=64, index=0,
+                      is_last=True, fw_origin=True, dst_node=1)
+        copy.t_enqueue = copy.t_src_done = machine.sim.now
+        yield machine.nics[0].out_queue.put(copy)
+
+    _run_senders(machine, late_copy())
+    after = rel.counters()
+    assert len(delivered) == 1
+    assert after["dup_discards"] == 1
+    # The receiver re-acks; the sender counts the ack and ignores it.
+    assert after["acks_sent"] == after["acks_received"] == 2
+    assert after["retransmits"] == after["retx_timeouts"] == 0
+    assert rel.outstanding_by_node() == [0] * machine.config.nodes
+    assert tracer.counts().get("retx.dup_discard") == 1
 
 # -------------------------------------------------------------- sanitizer
 

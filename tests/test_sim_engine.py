@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
+import gc
+
 import pytest
 
 from repro.sim import (
@@ -490,6 +492,42 @@ def test_any_of_still_delivers_winner_value():
     sim.process(proc())
     sim.run()
     assert got == [(1.0, "B")]
+
+
+def test_combinations_leave_no_cyclic_garbage():
+    """any_of/all_of callbacks hold no reference back to themselves, so
+    a finished combination is freed by reference counting: with the
+    cyclic collector off, nothing is left for it to find."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        sim = Simulator()
+        long_lived = sim.event()
+        joined = []
+
+        def retry_loop():
+            for _ in range(1000):
+                yield sim.any_of([long_lived, sim.timeout(1.0)])
+            joined.append((yield sim.all_of([sim.timeout(1.0),
+                                             sim.timeout(2.0, "b")])))
+
+        sim.process(retry_loop())
+        # A failure that is never raised carries no traceback, so the
+        # failed event keeps no frame alive.
+        pending, failing = sim.event(), sim.event()
+        failed = []
+        sim.all_of([pending, failing]).add_callback(
+            lambda ev: failed.append(type(ev._exc)))
+        sim.schedule(0.5, lambda: failing.fail(RuntimeError("boom")))
+        sim.run()
+        assert joined == [[None, "b"]]
+        assert failed == [RuntimeError]
+        assert len(pending._callbacks) == 0
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_events_dispatched_counter_accumulates():
