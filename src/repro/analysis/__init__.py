@@ -12,8 +12,8 @@ Three cooperating passes that keep the simulator honest:
 * :mod:`repro.analysis.static` — whole-program analysis over the
   package import graph: protocol send/handler agreement (PROTO),
   trace-schema conformance (TRC), cache-fingerprint coverage (FPR)
-  and shared-state mutation (RACE), with SARIF export and a
-  committed finding baseline (``repro lint --sarif``).
+  and shared-state mutation (RACE); a finding is accepted only by an
+  inline ``# repro: noqa[RULE]`` on the line it reports.
 * :mod:`repro.analysis.critpath` — critical-path extraction over the
   causal span records of a spanned run (``repro critpath``); the
   sanitizer's ``critical-path`` check reconciles its length against
@@ -30,9 +30,9 @@ __all__ = [
     "InvariantChecker", "InvariantViolation", "LEGAL_TRANSITIONS",
     "LintViolation", "Rule", "RULES", "register_rule",
     "lint_source", "default_target",
-    "AnalysisReport", "Baseline", "ProjectModel", "ProjectRule",
+    "AnalysisReport", "ProjectModel", "ProjectRule",
     "PROJECT_RULES", "register_project_rule",
-    "analyze_project", "analyze_paths", "to_sarif",
+    "analyze_project", "analyze_paths",
     "Finding", "Sanitizer", "SanitizerCheck", "SANITIZER_CHECKS",
     "register_check", "sanitize_run",
 ]
@@ -61,12 +61,12 @@ def __getattr__(name: str) -> Any:
                   "SanitizerCheck", "register_check", "sanitize_run"):
         from .sanitizer import (SANITIZER_CHECKS, Finding, Sanitizer,
                                 SanitizerCheck, register_check, sanitize_run)
-    elif name in ("PROJECT_RULES", "AnalysisReport", "Baseline",
-                  "ProjectModel", "ProjectRule", "analyze_paths",
-                  "analyze_project", "register_project_rule", "to_sarif"):
-        from .static import (PROJECT_RULES, AnalysisReport, Baseline,
-                             ProjectModel, ProjectRule, analyze_paths,
-                             analyze_project, register_project_rule, to_sarif)
+    elif name in ("PROJECT_RULES", "AnalysisReport", "ProjectModel",
+                  "ProjectRule", "analyze_paths", "analyze_project",
+                  "register_project_rule"):
+        from .static import (PROJECT_RULES, AnalysisReport, ProjectModel,
+                             ProjectRule, analyze_paths, analyze_project,
+                             register_project_rule)
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     loaded = {key: value for key, value in locals().items() if key != "name"}

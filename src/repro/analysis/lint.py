@@ -42,8 +42,8 @@ class LintViolation:
     """One rule hit at one source location.
 
     ``symbol`` names the innermost enclosing function/class (dotted
-    qualname, empty at module level).  The baseline keys findings by
-    ``(rule, path, symbol)`` so they survive line-number drift.
+    qualname, empty at module level), so a finding says where it is
+    without a line number.
     """
 
     path: str

@@ -6,18 +6,14 @@ and registers the four built-in families: PROTO (protocol flow), TRC
 mutation).
 """
 
-from .baseline import Baseline, BaselineEntry, finding_key
 from .driver import (
     AnalysisReport,
     analyze_paths,
     analyze_project,
     available_rule_names,
-    describe_rule,
-    rule_descriptions,
 )
 from .project import ModuleInfo, ProjectModel
 from .registry import PROJECT_RULES, ProjectRule, register_project_rule
-from .sarif import to_sarif
 
 # importing the family modules registers their rules
 from . import fpr as _fpr  # noqa: F401
@@ -27,8 +23,6 @@ from . import trc as _trc  # noqa: F401
 
 __all__ = [
     "AnalysisReport",
-    "Baseline",
-    "BaselineEntry",
     "ModuleInfo",
     "PROJECT_RULES",
     "ProjectModel",
@@ -36,9 +30,5 @@ __all__ = [
     "analyze_paths",
     "analyze_project",
     "available_rule_names",
-    "describe_rule",
-    "finding_key",
     "register_project_rule",
-    "rule_descriptions",
-    "to_sarif",
 ]

@@ -29,7 +29,7 @@ from .project import ProjectModel
 from .registry import PROJECT_RULES
 
 __all__ = ["AnalysisReport", "analyze_project", "analyze_paths",
-           "rule_descriptions", "available_rule_names"]
+           "available_rule_names"]
 
 _NOQA = re.compile(r"#\s*repro:\s*noqa\[([^\]]+)\]", re.IGNORECASE)
 
@@ -117,27 +117,8 @@ def available_rule_names() -> List[str]:
     return sorted(RULES) + sorted(PROJECT_RULES)
 
 
-def rule_descriptions() -> Dict[str, str]:
-    """rule/family id -> description, for SARIF metadata.  Family
-    descriptions are registered under the family prefix so any
-    numbered id resolves through :func:`describe_rule`."""
-    out = {name: cls.description for name, cls in RULES.items()}
-    for cls in PROJECT_RULES.values():
-        out[cls.family] = cls.description
-    return out
-
-
-def describe_rule(rule_id: str) -> str:
-    """Description of one (possibly numbered) rule id."""
-    table = rule_descriptions()
-    if rule_id in table:
-        return table[rule_id]
-    return table.get(rule_id.rstrip("0123456789"), rule_id)
-
-
 def analyze_project(root: Path, package: Optional[str] = None,
-                    rules: Optional[Sequence[str]] = None,
-                    local_only: bool = False) -> AnalysisReport:
+                    rules: Optional[Sequence[str]] = None) -> AnalysisReport:
     """Whole-program analysis of the package rooted at ``root``."""
     local, families = _split_rule_names(rules)
     model = ProjectModel.load(root, package=package)
@@ -155,11 +136,10 @@ def analyze_project(root: Path, package: Optional[str] = None,
                         path=v.path, line=v.line, col=v.col,
                         rule=v.rule, message=v.message,
                         symbol=info.symbol_at(v.line)))
-    if not local_only:
-        family_names = (families if families is not None
-                        else sorted(PROJECT_RULES))
-        for name in family_names:
-            violations.extend(PROJECT_RULES[name]().check(model))
+    family_names = (families if families is not None
+                    else sorted(PROJECT_RULES))
+    for name in family_names:
+        violations.extend(PROJECT_RULES[name]().check(model))
 
     kept, suppressed = _apply_suppressions(violations, sources)
     report.violations = kept

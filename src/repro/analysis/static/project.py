@@ -9,8 +9,8 @@ need:
   lazy imports included, because the cache fingerprint rule cares
   exactly about those);
 * a **symbol table** of classes and functions per module, plus
-  line-interval lookup of the innermost enclosing definition (findings
-  are keyed by symbol so the baseline survives line drift);
+  line-interval lookup of the innermost enclosing definition (each
+  finding names the symbol it sits in);
 * **constant resolution** for module-level string and tuple-of-string
   assignments (dispatch registrations like ``fw_handlers[ACK_KIND]``
   resolve through it);

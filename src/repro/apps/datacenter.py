@@ -33,6 +33,7 @@ byte-deterministic.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import List
 
@@ -43,6 +44,13 @@ __all__ = ["ArrivalProcess", "ShardedKVStore", "ParameterServer",
 
 #: per-rank RNG stride, matching repro.hw.node's per-node seeding.
 _SEED_STRIDE = 1000003
+
+
+def _check_rate(rate_per_us: float) -> None:
+    # Written so that NaN fails too: ``nan <= 0`` is false.
+    if not (math.isfinite(rate_per_us) and rate_per_us > 0):
+        raise ValueError(
+            f"rate_per_us must be finite and > 0, got {rate_per_us!r}")
 
 
 class ArrivalProcess:
@@ -62,8 +70,7 @@ class ArrivalProcess:
         if kind not in self.KINDS:
             raise ValueError(f"unknown arrival kind {kind!r} "
                              f"(one of {self.KINDS})")
-        if rate_per_us <= 0:
-            raise ValueError("rate_per_us must be positive")
+        _check_rate(rate_per_us)
         if count < 0:
             raise ValueError("count must be >= 0")
         self.kind = kind
@@ -118,12 +125,17 @@ class ShardedKVStore(_DatacenterApp):
             raise ValueError("put_fraction must be within [0, 1]")
         if not 0.0 <= hot_fraction <= 1.0:
             raise ValueError("hot_fraction must be within [0, 1]")
+        if (not isinstance(hot_shards, int) or isinstance(hot_shards, bool)
+                or not 0 <= hot_shards <= shards):
+            raise ValueError(f"hot_shards must be an integer within "
+                             f"[0, shards={shards}], got {hot_shards!r}")
+        _check_rate(rate_per_us)
         self.shards = shards
         self.pages_per_shard = pages_per_shard
         self.requests_per_rank = requests_per_rank
         self.put_fraction = put_fraction
         self.hot_fraction = hot_fraction
-        self.hot_shards = min(hot_shards, shards)
+        self.hot_shards = hot_shards
         self.rate_per_us = rate_per_us
         self.arrivals = arrivals
         self.service_us = service_us
@@ -238,6 +250,7 @@ class OpenLoop(_DatacenterApp):
                  service_us: float = 10.0, seed: int = 0):
         if pages < 1:
             raise ValueError("pages must be >= 1")
+        _check_rate(rate_per_us)
         self.pages = pages
         self.requests_per_rank = requests_per_rank
         self.rate_per_us = rate_per_us

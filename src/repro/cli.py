@@ -465,15 +465,14 @@ def _cmd_check(args) -> int:
 def _cmd_lint(args) -> int:
     """Static lint: local determinism rules plus whole-program passes.
 
-    Exit codes: 0 clean (modulo baseline), 1 new findings, 2 usage or
+    A finding is accepted only by a ``# repro: noqa[RULE]`` on the
+    line it reports.  Exit codes: 0 clean, 1 findings, 2 usage or
     parse error.
     """
-    import json
     from pathlib import Path
 
     from .analysis import RULES, default_target
-    from .analysis.static import (PROJECT_RULES, Baseline, analyze_paths,
-                                  analyze_project, describe_rule, to_sarif)
+    from .analysis.static import PROJECT_RULES, analyze_paths, analyze_project
 
     if args.list_rules:
         print("local rules (single-file):")
@@ -494,10 +493,8 @@ def _cmd_lint(args) -> int:
         if args.path:
             # loose paths (tests/, scripts/): local rules only — the
             # cross-module families need a package root.
-            root = Path.cwd()
             report = analyze_paths([Path(p) for p in args.path],
                                    rules=rules)
-            baseline_applies = False
         else:
             root = (Path(args.package_root) if args.package_root
                     else default_target())
@@ -505,12 +502,7 @@ def _cmd_lint(args) -> int:
                 print(f"error: package root {root} is not a directory")
                 return 2
             report = analyze_project(root, package=root.name,
-                                     rules=rules,
-                                     local_only=args.local_only)
-            # the default baseline file only describes the default
-            # target; for an explicit root it must be named explicitly.
-            baseline_applies = (args.package_root is None
-                                or args.baseline is not None)
+                                     rules=rules)
     except ValueError as err:
         print(f"error: {err} (see --list-rules)")
         return 2
@@ -524,57 +516,13 @@ def _cmd_lint(args) -> int:
         print(f"\n{len(report.syntax_errors)} file(s) failed to parse")
         return 2
 
-    baseline = Baseline()
-    baseline_path = Path(args.baseline) if args.baseline \
-        else Path("lint-baseline.json")
-    if baseline_applies and not args.no_baseline:
-        if baseline_path.is_file():
-            try:
-                baseline = Baseline.load(baseline_path)
-            except (ValueError, KeyError, json.JSONDecodeError) as err:
-                print(f"error: bad baseline: {err}")
-                return 2
-        elif args.baseline and not args.update_baseline:
-            print(f"error: baseline {baseline_path} not found")
-            return 2
-
-    if args.update_baseline:
-        if not baseline_applies:
-            print("error: --update-baseline applies to the default "
-                  "whole-program run, not to explicit paths")
-            return 2
-        stale = baseline.stale_keys(report.violations, root)
-        updated = baseline.updated(report.violations, root)
-        updated.dump(baseline_path)
-        print(f"baseline {baseline_path}: {len(updated.entries)} "
-              f"entr{'y' if len(updated.entries) == 1 else 'ies'}, "
-              f"{len(stale)} expired")
-        for key in stale:
-            print(f"  expired: [{key[0]}] {key[1]} {key[2]}".rstrip())
-        return 0
-
-    new, accepted = baseline.split(report.violations, root)
-
-    if args.sarif:
-        descriptions = {v.rule: describe_rule(v.rule)
-                        for v in [*new, *accepted]}
-        sarif = to_sarif(new, accepted, root, descriptions)
-        Path(args.sarif).write_text(json.dumps(sarif, indent=2) + "\n",
-                                    encoding="utf-8")
-        print(f"sarif report written to {args.sarif}")
-
-    for violation in new:
+    for violation in report.violations:
         print(violation)
-    if new:
-        suffix = (f" ({len(accepted)} baselined)" if accepted else "")
-        print(f"\n{len(new)} lint violation(s){suffix}")
+    if report.violations:
+        print(f"\n{len(report.violations)} lint violation(s)")
         return 1
-    nrules = len(RULES)
-    if not args.path and not args.local_only:
-        nrules += len(PROJECT_RULES)
-    suffix = (f", {len(accepted)} baselined finding(s)"
-              if accepted else "")
-    print(f"lint clean ({nrules} rules{suffix})")
+    nrules = len(RULES) + (0 if args.path else len(PROJECT_RULES))
+    print(f"lint clean ({nrules} rules)")
     return 0
 
 
@@ -855,21 +803,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="run only the named rule(s) / famil(ies)")
     lint.add_argument("--list-rules", action="store_true",
                       help="list available rules and exit")
-    lint.add_argument("--local-only", action="store_true",
-                      help="skip the cross-module rule families")
     lint.add_argument("--package-root", metavar="DIR",
                       help="run the whole-program analysis on this "
                            "package directory instead of repro")
-    lint.add_argument("--sarif", metavar="FILE",
-                      help="write a SARIF 2.1.0 report to FILE")
-    lint.add_argument("--baseline", metavar="FILE",
-                      help="baseline of accepted findings (default: "
-                           "lint-baseline.json if present)")
-    lint.add_argument("--no-baseline", action="store_true",
-                      help="ignore any baseline file")
-    lint.add_argument("--update-baseline", action="store_true",
-                      help="rewrite the baseline from current findings "
-                           "(keeps justifications, expires stale keys)")
     lint.set_defaults(fn=_cmd_lint)
     return parser
 

@@ -90,10 +90,6 @@ class FaultInjector:
         self.reorders = 0
         self.jittered = 0
 
-    def _trace(self, category: str, **fields) -> None:
-        if self.tracer is not None:
-            self.tracer.append(self.sim.now, category, fields)
-
     def _rng(self, src: int, dst: int) -> random.Random:
         rng = self._rngs.get((src, dst))
         if rng is None:
@@ -117,16 +113,17 @@ class FaultInjector:
         rng = self._rng(src, dst)
         if f.loss and rng.random() < f.loss:
             self.drops += 1
-            fields = dict(src=src, dst=dst, kind=pkt.kind,
-                          msg=self.msg_ids.map(pkt.message.msg_id),
-                          idx=pkt.index, size=pkt.size)
-            if pkt.kind == "retx_ack":
-                # Recovery of a lost ack is the *original* message's
-                # retransmit + re-ack; name it for the sanitizer.
-                acks_msg, acker = pkt.message.payload
-                fields["acks_msg"] = self.msg_ids.map(acks_msg)
-                fields["acker"] = acker
-            self._trace("fault.drop", **fields)
+            if self.tracer is not None:
+                fields = {"src": src, "dst": dst, "kind": pkt.kind,
+                          "msg": self.msg_ids.map(pkt.message.msg_id),
+                          "idx": pkt.index, "size": pkt.size}
+                if pkt.kind == "retx_ack":
+                    # Recovery of a lost ack is the *original* message's
+                    # retransmit + re-ack; name it for the sanitizer.
+                    acks_msg, acker = pkt.message.payload
+                    fields["acks_msg"] = self.msg_ids.map(acks_msg)
+                    fields["acker"] = acker
+                self.tracer.append(sim.now, "fault.drop", fields)
             return
         latency = wire
         if f.jitter_us:
@@ -135,15 +132,19 @@ class FaultInjector:
         if f.reorder and rng.random() < f.reorder:
             self.reorders += 1
             latency += rng.uniform(0.0, f.reorder_window_us)
-            self._trace("fault.reorder", src=src, dst=dst, kind=pkt.kind,
-                        msg=self.msg_ids.map(pkt.message.msg_id),
-                        idx=pkt.index)
+            if self.tracer is not None:
+                self.tracer.append(sim.now, "fault.reorder", {
+                    "src": src, "dst": dst, "kind": pkt.kind,
+                    "msg": self.msg_ids.map(pkt.message.msg_id),
+                    "idx": pkt.index})
         Timeout(sim, latency, pkt).add_callback(arrive)
         if f.dup and rng.random() < f.dup:
             self.dups += 1
-            self._trace("fault.dup", src=src, dst=dst, kind=pkt.kind,
-                        msg=self.msg_ids.map(pkt.message.msg_id),
-                        idx=pkt.index)
+            if self.tracer is not None:
+                self.tracer.append(sim.now, "fault.dup", {
+                    "src": src, "dst": dst, "kind": pkt.kind,
+                    "msg": self.msg_ids.map(pkt.message.msg_id),
+                    "idx": pkt.index})
             # The copy keeps the packet's identity (message, index) so
             # the receiver's dedup discards it, but carries its own
             # stage timestamps.

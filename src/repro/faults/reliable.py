@@ -140,10 +140,6 @@ class ReliabilityLayer:
         self.acks_received = 0
         self.dup_discards = 0
 
-    def _trace(self, category: str, **fields) -> None:
-        if self.tracer is not None:
-            self.tracer.append(self.sim.now, category, fields)
-
     # ------------------------------------------------------------- sender
 
     def on_inject(self, nic, pkt: Packet) -> None:
@@ -180,20 +176,24 @@ class ReliabilityLayer:
             state.attempts += 1
             if state.attempts > f.retx_max:
                 msg = state.msg
-                self._trace("retx.exhausted", node=nic.node_id,
-                            msg=self.msg_ids.map(msg.msg_id),
-                            dst=state.dst, kind=msg.kind,
-                            seq=state.channel_seq, attempts=f.retx_max)
+                if self.tracer is not None:
+                    self.tracer.append(self.sim.now, "retx.exhausted", {
+                        "node": nic.node_id,
+                        "msg": self.msg_ids.map(msg.msg_id),
+                        "dst": state.dst, "kind": msg.kind,
+                        "seq": state.channel_seq, "attempts": f.retx_max})
                 raise SimulationError(
                     f"message {msg.msg_id} ({msg.kind!r}, "
                     f"{nic.node_id}->{state.dst}) still unacked after "
                     f"{f.retx_max} retransmissions: link lossy beyond "
                     f"recovery or fabric partitioned")
             self.retx_timeouts += 1
-            self._trace("retx.timeout", node=nic.node_id,
-                        msg=self.msg_ids.map(state.msg.msg_id),
-                        dst=state.dst, seq=state.channel_seq,
-                        attempt=state.attempts, rto=rto)
+            if self.tracer is not None:
+                self.tracer.append(self.sim.now, "retx.timeout", {
+                    "node": nic.node_id,
+                    "msg": self.msg_ids.map(state.msg.msg_id),
+                    "dst": state.dst, "seq": state.channel_seq,
+                    "attempt": state.attempts, "rto": rto})
             sp = self.spans
             rsid = sp.begin(
                 "retx.resend", f"ni{nic.node_id}", bucket="data",
@@ -211,11 +211,13 @@ class ReliabilityLayer:
                 copy.t_enqueue = self.sim.now
                 copy.t_src_done = self.sim.now
                 self.retransmits += 1
-                self._trace("retx.resend", node=nic.node_id,
-                            msg=self.msg_ids.map(state.msg.msg_id),
-                            dst=state.dst, idx=index,
-                            seq=state.channel_seq,
-                            attempt=state.attempts)
+                if self.tracer is not None:
+                    self.tracer.append(self.sim.now, "retx.resend", {
+                        "node": nic.node_id,
+                        "msg": self.msg_ids.map(state.msg.msg_id),
+                        "dst": state.dst, "idx": index,
+                        "seq": state.channel_seq,
+                        "attempt": state.attempts})
                 yield nic.out_queue.put(copy)
             if sp is not None:
                 state.retx_fid = sp.flow_from(rsid, "retx_chain", "data")
@@ -226,8 +228,10 @@ class ReliabilityLayer:
         """Sender-NI firmware: an ack arrived, stop the watchdog."""
         acked_msg, acker = pkt.message.payload
         self.acks_received += 1
-        self._trace("retx.ack", node=pkt.dst,
-                    msg=self.msg_ids.map(acked_msg), dst=acker)
+        if self.tracer is not None:
+            self.tracer.append(self.sim.now, "retx.ack", {
+                "node": pkt.dst, "msg": self.msg_ids.map(acked_msg),
+                "dst": acker})
         key = (pkt.dst, acked_msg, acker)
         state = self._sends.get(key)
         if state is not None and not state.acked:
@@ -252,9 +256,11 @@ class ReliabilityLayer:
         if state is _FINISHED or (state is not None
                                   and pkt.index in state.seen):
             self.dup_discards += 1
-            self._trace("retx.dup_discard", node=nic.node_id, src=pkt.src,
-                        msg=self.msg_ids.map(pkt.message.msg_id),
-                        idx=pkt.index, kind=pkt.kind)
+            if self.tracer is not None:
+                self.tracer.append(self.sim.now, "retx.dup_discard", {
+                    "node": nic.node_id, "src": pkt.src,
+                    "msg": self.msg_ids.map(pkt.message.msg_id),
+                    "idx": pkt.index, "kind": pkt.kind})
             if pkt.kind != ACK_KIND and state is _FINISHED:
                 self._send_ack(nic, pkt)
             return False

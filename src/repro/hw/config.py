@@ -85,6 +85,8 @@ class FaultConfig:
                 or isinstance(self.retx_max, bool) or self.retx_max < 1):
             raise ValueError(
                 f"retx_max must be an integer >= 1, got {self.retx_max!r}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
     @property
     def degrades(self) -> bool:
@@ -217,6 +219,9 @@ class MachineConfig:
                     or value < least):
                 raise ValueError(
                     f"{name} must be an integer >= {least}, got {value!r}")
+        # A seed may be negative, but it is a whole number too.
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         # Imported here (not at module top) purely for the name check;
         # repro.hw.topology has no imports back into this module.
         from .topology import TOPOLOGIES

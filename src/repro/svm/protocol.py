@@ -211,8 +211,13 @@ class HLRCProtocol:
             # Tell everyone where the page now lives.
             for other in range(self.config.nodes):
                 if other != node_id:
-                    yield from self.vmmc.send(node_id, other, 24,
-                                              kind="home_update")
+                    # home_update is a deliberate fire-and-forget
+                    # broadcast: the homes table is global in this model,
+                    # so the message only charges realistic network and
+                    # deposit costs for the migration; nothing needs to
+                    # observe its delivery.
+                    yield from self.vmmc.send(  # repro: noqa[PROTO005]
+                        node_id, other, 24, kind="home_update")
         self.tables[node_id].mark_valid(gid, why="migrate")
         self.home_migrations += 1
         self.buckets[rank].charge("data", self.sim.now - t0)

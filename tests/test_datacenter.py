@@ -39,6 +39,10 @@ def test_arrival_process_validates_inputs():
         ArrivalProcess("poisson", 0.0, 1)
     with pytest.raises(ValueError, match="count"):
         ArrivalProcess("poisson", 1.0, -1)
+    # NaN passes a plain ``<= 0`` test.
+    for rate in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="rate_per_us"):
+            ArrivalProcess("poisson", rate, 1)
 
 
 # ----------------------------------------------------------- constructors
@@ -48,6 +52,14 @@ def test_kvstore_validates_fractions():
         ShardedKVStore(put_fraction=1.5)
     with pytest.raises(ValueError):
         ShardedKVStore(shards=0)
+    for rate in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="rate_per_us"):
+            ShardedKVStore(rate_per_us=rate)
+    # hot_shards is not clamped to the shard count.
+    for hot in (40, -1, 2.5, True):
+        with pytest.raises(ValueError, match="hot_shards"):
+            ShardedKVStore(shards=16, hot_shards=hot)
+    assert ShardedKVStore(shards=16, hot_shards=16).hot_shards == 16
 
 
 def test_paramserver_validates_sizes():
@@ -60,6 +72,10 @@ def test_paramserver_validates_sizes():
 def test_openloop_validates_pages():
     with pytest.raises(ValueError):
         OpenLoop(pages=0)
+    # Checked at construction: a NaN rate used to simulate to a time.
+    for rate in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="rate_per_us"):
+            OpenLoop(rate_per_us=rate)
 
 
 # ------------------------------------------------------------------ runs

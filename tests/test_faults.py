@@ -74,6 +74,11 @@ def test_fault_config_validates_probabilities():
                 FaultConfig(**{field: value})
     with pytest.raises(ValueError, match="retx_timeout_max_us"):
         FaultConfig(retx_timeout_us=800.0, retx_timeout_max_us=400.0)
+    # A seed is a whole number; a negative one stays legal.
+    for seed in (1.5, True):
+        with pytest.raises(ValueError, match="seed"):
+            FaultConfig(seed=seed)
+    assert FaultConfig(seed=-1).seed == -1
 
 
 def test_fault_config_degrades_and_link_filter():
@@ -314,6 +319,20 @@ def test_finished_sends_keep_no_message():
         assert entry.acked
         assert not [r for r in gc.get_referents(entry)
                     if isinstance(r, Message)]
+
+
+def test_untraced_lossy_run_names_no_message():
+    """Without a tracer the fault layers build no trace fields and
+    assign no dense message ids."""
+    from repro.apps import APP_REGISTRY
+    from repro.runtime import SVMBackend, run_on_backend
+    from repro.svm import BASE
+    backend = SVMBackend(_lossy_kvstore_config(), BASE)
+    run_on_backend(APP_REGISTRY["KVStore"](), backend, system="Base")
+    machine = backend.machine
+    assert machine.fault_injector.drops > 0
+    assert machine.reliability.retransmits > 0
+    assert machine.reliability.msg_ids._map == {}
 
 
 def test_duplicate_after_completion_is_discarded_and_reacked():

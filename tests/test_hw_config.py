@@ -118,7 +118,9 @@ def test_topology_field_validation():
                                           float("nan")),
                                          ("bus_contention_factor",
                                           float("inf")),
-                                         ("bus_contention_factor", -0.1)])
+                                         ("bus_contention_factor", -0.1),
+                                         ("seed", 1.5),
+                                         ("seed", True)])
 def test_size_field_validation(field, value):
     # Construct only: unchecked, a non-positive packet_max never finishes
     # segmenting, so running it would hang instead of failing; a NaN or
@@ -126,6 +128,8 @@ def test_size_field_validation(field, value):
     # fractional packet_max makes fractional packet sizes and counts, a
     # fractional dragonfly group size builds 5.5 groups, a fractional
     # node count fails late inside the machine build, and a negative
-    # bus_contention_factor shortens bus-bound compute.
+    # bus_contention_factor shortens bus-bound compute.  A seed is a
+    # whole number; a negative one stays legal.
     with pytest.raises(ValueError, match=field):
         MachineConfig(**{field: value})
+    assert MachineConfig(seed=-1).seed == -1
