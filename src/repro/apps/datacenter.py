@@ -199,9 +199,21 @@ class ParameterServer(_DatacenterApp):
     def __init__(self, param_pages: int = 64, steps: int = 8,
                  fetch_fanout: int = 8, compute_us: float = 400.0,
                  seed: int = 0):
-        if param_pages < 1 or steps < 1 or fetch_fanout < 1:
-            raise ValueError("param_pages, steps and fetch_fanout "
-                             "must be >= 1")
+        for field, value in (("param_pages", param_pages),
+                             ("steps", steps),
+                             ("fetch_fanout", fetch_fanout)):
+            if (not isinstance(value, int) or isinstance(value, bool)
+                    or value < 1):
+                raise ValueError(
+                    f"{field} must be an integer >= 1, got {value!r}")
+        if fetch_fanout > param_pages:
+            raise ValueError(
+                f"fetch_fanout must be <= param_pages={param_pages} (a "
+                f"step fetches distinct pages), got {fetch_fanout!r}")
+        # Written so that NaN fails too.
+        if not (math.isfinite(compute_us) and compute_us >= 0):
+            raise ValueError(
+                f"compute_us must be finite and >= 0, got {compute_us!r}")
         self.param_pages = param_pages
         self.steps = steps
         self.fetch_fanout = fetch_fanout
@@ -222,10 +234,9 @@ class ParameterServer(_DatacenterApp):
     def process(self, ctx, regions):
         rng = self._rng(ctx.rank)
         params = regions["params"]
-        fanout = min(self.fetch_fanout, self.param_pages)
         for _ in range(self.steps):
             # Pull: fetch this step's working set from the shard homes.
-            fetch = rng.sample(range(self.param_pages), fanout)
+            fetch = rng.sample(range(self.param_pages), self.fetch_fanout)
             yield from ctx.read(params, sorted(fetch))
             # Compute the gradient.
             yield from ctx.compute(self.compute_us)

@@ -60,6 +60,7 @@ def measure_comm_layer(
 
     sim.process(bench())
     sim.run()
+    machine.close()
     return out
 
 
@@ -82,6 +83,7 @@ def measure_page_fetch(
 
             machine.sim.process(worker())
             machine.run()
+            machine.close()
             out[f"{label}_{size_label}_fetch_us"] = times[0]
     return out
 

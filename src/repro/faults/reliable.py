@@ -106,7 +106,6 @@ class ReliabilityLayer:
 
     def __init__(self, machine, msg_ids=None):
         from .injector import MsgIds
-        self.machine = machine
         self.sim = machine.sim
         self.config = machine.config
         self.fcfg: FaultConfig = machine.config.faults

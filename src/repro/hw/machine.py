@@ -11,6 +11,8 @@ nothing; one that is read materializes the full namespace once.
 
 from __future__ import annotations
 
+import weakref
+from functools import partial
 from typing import List, Optional
 
 from ..obs.metrics import MetricsRegistry
@@ -54,7 +56,10 @@ class Machine:
                 topology=self.network.topology)
             self.network.fault_injector = self.fault_injector
             self.reliability = ReliabilityLayer(self, msg_ids=ids)
-        self.metrics.defer(self._register_metrics)
+        # Through a proxy: the registry is the machine's own, so a
+        # bound method would make the two name each other.
+        self.metrics.defer(partial(Machine._register_metrics,
+                                   weakref.proxy(self)))
 
     def _register_metrics(self, metrics: MetricsRegistry) -> None:
         """Deferred: bind every per-node/per-layer instrument name."""
@@ -67,8 +72,7 @@ class Machine:
             if layer is None:
                 continue
             for key, attr in layer.COUNTER_ATTRS.items():
-                metrics.gauge(f"{prefix}.{key}",
-                              lambda la=layer, a=attr: getattr(la, a))
+                metrics.register_gauge(f"{prefix}.{key}", layer, attr)
 
     def register_probes(self, sampler) -> None:
         """Join a TimeSeriesSampler (repro.obs.timeseries): per-node
@@ -122,3 +126,11 @@ class Machine:
 
     def run(self, until: Optional[float] = None) -> float:
         return self.sim.run(until=until)
+
+    def close(self) -> None:
+        """End of the machine's life, once its run is over: closes
+        every NIC, whose parked loops and hooks are the machine's last
+        reference cycles.  Counters, stations and metrics stay
+        readable; the machine runs nothing more."""
+        for nic in self.nics:
+            nic.close()

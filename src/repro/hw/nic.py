@@ -50,7 +50,6 @@ class NIC:
         self.sim = sim
         self.config = config
         self.node_id = node_id
-        self.network = network
 
         # The three VMMC software queues.
         self.post_queue = Store(sim, capacity=config.post_queue_len,
@@ -97,9 +96,29 @@ class NIC:
         if metrics is not None:
             self.register_metrics(metrics)
 
-        sim.process(self._send_loop(), name=f"ni{node_id}.send")
-        sim.process(self._inject_loop(), name=f"ni{node_id}.inject")
-        sim.process(self._recv_loop(), name=f"ni{node_id}.recv")
+        # The NI keeps no reference to the network, which names it:
+        # only the inject loop needs it, to hand packets on.
+        self._loops = (
+            sim.process(self._send_loop(), name=f"ni{node_id}.send"),
+            sim.process(self._inject_loop(network.deliver),
+                        name=f"ni{node_id}.inject"),
+            sim.process(self._recv_loop(), name=f"ni{node_id}.recv"),
+        )
+
+    def close(self) -> None:
+        """End of life, once the run is over (``Machine.close``).
+
+        Stops the three loops, which stay parked on this NI's queues
+        when the run drains, and drops the handlers and hooks that the
+        layers above wired onto it: each names a layer that holds the
+        machine, and so this NI again.  Counters and stations stay
+        readable; the NI moves no more packets.
+        """
+        for loop in self._loops:
+            loop.close()
+        self.fw_handlers.clear()
+        self.on_delivery = None
+        self.on_packet_done = None
 
     # ------------------------------------------------------------------ send
 
@@ -218,14 +237,14 @@ class NIC:
 
         return self.sim.process(run(), name=f"ni{self.node_id}.fw_send")
 
-    def _inject_loop(self):
-        """LANai processing + injection into the outgoing link."""
+    def _inject_loop(self, deliver):
+        """LANai processing + injection into the outgoing link; each
+        injected packet goes to ``deliver`` (``Network.deliver``)."""
         cfg = self.config
         sim = self.sim
         lanai = self.lanai
         link = self.out_link
         station = link.station
-        deliver = self.network.deliver
         while True:
             pkt = yield self.out_queue.get()
             if self.reliability is not None:

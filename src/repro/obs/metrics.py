@@ -25,6 +25,7 @@ last instance wins.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..sim import RunningStat
@@ -107,9 +108,19 @@ class MetricsRegistry:
         registry without changing their hot-path increments.
         """
         for attr in attrs:
-            getattr(obj, attr)  # fail fast on typos
-            self.gauge(f"{prefix}.{attr}",
-                       lambda o=obj, a=attr: getattr(o, a))
+            self.register_gauge(f"{prefix}.{attr}", obj, attr)
+
+    def register_gauge(self, name: str, obj: object, attr: str) -> Gauge:
+        """Bind ``name`` to ``obj.<attr>``, holding ``obj`` weakly.
+
+        The layers that export counters hold the machine that owns
+        this registry, so a strong binding back to them would be a
+        reference cycle.  Reading the gauge once ``obj`` is gone raises
+        ``ReferenceError``.
+        """
+        getattr(obj, attr)  # fail fast on typos
+        return self.gauge(name, lambda o=weakref.proxy(obj), a=attr:
+                          getattr(o, a))
 
     # ----------------------------------------------------------------- query
 

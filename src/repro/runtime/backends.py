@@ -79,6 +79,13 @@ class SVMBackend(Backend):
     def op_barrier(self, rank):
         return self.protocol.barrier(rank)
 
+    def close(self) -> None:
+        if self.invariants is not None:
+            # The checker and the protocol name each other while the
+            # checker is installed.
+            self.invariants.uninstall()
+        self.machine.close()
+
 
 class LocalBackend(Backend):
     """Uniprocessor run: the plain sequential program.
@@ -140,6 +147,9 @@ class LocalBackend(Backend):
 
     def op_barrier(self, rank):
         return self._noop()
+
+    def close(self) -> None:
+        self.machine.close()
 
 
 class _LocalRegion:

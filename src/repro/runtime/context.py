@@ -60,6 +60,14 @@ class Backend(abc.ABC):
     def op_barrier(self, rank: int):
         ...
 
+    def close(self) -> None:
+        """End of the backend's one run (``run_on_backend`` calls it).
+
+        A backend whose parts name each other breaks those reference
+        cycles here, so that dropping it frees it by reference
+        counting.  Its counters stay readable; it runs nothing more.
+        """
+
 
 class ParallelContext:
     """Per-rank handle an application generator uses for all its work.

@@ -30,6 +30,10 @@ def run_on_backend(app, backend, system: str,
     sampled.  Its summary lands in ``RunResult.telemetry``.  The
     sampler is an engine-hook observer: an instrumented run's event
     schedule is byte-identical to a bare one.
+
+    A backend runs one application: once the result is collected the
+    backend is closed (:meth:`Backend.close`), so a caller that drops
+    it frees the whole run by reference counting.
     """
     nprocs = nprocs or backend.nprocs
     sim = backend.sim
@@ -99,6 +103,7 @@ def run_on_backend(app, backend, system: str,
         result.monitor_large = monitor.ratios("large").as_dict()
     if telemetry is not None:
         result.telemetry = telemetry.summary()
+    backend.close()
     return result
 
 

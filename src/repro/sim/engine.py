@@ -214,17 +214,32 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at this instant."""
         if self._triggered:
             raise SimulationError("cannot interrupt a finished process")
+        self._detach()
+        kick = Event(self.sim)
+        kick._callbacks.append(self)
+        kick.fail(Interrupt(cause))
+
+    def close(self) -> None:
+        """Stop the process for good, without resuming it.
+
+        Detaches it from the event it waits on and closes its
+        generator; the process never fires.  A daemon parked on a
+        queue of its owner is a reference cycle (queue -> event ->
+        process -> generator frame -> owner -> queue); closing it once
+        the run is over breaks that cycle (see ``Machine.close``).
+        """
+        self._detach()
+        self._gen.close()
+
+    def _detach(self) -> None:
+        """Leave the wait: the event waited on no longer resumes us."""
         target = self._waiting_on
         if target is not None:
-            # Detach: the interrupted wait no longer resumes us.
             try:
                 target._callbacks.remove(self)
             except (ValueError, SimulationError):
                 pass
         self._waiting_on = None
-        kick = Event(self.sim)
-        kick._callbacks.append(self)
-        kick.fail(Interrupt(cause))
 
     # -- kernel internals ------------------------------------------------
 

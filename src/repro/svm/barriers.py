@@ -18,6 +18,7 @@ notices, mprotect at invalidation) — the split Table 2 reports.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Optional
 
 from ..sim.spans import node_track, rank_track
@@ -66,7 +67,9 @@ class BarrierManager:
     """One global barrier spanning all processes."""
 
     def __init__(self, protocol):
-        self.proto = protocol
+        #: the owning protocol, which holds this manager: a proxy, so
+        #: the two do not name each other in a reference cycle.
+        self.proto = weakref.proxy(protocol)
         self.machine = protocol.machine
         self.sim = protocol.sim
         self.config = protocol.config

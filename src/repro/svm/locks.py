@@ -16,6 +16,7 @@ within the node.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from typing import Any, Dict, Optional, Tuple
 
@@ -47,7 +48,9 @@ class InterruptLockManager:
     """Home + last-owner forwarding with host interrupts."""
 
     def __init__(self, protocol):
-        self.proto = protocol
+        #: the owning protocol, which holds this manager: a proxy, so
+        #: the two do not name each other in a reference cycle.
+        self.proto = weakref.proxy(protocol)
         self.machine = protocol.machine
         self.sim = protocol.sim
         self.config = protocol.config

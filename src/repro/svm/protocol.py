@@ -119,8 +119,8 @@ class HLRCProtocol:
             "svm", self, "page_fetches", "fetch_retries", "diffs_sent",
             "diff_runs_sent", "wn_messages", "home_allocations",
             "home_migrations")
-        machine.metrics.gauge("svm.interrupts",
-                              lambda: self.total_interrupts)
+        machine.metrics.register_gauge("svm.interrupts", self,
+                                       "total_interrupts")
 
     def _trace(self, category: str, **fields) -> None:
         if self.tracer is not None:

@@ -65,8 +65,6 @@ class VMMC:
         for nic in machine.nics:
             nic.fw_handlers["fetch_req"] = self._fw_fetch_req
             nic.on_delivery = self._dispatch_delivery
-        # Filled in by NILockManager when locks are enabled.
-        self.lock_manager = None
         # Counters.
         self.messages_sent = 0
         self.bytes_sent = 0
@@ -136,7 +134,9 @@ class VMMC:
             def _delivered(m):
                 if on_delivered is not None:
                     on_delivered(m)
-                delivered.succeed(m)
+                # No value: the event keeping the message would close
+                # a reference cycle through this callback.
+                delivered.succeed()
 
             msg.on_delivered = _delivered
         # Post overhead on the host CPU, then block until the post
@@ -241,16 +241,11 @@ class VMMC:
             # reply flow's source is the firmware service itself.
             rfid = sp.flow(nic_track(pkt.dst), "fetch_reply", "data") \
                 if sp is not None else None
-
-            def reply_done(m):
-                if sp is not None:
-                    sp.wake(rfid, state.track)
-                state.done.succeed(m)
-
             reply = Message(
                 src=pkt.dst, dst=state.requester, size=state.size,
                 kind="fetch_reply", payload=served_value,
-                on_delivered=reply_done,
+                on_delivered=_FetchReplied(state.done, sp, rfid,
+                                           state.track),
             )
             nic.fw_send(reply, read_host_bytes=True)
 
@@ -259,6 +254,32 @@ class VMMC:
             serve()
 
         return setup()
+
+
+class _FetchReplied:
+    """``on_delivered`` of a fetch reply: wakes the fetcher's span and
+    fires its done event with the reply.
+
+    A slotted callable, not a closure: the done event keeps the reply
+    as its value, so a callback still naming the event would close a
+    reference cycle through the reply.  It drops its references once
+    it has fired.
+    """
+
+    __slots__ = ("done", "spans", "flow", "track")
+
+    def __init__(self, done, spans, flow, track):
+        self.done = done
+        self.spans = spans
+        self.flow = flow
+        self.track = track
+
+    def __call__(self, reply: Message) -> None:
+        done = self.done
+        if self.spans is not None:
+            self.spans.wake(self.flow, self.track)
+        self.done = self.spans = None
+        done.succeed(reply)
 
 
 class _FetchState:

@@ -73,7 +73,6 @@ class NILockManager:
         self._host_waiters: Dict[tuple, deque] = {}
         for nic in self.machine.nics:
             nic.fw_handlers["lock_op"] = self._fw_lock_op
-        vmmc.lock_manager = self
         # Statistics.
         self.acquires = 0
         self.remote_grants = 0

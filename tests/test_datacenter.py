@@ -67,6 +67,22 @@ def test_paramserver_validates_sizes():
         ParameterServer(param_pages=0)
     with pytest.raises(ValueError):
         ParameterServer(steps=0)
+    for field in ("param_pages", "steps", "fetch_fanout"):
+        for bad in (0, -1, 2.0, True, "8", None):
+            with pytest.raises(ValueError, match=field):
+                ParameterServer(**{field: bad})
+    # A fan-out beyond the parameter pages used to be cut down silently.
+    with pytest.raises(ValueError, match="fetch_fanout"):
+        ParameterServer(param_pages=4, fetch_fanout=5)
+    ParameterServer(param_pages=4, fetch_fanout=4)
+    for bad in (-1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="compute_us"):
+            ParameterServer(compute_us=bad)
+    ParameterServer(compute_us=0)
+    # The scale sweep's recipe stays valid at every size it runs.
+    from repro.experiments.scale import scale_params
+    for nprocs in (1, 64, 256, 1024):
+        ParameterServer(**scale_params("ParamServer", nprocs))
 
 
 def test_openloop_validates_pages():

@@ -118,6 +118,10 @@ def test_registry_counter_gauge_stat_snapshot():
     assert snap["layer.latency"]["mean"] == pytest.approx(3.0)
     assert snap["layer.unused"]["min"] is None  # never inf in JSON
     json.dumps(snap)  # everything must be serializable
+    # The registry does not keep an attribute gauge's owner alive.
+    del layer
+    with pytest.raises(ReferenceError):
+        reg.get("layer.events").read()
 
 
 def test_snapshot_stat_variance_and_stdev():

@@ -358,11 +358,17 @@ def test_concurrent_executors_compute_each_digest_once(
     assert not list(store.version_dir.glob("*/*.lock"))
 
 
-def _shared_store_client(root, specs, barrier, queue):
+def _shared_store_client(root, specs, fingerprint, barrier, queue):
     """One spawned process: map ``specs`` over the store at ``root`` and
-    report the digests it computed and its encoded results."""
+    report the digests it computed and its encoded results.
+
+    Digests are taken under the parent's ``fingerprint``: a fresh
+    interpreter hashes the sources as they are now, and a source edit
+    since the parent first hashed them would give every cell a digest
+    the parent never computed."""
     computed = []
     evaluate = parallel.evaluate_cell
+    parallel.code_fingerprint = lambda: fingerprint
 
     def counting(spec):
         computed.append(spec.digest())
@@ -383,8 +389,10 @@ def test_processes_sharing_a_store_match_serial(tmp_path):
     context = multiprocessing.get_context("spawn")
     barrier = context.Barrier(2)
     queue = context.Queue()
+    fingerprint = parallel.code_fingerprint()
     procs = [context.Process(target=_shared_store_client,
-                             args=(str(tmp_path), specs, barrier, queue))
+                             args=(str(tmp_path), specs, fingerprint,
+                                   barrier, queue))
              for _ in range(2)]
     for proc in procs:
         proc.start()

@@ -1,11 +1,14 @@
 """Tests for the runtime layer: contexts, backends, runner, results."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.apps import Application
 from repro.hw import MachineConfig
 from repro.runtime import (LocalBackend, ParallelContext, RunResult,
-                           SVMBackend, run_sequential,
+                           SVMBackend, run_on_backend, run_sequential,
                            run_svm, speedup)
 from repro.sim import SimulationError, TimeBuckets
 from repro.svm import BASE, GENIMA
@@ -144,6 +147,82 @@ def test_speedup_definition():
     assert 0 < s <= 16.5
     with pytest.raises(SimulationError, match="x/y"):
         speedup(seq, RunResult(app="x", system="y", nprocs=1, time_us=0.0))
+
+
+def _machines_built(monkeypatch):
+    """Weak references to every Machine built from here on."""
+    from repro.hw import Machine
+    built = []
+    init = Machine.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(Machine, "__init__", recording_init)
+    return built
+
+
+def _instrumented_run():
+    """Barnes-spatial/GeNIMA under a tracer, spans, the invariant
+    checker and a telemetry sampler; the caller's instruments are
+    dropped on return, the result is kept."""
+    from repro.apps import APP_REGISTRY
+    from repro.obs import TimeSeriesSampler
+    from repro.sim import Tracer
+    tracer = Tracer(capacity=None)
+    sampler = TimeSeriesSampler()
+    result = run_svm(APP_REGISTRY["Barnes-spatial"](), GENIMA,
+                     tracer=tracer, spans=True, check=True,
+                     telemetry=sampler)
+    assert tracer.counts() and sampler.times
+    return result
+
+
+def test_finished_runs_free_themselves(monkeypatch):
+    """With the cyclic collector off throughout, each finished run is
+    freed by reference counting alone: it leaves no cyclic garbage and
+    its Machine is gone once the backend is dropped.  Covered: every
+    ladder rung and the sequential cell of one SPLASH-2 app, a lossy
+    KVStore cell, and one fully instrumented run."""
+    from repro.apps import APP_REGISTRY
+    from repro.hw import FaultConfig
+    from repro.svm import PROTOCOL_LADDER
+    app = APP_REGISTRY["Barnes-spatial"]
+    lossy = MachineConfig(nodes=8, topology="fat-tree",
+                          faults=FaultConfig(loss=0.02, dup=0.02,
+                                             reorder=0.02, seed=3))
+    runs = [(f"Barnes-spatial/{features.name}",
+             lambda features=features: run_svm(app(), features))
+            for features in PROTOCOL_LADDER]
+    runs += [
+        ("Barnes-spatial/seq", lambda: run_sequential(app())),
+        ("KVStore/GeNIMA/lossy",
+         lambda: run_svm(APP_REGISTRY["KVStore"](), GENIMA, config=lossy)),
+        ("Barnes-spatial/GeNIMA/instrumented", _instrumented_run),
+    ]
+    built = _machines_built(monkeypatch)
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        results = []
+        for name, run in runs:
+            del built[:]
+            results.append(run())
+            assert gc.collect() == 0, name
+            assert built and all(ref() is None for ref in built), name
+        # A backend the caller built and ran is freed when dropped.
+        backend = SVMBackend(lossy, GENIMA)
+        machine = weakref.ref(backend.machine)
+        run_on_backend(APP_REGISTRY["KVStore"](), backend, system="GeNIMA")
+        del backend
+        assert gc.collect() == 0
+        assert machine() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert all(r.time_us > 0 for r in results)
 
 
 # ------------------------------------------------------------------- results

@@ -272,6 +272,27 @@ def test_interrupt_raises_in_waiting_process():
     assert log == [("interrupted", 5.0, "stop")]
 
 
+def test_close_stops_a_parked_process_for_good():
+    sim = Simulator()
+    ev = sim.event()
+    log = []
+
+    def daemon():
+        try:
+            yield ev
+            log.append("resumed")
+        finally:
+            log.append("closed")
+
+    proc = sim.process(daemon())
+    sim.run()
+    proc.close()
+    assert log == ["closed"]
+    ev.succeed()
+    sim.run()  # the detached wait resumes nothing
+    assert log == ["closed"]
+
+
 def test_interrupt_finished_process_is_error():
     sim = Simulator()
 
