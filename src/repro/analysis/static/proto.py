@@ -9,8 +9,8 @@ a static property:
 
 * **PROTO001** — a kind is sent firmware-consumed but no module
   registers a firmware handler for it.
-* **PROTO002** — a dispatch-table registration (firmware or host
-  delivery) exists for a kind that no send site constructs:
+* **PROTO002** — a firmware-handler registration exists for a kind
+  that no send site constructs:
   unreachable handler.
 * **PROTO003** — a kind declared in a ``FW_KINDS`` table has no
   firmware handler registration.
@@ -19,13 +19,12 @@ a static property:
   the host FIFO where nothing dispatches it.
 * **PROTO005** — a host-delivered kind is sent fire-and-forget at
   every site (no ``on_delivered``/``on_packet_delivered``/
-  ``await_delivery``) and no delivery handler is registered: nothing
-  in the program consumes the delivery.
+  ``await_delivery``): nothing in the program consumes the delivery.
 
 Send sites are ``Message(...)`` constructions and ``.send`` /
 ``.send_multicast`` calls with a literal (or module-constant) kind;
 dynamic kinds are skipped.  Registrations are ``*.fw_handlers[k] = f``
-assignments and ``register_delivery_handler(k, f)`` calls.
+assignments.
 """
 
 from __future__ import annotations
@@ -58,12 +57,11 @@ class SendSite:
 
 @dataclass
 class Registration:
-    """One dispatch-table entry (firmware or host delivery)."""
+    """One firmware dispatch-table entry."""
 
     info: ModuleInfo
     node: ast.AST
     kind: str
-    table: str              #: "fw" or "delivery"
 
 
 @dataclass
@@ -76,11 +74,7 @@ class ProtocolFlow:
     declared_fw: Dict[str, Tuple[ModuleInfo, ast.AST]]
 
     def fw_registered(self) -> Set[str]:
-        return {r.kind for r in self.registrations if r.table == "fw"}
-
-    def delivery_registered(self) -> Set[str]:
-        return {r.kind for r in self.registrations
-                if r.table == "delivery"}
+        return {r.kind for r in self.registrations}
 
     def sent_kinds(self) -> Set[str]:
         return {s.kind for s in self.sends}
@@ -108,7 +102,7 @@ def extract_protocol_flow(project: ProjectModel) -> ProtocolFlow:
     for info in project.modules.values():
         for node in ast.walk(info.tree):
             if isinstance(node, ast.Call):
-                _extract_call(info, node, sends, registrations)
+                _extract_call(info, node, sends)
             elif isinstance(node, ast.Assign):
                 _extract_assign(info, node, registrations, declared_fw)
     return ProtocolFlow(sends=sends, registrations=registrations,
@@ -116,8 +110,7 @@ def extract_protocol_flow(project: ProjectModel) -> ProtocolFlow:
 
 
 def _extract_call(info: ModuleInfo, node: ast.Call,
-                  sends: List[SendSite],
-                  registrations: List[Registration]) -> None:
+                  sends: List[SendSite]) -> None:
     func = node.func
     callee = func.attr if isinstance(func, ast.Attribute) else (
         func.id if isinstance(func, ast.Name) else None)
@@ -167,12 +160,6 @@ def _extract_call(info: ModuleInfo, node: ast.Call,
         sends.append(SendSite(info=info, node=node, kind=kind,
                               fw=None if lit is None else not lit,
                               consuming=consuming))
-    elif callee == "register_delivery_handler":
-        if node.args:
-            kind = info.resolve_str(node.args[0])
-            if kind is not None:
-                registrations.append(Registration(
-                    info=info, node=node, kind=kind, table="delivery"))
 
 
 def _extract_assign(info: ModuleInfo, node: ast.Assign,
@@ -186,7 +173,7 @@ def _extract_assign(info: ModuleInfo, node: ast.Assign,
                 kind = info.resolve_str(target.slice)
                 if kind is not None:
                     registrations.append(Registration(
-                        info=info, node=node, kind=kind, table="fw"))
+                        info=info, node=node, kind=kind))
     # FW_KINDS declarations (module or class level) come through the
     # constant table; anchor them at this assignment.
     targets = [t for t in node.targets if isinstance(t, ast.Name)]
@@ -207,7 +194,6 @@ class ProtoRule(ProjectRule):
     def check(self, project: ProjectModel) -> Iterator[LintViolation]:
         flow = extract_protocol_flow(project)
         fw_registered = flow.fw_registered()
-        delivery_registered = flow.delivery_registered()
         sent = flow.sent_kinds()
         declared = set(flow.declared_fw)
 
@@ -230,11 +216,9 @@ class ProtoRule(ProjectRule):
         # PROTO002: registered handler nothing ever sends to.
         for reg in flow.registrations:
             if reg.kind not in sent:
-                table = ("fw_handlers" if reg.table == "fw"
-                         else "delivery handler")
                 yield self.hit(
                     reg.info, reg.node, "PROTO002",
-                    f"{table} registered for kind {reg.kind!r} but no "
+                    f"fw_handlers registered for kind {reg.kind!r} but no "
                     f"send site constructs that kind: unreachable "
                     f"handler")
 
@@ -271,14 +255,11 @@ class ProtoRule(ProjectRule):
                 continue
             host_kinds.setdefault(site.kind, []).append(site)
         for kind, sites in sorted(host_kinds.items()):
-            if kind in delivery_registered:
-                continue
             if any(s.consuming for s in sites):
                 continue
             site = sites[0]
             yield self.hit(
                 site.info, site.node, "PROTO005",
                 f"kind {kind!r} is delivered to host memory but no "
-                f"send site attaches a delivery callback and no "
-                f"delivery handler is registered: the delivery is "
-                f"never consumed")
+                f"send site attaches a delivery callback: the delivery "
+                f"is never consumed")

@@ -85,10 +85,10 @@ class FaultInjector:
         self.msg_ids = msg_ids if msg_ids is not None else MsgIds()
         self._rngs: Dict[Tuple[int, int], random.Random] = {}
         # Counters.
-        self.drops = 0
-        self.dups = 0
-        self.reorders = 0
-        self.jittered = 0
+        self.packets_dropped = 0
+        self.packets_duplicated = 0
+        self.packets_reordered = 0
+        self.packets_jittered = 0
 
     def _rng(self, src: int, dst: int) -> random.Random:
         rng = self._rngs.get((src, dst))
@@ -112,7 +112,7 @@ class FaultInjector:
             return
         rng = self._rng(src, dst)
         if f.loss and rng.random() < f.loss:
-            self.drops += 1
+            self.packets_dropped += 1
             if self.tracer is not None:
                 fields = {"src": src, "dst": dst, "kind": pkt.kind,
                           "msg": self.msg_ids.map(pkt.message.msg_id),
@@ -127,10 +127,10 @@ class FaultInjector:
             return
         latency = wire
         if f.jitter_us:
-            self.jittered += 1
+            self.packets_jittered += 1
             latency += rng.uniform(0.0, f.jitter_us)
         if f.reorder and rng.random() < f.reorder:
-            self.reorders += 1
+            self.packets_reordered += 1
             latency += rng.uniform(0.0, f.reorder_window_us)
             if self.tracer is not None:
                 self.tracer.append(sim.now, "fault.reorder", {
@@ -139,7 +139,7 @@ class FaultInjector:
                     "idx": pkt.index})
         Timeout(sim, latency, pkt).add_callback(arrive)
         if f.dup and rng.random() < f.dup:
-            self.dups += 1
+            self.packets_duplicated += 1
             if self.tracer is not None:
                 self.tracer.append(sim.now, "fault.dup", {
                     "src": src, "dst": dst, "kind": pkt.kind,
@@ -151,14 +151,11 @@ class FaultInjector:
             copy = dataclasses.replace(pkt)
             Timeout(sim, latency + wire, copy).add_callback(arrive)
 
-    #: counter name -> backing attribute; per-key consumers (the
-    #: Machine's ``faults.*`` gauges) read one attribute instead of
-    #: rebuilding the whole dict per key per metrics snapshot.
-    COUNTER_ATTRS = {"packets_dropped": "drops",
-                     "packets_duplicated": "dups",
-                     "packets_reordered": "reorders",
-                     "packets_jittered": "jittered"}
+    #: the counters, exported as ``faults.<name>`` gauges and as
+    #: ``RunResult.stats`` entries.
+    COUNTERS = ("packets_dropped", "packets_duplicated",
+                "packets_reordered", "packets_jittered")
 
-    def counters(self) -> Dict[str, int]:
-        return {name: getattr(self, attr)
-                for name, attr in self.COUNTER_ATTRS.items()}
+    def register_metrics(self, metrics) -> None:
+        """Export the counters into a MetricsRegistry."""
+        metrics.register_gauges("faults", self, *self.COUNTERS)

@@ -293,30 +293,23 @@ class ReliabilityLayer:
 
     # ------------------------------------------------------------ results
 
-    #: counter name -> backing attribute; per-key consumers (the
-    #: Machine's ``retx.*`` gauges) read one attribute instead of
-    #: rebuilding the whole dict per key per metrics snapshot.
     def outstanding_by_node(self) -> list:
         """Unacked send states per source node, in one pass over the
-        sender table (the telemetry vector probe: O(sends) per sample
-        instead of O(nodes x sends) with per-node closures)."""
+        sender table (the ``retx.outstanding`` probe)."""
         out = [0] * self.config.nodes
         for (src, _msg, _dst), state in self._sends.items():
             if not state.acked:
                 out[src] += 1
         return out
 
-    def register_probes(self, sampler) -> None:
-        """Join a TimeSeriesSampler (repro.obs.timeseries)."""
-        sampler.probe_vector("retx.outstanding", "gauge",
-                             self.outstanding_by_node)
+    #: the counters, exported as ``retx.<name>`` gauges and as
+    #: ``RunResult.stats`` entries.
+    COUNTERS = ("retransmits", "retx_timeouts", "acks_sent",
+                "acks_received", "dup_discards")
 
-    COUNTER_ATTRS = {"retransmits": "retransmits",
-                     "retx_timeouts": "retx_timeouts",
-                     "acks_sent": "acks_sent",
-                     "acks_received": "acks_received",
-                     "dup_discards": "dup_discards"}
-
-    def counters(self) -> Dict[str, int]:
-        return {name: getattr(self, attr)
-                for name, attr in self.COUNTER_ATTRS.items()}
+    def register_metrics(self, metrics) -> None:
+        """Export the counters into a MetricsRegistry, and the
+        per-node outstanding sends as a sampled probe."""
+        metrics.register_gauges("retx", self, *self.COUNTERS)
+        metrics.register_probe("retx.outstanding", "gauge", self,
+                               ReliabilityLayer.outstanding_by_node)

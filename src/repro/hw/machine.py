@@ -7,6 +7,9 @@ their per-node metric instruments — ~10 names per node, 10k+ at 1024
 nodes — are registered through one deferred thunk that the registry
 runs on its first query.  A machine whose metrics are never read pays
 nothing; one that is read materializes the full namespace once.
+The same thunk declares the machine's sampled probes (one reader per
+metric, over every node), so a machine nobody samples or reads builds
+none.
 """
 
 from __future__ import annotations
@@ -62,41 +65,37 @@ class Machine:
                                    weakref.proxy(self)))
 
     def _register_metrics(self, metrics: MetricsRegistry) -> None:
-        """Deferred: bind every per-node/per-layer instrument name."""
+        """Deferred: bind every per-node/per-layer instrument name, and
+        the per-node NI queue depth and interrupt probes plus the
+        machine-wide in-flight packet count."""
         for node in self.nodes:
             node.register_metrics(metrics)
         for nic in self.nics:
             nic.register_metrics(metrics)
-        for layer, prefix in ((self.fault_injector, "faults"),
-                              (self.reliability, "retx")):
-            if layer is None:
-                continue
-            for key, attr in layer.COUNTER_ATTRS.items():
-                metrics.register_gauge(f"{prefix}.{key}", layer, attr)
-
-    def register_probes(self, sampler) -> None:
-        """Join a TimeSeriesSampler (repro.obs.timeseries): per-node
-        NI queue depth and interrupt counters, machine-wide in-flight
-        packets, and — when faults are armed — per-node outstanding
-        retransmit state.  Called from the sampler's ``attach``; an
-        unsampled machine never pays for this."""
-        for nic in self.nics:
-            nic.register_probes(sampler)
-        for node in self.nodes:
-            sampler.probe_counter(
-                "node.interrupts", node.node_id,
-                lambda n=node: n.interrupts_taken)
-        sampler.probe_gauge("net.in_flight", None, self.packets_in_flight)
-        if self.reliability is not None:
-            self.reliability.register_probes(sampler)
+        metrics.register_probe(
+            "ni.queue_depth", "gauge", self,
+            lambda m: [nic.queue_depth() for nic in m.nics])
+        metrics.register_probe(
+            "node.interrupts", "counter", self,
+            lambda m: [node.interrupts_taken for node in m.nodes])
+        metrics.register_probe("net.in_flight", "gauge", self,
+                               Machine.packets_in_flight)
+        if self.fault_injector is not None:
+            self.fault_injector.register_metrics(metrics)
+            self.reliability.register_metrics(metrics)
 
     def packets_in_flight(self) -> int:
         """Packets injected into the fabric whose last word has not
         yet arrived at the receiving NI (an O(nodes) fold over existing
-        counters: the delivery hot path stays untouched)."""
-        sent = sum(nic.packets_sent for nic in self.nics)
-        arrived = sum(nic.packets_received for nic in self.nics)
-        return max(sent - arrived, 0)
+        counters: the delivery hot path stays untouched).  An injected
+        duplicate is one more packet on the wire, a dropped packet one
+        fewer."""
+        n = sum(nic.packets_sent - nic.packets_received
+                for nic in self.nics)
+        faults = self.fault_injector
+        if faults is not None:
+            n += faults.packets_duplicated - faults.packets_dropped
+        return n
 
     def attach_tracer(self, tracer) -> None:
         """Point the network's route tracing and the fault/retransmit

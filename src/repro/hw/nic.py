@@ -345,12 +345,6 @@ class NIC:
         return (len(self.post_queue) + len(self.out_queue)
                 + len(self.in_queue))
 
-    def register_probes(self, sampler) -> None:
-        """Join a TimeSeriesSampler (repro.obs.timeseries): sampled
-        per-node levels to complement the end-of-run gauges."""
-        sampler.probe_gauge("ni.queue_depth", self.node_id,
-                            self.queue_depth)
-
     def register_metrics(self, metrics) -> None:
         """Join a MetricsRegistry: counters as gauges, plus the
         NIC-owned latency RunningStat (bound, not reset)."""

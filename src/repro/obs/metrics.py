@@ -16,6 +16,12 @@ Two instrument kinds:
 * :class:`~repro.sim.RunningStat` — streaming count/mean/min/max for
   sampled quantities (latencies, occupancies).
 
+The registry also holds each layer's *sampled probes* (per-node NI
+queue depth, interrupt and page-fault counters, ...): one reader per
+metric, read by a :class:`~repro.obs.timeseries.TimeSeriesSampler`
+at slice boundaries.  They sit in a table of their own, so
+``snapshot()`` never reads them.
+
 Names are dot-hierarchical (``svm.page_fetches``,
 ``nic.0.packets_sent``).  Re-registering a name rebinds it: layers
 that can be instantiated more than once per machine (tests build a
@@ -26,13 +32,25 @@ last instance wins.
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from functools import partial
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..sim import RunningStat
 
 __all__ = ["Gauge", "MetricsRegistry"]
 
 Number = Union[int, float]
+#: a probe reading: every node's value, indexed by node, or one
+#: machine-wide number.
+Reading = Union[Number, Sequence[Number]]
+
+
+def _weak(obj: object) -> object:
+    """A proxy of ``obj`` (``obj`` itself when it is one already)."""
+    if isinstance(obj, weakref.ProxyTypes):
+        return obj
+    return weakref.proxy(obj)
 
 
 class Gauge:
@@ -71,6 +89,8 @@ class MetricsRegistry:
 
     def __init__(self):
         self._instruments: Dict[str, Instrument] = {}
+        #: sampled probes, name -> (kind, reader), in registration order.
+        self._probes: Dict[str, Tuple[str, Callable[[], Reading]]] = {}
         self._pending: List[Callable[["MetricsRegistry"], None]] = []
 
     # -------------------------------------------------------------- register
@@ -119,8 +139,20 @@ class MetricsRegistry:
         ``ReferenceError``.
         """
         getattr(obj, attr)  # fail fast on typos
-        return self.gauge(name, lambda o=weakref.proxy(obj), a=attr:
+        return self.gauge(name, lambda o=_weak(obj), a=attr:
                           getattr(o, a))
+
+    def register_probe(self, name: str, kind: str, owner: object,
+                       read: Callable[[object], Reading]) -> None:
+        """Declare a sampled probe: ``read(owner)`` returns every
+        node's value in one pass, or one machine-wide number.
+
+        ``kind`` is ``"gauge"`` (a level) or ``"counter"`` (a running
+        total); see :meth:`TimeSeriesSampler.probe
+        <repro.obs.timeseries.TimeSeriesSampler.probe>`.  ``owner`` is
+        held weakly, as in :meth:`register_gauge`.
+        """
+        self._probes[name] = (kind, partial(read, _weak(owner)))
 
     # ----------------------------------------------------------------- query
 
@@ -128,6 +160,14 @@ class MetricsRegistry:
         if self._pending:
             self._materialize()
         return self._instruments.get(name)
+
+    def probes(self) -> List[Tuple[str, str, Callable[[], Reading]]]:
+        """Every probe as ``(name, kind, reader)``, in the order the
+        layers declared them."""
+        if self._pending:
+            self._materialize()
+        return [(name, kind, read)
+                for name, (kind, read) in self._probes.items()]
 
     def names(self) -> Tuple[str, ...]:
         if self._pending:

@@ -20,6 +20,7 @@ run's ``prof.rank`` records carry it to the sanitizer.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -134,27 +135,30 @@ class Profile:
 
 def probe_phases(sampler) -> None:
     """Add the Figure-3 phase set to a sampler, before its run:
-    counter vectors (timelines) ``phase.<bucket>`` over every rank's
-    buckets and ``busy.<station>`` over every node's station busy
-    time::
+    timelines ``phase.<bucket>`` over every rank's buckets and
+    ``busy.<station>`` over every node's station busy time::
 
         sampler = TimeSeriesSampler(cadence_us=1000.0)
         probe_phases(sampler)
         result = run_svm(app, GENIMA, telemetry=sampler)
         profile = build_profile(sampler, result)
     """
+    # Through a proxy: the sampler keeps these readers, so naming it
+    # would put the sampler, and the run it holds, in a cycle.
+    run = weakref.proxy(sampler)
+
     def bucket(name):
-        return lambda: [getattr(b, name) for b in sampler.protocol.buckets]
+        return lambda: [getattr(b, name) for b in run.protocol.buckets]
 
     def busy(station):
         group, attr = _STATION_ATTRS[station]
         return lambda: [getattr(owner, attr).sample_busy()
-                        for owner in getattr(sampler.machine, group)]
+                        for owner in getattr(run.machine, group)]
 
     for name in BUCKETS:
-        sampler.probe_vector(f"phase.{name}", "counter", bucket(name))
+        sampler.probe(f"phase.{name}", "timeline", bucket(name))
     for station in STATIONS:
-        sampler.probe_vector(f"busy.{station}", "counter", busy(station))
+        sampler.probe(f"busy.{station}", "timeline", busy(station))
 
 
 def build_profile(sampler, result) -> Profile:

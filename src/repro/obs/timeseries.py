@@ -8,8 +8,9 @@ saturate a single node's NI while 1023 idle nodes average it away.
 
 :class:`TimeSeriesSampler` closes the gap without perturbing a single
 event.  It rides :meth:`repro.sim.Simulator.add_slice_hook` (boundary
-crossings fire lazily; no heap events), polls registered *probes* —
-per-node NI queue depth, in-flight packets, outstanding retransmits,
+crossings fire lazily; no heap events), polls the *probes* the
+layers declared in the machine's :class:`~repro.obs.MetricsRegistry`
+— per-node NI queue depth, in-flight packets, outstanding retransmits,
 lock wait depth, page-fault and invalidation counters — and folds each
 reading into
 
@@ -21,9 +22,9 @@ reading into
   when the series fills, every second point is dropped and the keep
   stride doubles, so memory is O(max_samples) for any run length.
 
-Counter *vector* probes instead keep per-slice, per-index rows (a
-timeline; the Figure-3 phase set is built from them), merged pairwise
-on decimation so they always sum to the run.
+*Timeline* probes instead keep per-slice, per-index rows (the
+Figure-3 phase set is built from them), merged pairwise on decimation
+so they always sum to the run.
 
 On top of the series sit the scale-aware reductions:
 :meth:`~TimeSeriesSampler.summary` produces per-metric rollups, top-k
@@ -45,6 +46,7 @@ from array import array
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sim import RunningStat
+from .metrics import Reading
 
 __all__ = ["LogHistogram", "TimeSeriesSampler", "TS_SCHEMA",
            "telemetry_brief"]
@@ -136,19 +138,15 @@ class _NodeTrack:
 
 
 class _Series:
-    """One metric: its probes, per-node tracks and columnar series."""
+    """One metric: its reader, per-node tracks and columnar series."""
 
-    __slots__ = ("name", "kind", "probes", "vector", "tracks",
-                 "sum_arr", "max_arr", "argmax_arr")
+    __slots__ = ("kind", "read", "tracks", "sum_arr", "max_arr",
+                 "argmax_arr")
 
-    def __init__(self, name: str, kind: str):
-        self.name = name
+    def __init__(self, kind: str, read: Callable[[], Reading]):
         self.kind = kind                     # "gauge" | "counter"
-        #: scalar probes: (node, fn) pairs; node None == machine-wide.
-        self.probes: List[Tuple[Optional[int], Callable[[], float]]] = []
-        #: optional vector probe: fn() -> sequence of per-node values
-        #: (one pass over shared state instead of O(nodes) closures).
-        self.vector: Optional[Callable[[], Sequence[float]]] = None
+        self.read = read
+        #: node None is the one track of a machine-wide probe.
         self.tracks: Dict[Optional[int], _NodeTrack] = {}
         self.sum_arr = array("d")
         self.max_arr = array("d")
@@ -162,7 +160,7 @@ class _Series:
 
 
 class _Timeline:
-    """One counter vector probe: per-slice rows of per-index deltas."""
+    """One timeline probe: per-slice rows of per-index deltas."""
 
     __slots__ = ("fn", "base", "last", "pending", "rows")
 
@@ -187,10 +185,9 @@ class TimeSeriesSampler:
     ``cadence_us`` is the sampling slice width; ``max_samples`` bounds
     the columnar series (decimate-by-2 on overflow); ``top_k`` sizes
     the hot-node tables; ``tracer`` (optional) receives ``ts.*``
-    records for kept samples.  Probes register through
-    :meth:`probe_gauge` / :meth:`probe_counter` /
-    :meth:`probe_vector`, normally from the layers'
-    ``register_probes`` methods during :meth:`attach`.
+    records for kept samples.  :meth:`attach` takes the probes the
+    layers declared in the machine's registry; more register through
+    :meth:`probe` (the phase set, :func:`repro.obs.probe_phases`).
     """
 
     def __init__(self, cadence_us: float = 1000.0,
@@ -212,7 +209,6 @@ class TimeSeriesSampler:
         self.tracer = tracer
         self.times = array("d")
         self._series: Dict[str, _Series] = {}
-        self._order: List[str] = []
         self._timelines: Dict[str, _Timeline] = {}
         #: end time of each kept timeline row (a row starts where the
         #: previous one ends, the first at attach).
@@ -230,58 +226,38 @@ class TimeSeriesSampler:
 
     # ------------------------------------------------------------ probes
 
-    def _get_series(self, metric: str, kind: str) -> _Series:
-        s = self._series.get(metric)
-        if s is None:
-            s = self._series[metric] = _Series(metric, kind)
-            self._order.append(metric)
-        elif s.kind != kind:
+    def probe(self, metric: str, kind: str,
+              read: Callable[[], Reading]) -> None:
+        """Sample ``read()``, which returns every node's value in one
+        pass (a sequence indexed by node) or one machine-wide number
+        (node None: no top/skew entries).  ``kind`` says what a
+        reading is:
+
+        * ``"gauge"`` — an instantaneous level (queue depth,
+          outstanding count);
+        * ``"counter"`` — a cumulative count: the series records
+          per-slice deltas, the summary the totals;
+        * ``"timeline"`` — a cumulative count kept as per-slice rows
+          of per-index deltas (:meth:`timeline`), with no rollup.
+        """
+        if metric in self._series or metric in self._timelines:
+            raise ValueError(f"metric {metric!r} already registered")
+        if kind == "timeline":
+            self._timelines[metric] = _Timeline(read)
+        elif kind in ("gauge", "counter"):
+            self._series[metric] = _Series(kind, read)
+        else:
             raise ValueError(
-                f"metric {metric!r} already registered as {s.kind}")
-        return s
-
-    def probe_gauge(self, metric: str, node: Optional[int],
-                    fn: Callable[[], float]) -> None:
-        """Sample ``fn()`` as an instantaneous level (queue depth,
-        outstanding count).  ``node=None`` is a machine-wide probe."""
-        self._get_series(metric, "gauge").probes.append((node, fn))
-
-    def probe_counter(self, metric: str, node: Optional[int],
-                      fn: Callable[[], float]) -> None:
-        """Sample ``fn()`` as a cumulative counter: the series records
-        per-slice deltas, the summary the final totals."""
-        self._get_series(metric, "counter").probes.append((node, fn))
-
-    def probe_vector(self, metric: str, kind: str,
-                     fn: Callable[[], Sequence[float]]) -> None:
-        """Register one function returning per-index values in a
-        single pass — for probes whose state is one shared structure
-        (lock wait queues) where per-node closures would rescan it
-        O(nodes) times per sample.  A ``"gauge"`` vector indexes nodes
-        and is summarized like any metric; a ``"counter"`` vector is a
-        timeline (:meth:`timeline`): per-slice rows, no rollup."""
-        if kind not in ("gauge", "counter"):
-            raise ValueError(f"kind must be gauge|counter, got {kind!r}")
-        if kind == "counter":
-            if metric in self._timelines or metric in self._series:
-                raise ValueError(
-                    f"metric {metric!r} already registered")
-            self._timelines[metric] = _Timeline(fn)
-            return
-        series = self._get_series(metric, kind)
-        if series.vector is not None:
-            raise ValueError(f"metric {metric!r} already has a vector "
-                             "probe")
-        series.vector = fn
+                f"kind must be gauge|counter|timeline, got {kind!r}")
 
     def metrics(self) -> Tuple[str, ...]:
-        return tuple(self._order)
+        return tuple(self._series)
 
     # ------------------------------------------------------------ wiring
 
     def attach(self, backend) -> "TimeSeriesSampler":
         """Hook into a backend exposing ``machine`` (and optionally a
-        protocol); registers the machine and protocol probe sets."""
+        protocol): samples every probe in the machine's registry."""
         if self._attached:
             raise RuntimeError("sampler already attached (samplers "
                                "are single-use: one per run)")
@@ -289,10 +265,10 @@ class TimeSeriesSampler:
         self.machine = backend.machine
         self.sim = self.machine.sim
         self._t_attach = self.sim.now
-        self.machine.register_probes(self)
+        for metric, kind, read in self.machine.metrics.probes():
+            self.probe(metric, kind, read)
         protocol = self.protocol = getattr(backend, "protocol", None)
         if protocol is not None:
-            protocol.register_probes(self)
             # Seal the run's trace once per slice: frozen segments
             # instead of one ever-reallocating array.
             tracer = getattr(protocol, "tracer", None)
@@ -315,8 +291,8 @@ class TimeSeriesSampler:
         self.sim.remove_slice_hook(self._hook)
         self._hook = None
         if self.tracer is not None:
-            for metric in self._order:
-                roll = self._rollup(self._series[metric])
+            for metric, series in self._series.items():
+                roll = self._rollup(series)
                 self.tracer.record(
                     self.sim.now, "ts.rollup", metric=metric,
                     nodes=roll["nodes"], count=roll["count"],
@@ -334,17 +310,15 @@ class TimeSeriesSampler:
             self.times.append(t)
         if self._timelines:
             self._sample_timelines(t, keep)
-        for metric in self._order:
-            series = self._series[metric]
+        for metric, series in self._series.items():
             counter = series.kind == "counter"
             ssum = 0.0
             smax = -math.inf
             argmax = -1
-            readings: List[Tuple[Optional[int], float]] = []
-            if series.vector is not None:
-                readings.extend(enumerate(series.vector()))
-            for node, fn in series.probes:
-                readings.append((node, fn()))
+            values = series.read()
+            readings = (((None, values),)
+                        if isinstance(values, (int, float))
+                        else enumerate(values))
             for node, raw in readings:
                 track = series.track(node)
                 if counter:
@@ -362,7 +336,7 @@ class TimeSeriesSampler:
                 if value > smax:
                     smax = value
                     argmax = node if node is not None else -1
-            if not readings:
+            if smax == -math.inf:            # no node read
                 smax = 0.0
             if keep:
                 series.sum_arr.append(ssum)
@@ -468,7 +442,7 @@ class TimeSeriesSampler:
 
     def timeline(self, metric: str
                  ) -> List[Tuple[float, float, List[float]]]:
-        """A counter vector probe's kept rows as ``(t0, t1, deltas)``,
+        """A timeline probe's kept rows as ``(t0, t1, deltas)``,
         deltas indexed like the probe's values.  A reading below the
         previous one counts as a reset: the fresh value is the delta."""
         rows = []
@@ -524,8 +498,7 @@ class TimeSeriesSampler:
         must round-trip losslessly through ``json.dumps``/``loads``."""
         t0, t1 = self.window_us
         metrics = {}
-        for metric in self._order:
-            series = self._series[metric]
+        for metric, series in self._series.items():
             entry = {
                 "kind": series.kind,
                 "agg": self._rollup(series),
@@ -558,8 +531,7 @@ class TimeSeriesSampler:
         events = list(trace_events)
         events.append({"name": "process_name", "ph": "M", "pid": pid,
                        "tid": 0, "args": {"name": "telemetry"}})
-        for metric in self._order:
-            s = self._series[metric]
+        for metric, s in self._series.items():
             for i, t in enumerate(self.times):
                 events.append({
                     "name": metric, "ph": "C", "ts": t, "pid": pid,

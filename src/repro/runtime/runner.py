@@ -24,7 +24,7 @@ def run_on_backend(app, backend, system: str,
     """Execute ``app`` on ``backend`` and collect a RunResult.
 
     ``telemetry`` (a :class:`repro.obs.TimeSeriesSampler`) samples the
-    registered machine/protocol probes, plus the Figure-3 phase set
+    probes in the machine's metrics registry, plus the Figure-3 phase set
     when the caller added it (:func:`repro.obs.probe_phases`), at slice
     boundaries; only SVM backends (those with a protocol) can be
     sampled.  Its summary lands in ``RunResult.telemetry``.  The
@@ -126,9 +126,10 @@ def _stats_snapshot(backend) -> dict:
     elif protocol.svm_locks is not None:
         snap["lock_acquires"] = protocol.svm_locks.acquires
     machine = protocol.machine
-    if machine.fault_injector is not None:
-        snap.update(machine.fault_injector.counters())
-        snap.update(machine.reliability.counters())
+    for layer in (machine.fault_injector, machine.reliability):
+        if layer is not None:
+            snap.update((name, getattr(layer, name))
+                        for name in layer.COUNTERS)
     return snap
 
 

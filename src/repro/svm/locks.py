@@ -72,24 +72,6 @@ class InterruptLockManager:
         if tracer is not None:
             tracer.append(self.sim.now, category, fields)
 
-    def wait_depths(self) -> list:
-        """Per-node lock wait depth: host ranks blocked on a grant at
-        the node plus remote requesters chained in the node's token
-        queues — one pass over the shared wait structures (the
-        telemetry vector probe)."""
-        out = [0] * self.config.nodes
-        for (node, _lock), waiters in self._host_waiters.items():
-            out[node] += len(waiters)
-        for node, tokens in enumerate(self._tokens):
-            for tok in tokens.values():
-                out[node] += len(tok.pending)
-        return out
-
-    def register_probes(self, sampler) -> None:
-        """Join a TimeSeriesSampler (repro.obs.timeseries)."""
-        sampler.probe_vector("lock.wait_depth", "gauge",
-                             self.wait_depths)
-
     def home_of(self, lock_id: int) -> int:
         return self._home_fn(lock_id)
 

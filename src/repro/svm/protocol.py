@@ -22,12 +22,15 @@ home-side version tracking.
 
 from __future__ import annotations
 
+import weakref
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from ..hw import Machine
 from ..sim import SimulationError, TimeBuckets
 from ..sim.spans import nic_track, node_track, rank_track
 from ..vmmc import NILockManager, VMMC
+from ..vmmc.locks import wait_depths
 from .barriers import BarrierManager
 from .diffs import DiffShape
 from .features import ProtocolFeatures
@@ -115,33 +118,35 @@ class HLRCProtocol:
         self.wn_messages = 0
         self.home_allocations = 0
         self.home_migrations = 0
-        machine.metrics.register_gauges(
+        # Deferred like the machine's, and through a proxy: the
+        # registry is the machine's, so naming this protocol from it
+        # would be a cycle.
+        machine.metrics.defer(partial(HLRCProtocol._register_metrics,
+                                      weakref.proxy(self)))
+
+    def _register_metrics(self, metrics) -> None:
+        """Deferred: the ``svm.*`` gauges, the per-node page-fault and
+        invalidation probes (counters: the sampler differences them
+        into per-slice rates) and the lock manager's wait depths."""
+        metrics.register_gauges(
             "svm", self, "page_fetches", "fetch_retries", "diffs_sent",
             "diff_runs_sent", "wn_messages", "home_allocations",
             "home_migrations")
-        machine.metrics.register_gauge("svm.interrupts", self,
-                                       "total_interrupts")
+        metrics.register_gauge("svm.interrupts", self, "total_interrupts")
+        metrics.register_probe(
+            "svm.page_faults", "counter", self,
+            lambda p: [t.read_faults + t.write_faults for t in p.tables])
+        metrics.register_probe(
+            "svm.invalidations", "counter", self,
+            lambda p: [t.invalidations for t in p.tables])
+        metrics.register_probe(
+            "lock.wait_depth", "gauge",
+            self.ni_locks if self.ni_locks is not None else self.svm_locks,
+            wait_depths)
 
     def _trace(self, category: str, **fields) -> None:
         if self.tracer is not None:
             self.tracer.append(self.sim.now, category, fields)
-
-    def register_probes(self, sampler) -> None:
-        """Join a TimeSeriesSampler (repro.obs.timeseries): per-node
-        fault and invalidation counters (the sampler differences them
-        into per-slice rates) plus the active lock manager's wait-depth
-        vector."""
-        for table in self.tables:
-            sampler.probe_counter(
-                "svm.page_faults", table.node,
-                lambda t=table: t.read_faults + t.write_faults)
-            sampler.probe_counter(
-                "svm.invalidations", table.node,
-                lambda t=table: t.invalidations)
-        manager = self.ni_locks if self.ni_locks is not None \
-            else self.svm_locks
-        if manager is not None:
-            manager.register_probes(sampler)
 
     # ------------------------------------------------------------- regions
 

@@ -60,31 +60,15 @@ class VMMC:
         #: optional repro.sim.SpanTracer for causal fetch spans.
         self.spans = spans
         self.exports = ExportTable()
-        self._delivery_handlers: Dict[str, Callable[[Packet], None]] = {}
-        # Wire firmware handlers and delivery dispatch on every NIC.
+        # Wire the firmware fetch handler on every NIC.
         for nic in machine.nics:
             nic.fw_handlers["fetch_req"] = self._fw_fetch_req
-            nic.on_delivery = self._dispatch_delivery
         # Counters.
         self.messages_sent = 0
         self.bytes_sent = 0
         self.fetches = 0
         machine.metrics.register_gauges("vmmc", self, "messages_sent",
                                         "bytes_sent", "fetches")
-
-    # -------------------------------------------------------------- dispatch
-
-    def register_delivery_handler(self, kind: str,
-                                  fn: Callable[[Packet], None]) -> None:
-        """Run ``fn(packet)`` whenever a ``kind`` packet lands in host
-        memory.  This is how the SVM layer sees incoming requests (and,
-        in the Base protocol, decides to take an interrupt)."""
-        self._delivery_handlers[kind] = fn
-
-    def _dispatch_delivery(self, pkt: Packet) -> None:
-        fn = self._delivery_handlers.get(pkt.kind)
-        if fn is not None:
-            fn(pkt)
 
     # ------------------------------------------------------------------ send
 

@@ -23,13 +23,28 @@ from ..sim import Timeout
 from ..sim.spans import nic_track
 from .api import VMMC
 
-__all__ = ["NILockManager"]
+__all__ = ["NILockManager", "wait_depths"]
 
 #: wire sizes: acquire/forward are one-word control ops; grants carry
 #: the protocol timestamp.
 ACQUIRE_BYTES = 16
 FORWARD_BYTES = 16
 GRANT_BYTES = 64
+
+
+def wait_depths(manager) -> list:
+    """Per-node lock wait depth of a lock manager — this module's NI
+    locks or the Base protocol's interrupt-driven ones, which keep the
+    same wait structures: host ranks blocked on a grant at the node
+    plus remote requesters chained behind the node's tokens, in one
+    pass (the ``lock.wait_depth`` probe)."""
+    out = [0] * manager.config.nodes
+    for (node, _lock), waiters in manager._host_waiters.items():
+        out[node] += len(waiters)
+    for node, tokens in enumerate(manager._tokens):
+        for tok in tokens.values():
+            out[node] += len(tok.pending)
+    return out
 
 
 class _Token:
@@ -81,24 +96,6 @@ class NILockManager:
     def _trace(self, category: str, **fields) -> None:
         if self.tracer is not None:
             self.tracer.append(self.sim.now, category, fields)
-
-    def wait_depths(self) -> list:
-        """Per-node lock wait depth: host ranks blocked on a doorbell
-        at the node plus remote requesters chained behind the node's
-        NI-held tokens — one pass over the shared wait structures (the
-        telemetry vector probe)."""
-        out = [0] * self.config.nodes
-        for (node, _lock), waiters in self._host_waiters.items():
-            out[node] += len(waiters)
-        for node, tokens in enumerate(self._tokens):
-            for tok in tokens.values():
-                out[node] += len(tok.pending)
-        return out
-
-    def register_probes(self, sampler) -> None:
-        """Join a TimeSeriesSampler (repro.obs.timeseries)."""
-        sampler.probe_vector("lock.wait_depth", "gauge",
-                             self.wait_depths)
 
     # ------------------------------------------------------------- topology
 

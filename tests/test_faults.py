@@ -138,7 +138,7 @@ def test_drops_are_repaired_by_retransmission():
 
     _run_senders(machine, sender())
     assert len(delivered) == 20
-    assert machine.fault_injector.drops > 0
+    assert machine.fault_injector.packets_dropped > 0
     assert machine.reliability.retransmits > 0
 
 
@@ -154,7 +154,7 @@ def test_duplicates_deliver_exactly_once():
 
     _run_senders(machine, sender())
     assert len(delivered) == 5
-    assert machine.fault_injector.dups > 0
+    assert machine.fault_injector.packets_duplicated > 0
     assert machine.reliability.dup_discards > 0
 
 
@@ -170,7 +170,7 @@ def test_link_filter_spares_other_links():
 
     _run_senders(machine, sender())
     assert len(delivered) == 1
-    assert machine.fault_injector.drops == 0
+    assert machine.fault_injector.packets_dropped == 0
     assert machine.reliability.retransmits == 0
 
 
@@ -321,6 +321,23 @@ def test_finished_sends_keep_no_message():
                     if isinstance(r, Message)]
 
 
+@pytest.mark.parametrize("faults,counter", [
+    (dict(loss=0.02), "packets_dropped"),
+    (dict(dup=0.05), "packets_duplicated"),
+], ids=["loss", "dup"])
+def test_no_packet_in_flight_after_a_faulted_run(faults, counter):
+    """A dropped packet leaves the wire and an injected duplicate is
+    one more packet on it: once the run is over nothing is in flight."""
+    from repro.apps import WaterSpatial
+    from repro.runtime import SVMBackend, run_on_backend
+    from repro.svm import BASE
+    backend = SVMBackend(MachineConfig(faults=FaultConfig(**faults)), BASE)
+    run_on_backend(WaterSpatial(), backend, system="Base")
+    machine = backend.machine
+    assert getattr(machine.fault_injector, counter) > 0
+    assert machine.packets_in_flight() == 0
+
+
 def test_untraced_lossy_run_names_no_message():
     """Without a tracer the fault layers build no trace fields and
     assign no dense message ids."""
@@ -330,7 +347,7 @@ def test_untraced_lossy_run_names_no_message():
     backend = SVMBackend(_lossy_kvstore_config(), BASE)
     run_on_backend(APP_REGISTRY["KVStore"](), backend, system="Base")
     machine = backend.machine
-    assert machine.fault_injector.drops > 0
+    assert machine.fault_injector.packets_dropped > 0
     assert machine.reliability.retransmits > 0
     assert machine.reliability.msg_ids._map == {}
 
@@ -349,9 +366,8 @@ def test_duplicate_after_completion_is_discarded_and_reacked():
                              on_delivered=delivered.append)
 
     _run_senders(machine, sender())
-    first = rel.counters()
-    assert first["acks_sent"] == first["acks_received"] == 1
-    assert first["dup_discards"] == 0
+    assert rel.acks_sent == rel.acks_received == 1
+    assert rel.dup_discards == 0
 
     def late_copy():
         # A spurious retransmission of the already-acked message.
@@ -361,12 +377,11 @@ def test_duplicate_after_completion_is_discarded_and_reacked():
         yield machine.nics[0].out_queue.put(copy)
 
     _run_senders(machine, late_copy())
-    after = rel.counters()
     assert len(delivered) == 1
-    assert after["dup_discards"] == 1
+    assert rel.dup_discards == 1
     # The receiver re-acks; the sender counts the ack and ignores it.
-    assert after["acks_sent"] == after["acks_received"] == 2
-    assert after["retransmits"] == after["retx_timeouts"] == 0
+    assert rel.acks_sent == rel.acks_received == 2
+    assert rel.retransmits == rel.retx_timeouts == 0
     assert rel.outstanding_by_node() == [0] * machine.config.nodes
     assert tracer.counts().get("retx.dup_discard") == 1
 

@@ -226,3 +226,68 @@ def test_spans_do_not_perturb_the_schedule():
             kept.append((e.t, e.category, e.fields))
     assert span_count > 0
     assert kept == base
+
+
+def _sampled_registry_digest(pin: str) -> str:
+    """sha256 over what a sampled run exports through the registry and
+    the sampler.
+
+    ``lossy``: an 8-node fat-tree KVStore/GeNIMA run with loss, dup and
+    reorder at 0.02 (seed 3) — the machine's metrics snapshot (with its
+    ``faults.*``/``retx.*`` gauges), ``result.stats`` (with the fault
+    counters) and the telemetry summary (with ``retx.outstanding``).
+    ``net.in_flight`` is left out: the digest was taken while it still
+    counted dropped packets as in flight, and
+    ``test_faults.py::test_no_packet_in_flight_after_a_faulted_run``
+    checks it.
+
+    ``traced``: an unfaulted Barnes-spatial/Base run sampled under a
+    tracer — its OpenMetrics text and its ``ts.*`` trace rows, whose
+    order follows the order the probes were registered in.
+    """
+    from repro.apps import APP_REGISTRY
+    from repro.hw import FaultConfig, MachineConfig
+    from repro.obs import TimeSeriesSampler, render_openmetrics
+    from repro.runtime import SVMBackend, run_on_backend
+    if pin == "lossy":
+        config = MachineConfig(nodes=8, topology="fat-tree",
+                               faults=FaultConfig(loss=0.02, dup=0.02,
+                                                  reorder=0.02, seed=3))
+        backend = SVMBackend(config, GENIMA)
+        sampler = TimeSeriesSampler(cadence_us=500.0)
+        result = run_on_backend(APP_REGISTRY["KVStore"](), backend,
+                                system="GeNIMA", telemetry=sampler)
+        telemetry = dict(result.telemetry)
+        telemetry["metrics"] = {
+            k: v for k, v in telemetry["metrics"].items()
+            if k != "net.in_flight"}
+        blob = json.dumps({"metrics": backend.machine.metrics.snapshot(),
+                           "stats": result.stats,
+                           "telemetry": telemetry}, sort_keys=True)
+    else:
+        tracer = Tracer(capacity=None)
+        backend = SVMBackend(MachineConfig(), BASE, tracer=tracer)
+        sampler = TimeSeriesSampler(cadence_us=500.0, tracer=tracer)
+        result = run_on_backend(BarnesSpatial(), backend, system="Base",
+                                telemetry=sampler)
+        rows = "\n".join(e.to_json() for e in tracer.events
+                         if e.category.startswith("ts."))
+        blob = render_openmetrics(backend.machine.metrics.snapshot(),
+                                  result.telemetry) + rows
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+#: Registry, stats, telemetry and ``ts.*`` row digests of two sampled
+#: runs (see :func:`_sampled_registry_digest`).
+SAMPLED_PINS = [
+    ("lossy",
+     "dd0232695957021e682bc9c64c72af7d95fd8365db4e4ddbba659825815b3777"),
+    ("traced",
+     "241b877eadd6134b66ce647672093bf19e94dfddb5d0d8933b1d9bb912a90050"),
+]
+
+
+@pytest.mark.parametrize("pin,sha", SAMPLED_PINS,
+                         ids=[pin for pin, _ in SAMPLED_PINS])
+def test_sampled_exports_pinned(pin, sha):
+    assert _sampled_registry_digest(pin) == sha

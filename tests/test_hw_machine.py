@@ -175,7 +175,7 @@ def test_deferred_metrics_lose_no_samples():
 def test_fault_gauges_read_per_key_attributes():
     from repro.hw import FaultConfig
     machine = Machine(MachineConfig(faults=FaultConfig(loss=0.01)))
-    machine.fault_injector.drops = 5
+    machine.fault_injector.packets_dropped = 5
     machine.reliability.retransmits = 7
     snap = machine.metrics.snapshot()
     assert snap["faults.packets_dropped"] == 5

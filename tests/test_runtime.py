@@ -184,9 +184,12 @@ def test_finished_runs_free_themselves(monkeypatch):
     freed by reference counting alone: it leaves no cyclic garbage and
     its Machine is gone once the backend is dropped.  Covered: every
     ladder rung and the sequential cell of one SPLASH-2 app, a lossy
-    KVStore cell, and one fully instrumented run."""
+    KVStore cell, one fully instrumented run, a profiled run (the
+    phase set) and a sampled lossy KVStore cell."""
     from repro.apps import APP_REGISTRY
+    from repro.experiments.profile import collect_profile
     from repro.hw import FaultConfig
+    from repro.obs import TimeSeriesSampler
     from repro.svm import PROTOCOL_LADDER
     app = APP_REGISTRY["Barnes-spatial"]
     lossy = MachineConfig(nodes=8, topology="fat-tree",
@@ -200,6 +203,11 @@ def test_finished_runs_free_themselves(monkeypatch):
         ("KVStore/GeNIMA/lossy",
          lambda: run_svm(APP_REGISTRY["KVStore"](), GENIMA, config=lossy)),
         ("Barnes-spatial/GeNIMA/instrumented", _instrumented_run),
+        ("Barnes-spatial/GeNIMA/profiled",
+         lambda: collect_profile(app(), GENIMA)),
+        ("KVStore/GeNIMA/lossy/sampled",
+         lambda: run_svm(APP_REGISTRY["KVStore"](), GENIMA, config=lossy,
+                         telemetry=TimeSeriesSampler())),
     ]
     built = _machines_built(monkeypatch)
     was_enabled = gc.isenabled()

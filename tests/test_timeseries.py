@@ -85,7 +85,7 @@ def test_log_histogram_round_trips_through_json():
 def test_sampler_counter_probes_record_deltas():
     box = {"v": 0}
     s = TimeSeriesSampler(cadence_us=1.0)
-    s.probe_counter("m.count", 0, lambda: box["v"])
+    s.probe("m.count", "counter", lambda: [box["v"]])
     for v in (3, 10, 10):
         box["v"] = v
         s._sample(float(v))
@@ -98,7 +98,7 @@ def test_sampler_counter_probes_record_deltas():
 def test_sampler_gauge_probes_record_levels():
     box = {"v": 0}
     s = TimeSeriesSampler(cadence_us=1.0)
-    s.probe_gauge("m.depth", 0, lambda: box["v"])
+    s.probe("m.depth", "gauge", lambda: [box["v"]])
     for v in (3, 10, 2):
         box["v"] = v
         s._sample(float(v))
@@ -109,7 +109,7 @@ def test_sampler_gauge_probes_record_levels():
 
 def test_sampler_vector_probe_tracks_every_node():
     s = TimeSeriesSampler(cadence_us=1.0)
-    s.probe_vector("m.vec", "gauge", lambda: [1.0, 5.0, 2.0])
+    s.probe("m.vec", "gauge", lambda: [1.0, 5.0, 2.0])
     s._sample(0.0)
     _, sums, maxima, argmax = s.series("m.vec")
     assert sums == [8.0]
@@ -120,23 +120,27 @@ def test_sampler_vector_probe_tracks_every_node():
 
 def test_sampler_rejects_kind_conflicts_and_double_vectors():
     s = TimeSeriesSampler(cadence_us=1.0)
-    s.probe_gauge("m", 0, lambda: 0.0)
+    s.probe("m", "gauge", lambda: [0.0])
     with pytest.raises(ValueError):
-        s.probe_counter("m", 1, lambda: 0.0)
-    s.probe_vector("v", "gauge", lambda: [])
+        s.probe("m", "counter", lambda: [0.0])
+    s.probe("v", "gauge", lambda: [])
     with pytest.raises(ValueError):
-        s.probe_vector("v", "gauge", lambda: [])
+        s.probe("v", "gauge", lambda: [])
     with pytest.raises(ValueError):
-        s.probe_vector("w", "histogram", lambda: [])
+        s.probe("w", "histogram", lambda: [])
     for width in (0.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             TimeSeriesSampler(cadence_us=width)
     for samples in (1, math.nan, 2.5):
         with pytest.raises(ValueError, match="max_samples"):
             TimeSeriesSampler(max_samples=samples)
-    s.probe_vector("t", "counter", lambda: [])
+    s.probe("t", "timeline", lambda: [])
     with pytest.raises(ValueError):
-        s.probe_vector("t", "counter", lambda: [])
+        s.probe("t", "timeline", lambda: [])
+    with pytest.raises(ValueError):
+        s.probe("t", "gauge", lambda: [])
+    with pytest.raises(ValueError):
+        s.probe("m", "timeline", lambda: [])
 
 
 def test_sampler_rejects_negative_top_k():
@@ -145,7 +149,7 @@ def test_sampler_rejects_negative_top_k():
         with pytest.raises(ValueError, match="top_k"):
             TimeSeriesSampler(top_k=k)
     s = TimeSeriesSampler(top_k=0)
-    s.probe_vector("m", "gauge", lambda: [1.0, 2.0, 3.0])
+    s.probe("m", "gauge", lambda: [1.0, 2.0, 3.0])
     s._sample(1.0)
     assert s.top_nodes("m") == []
     assert s.top_nodes("m", 2) == [(2, 3.0), (1, 2.0)]
@@ -154,7 +158,7 @@ def test_sampler_rejects_negative_top_k():
 def test_counter_vector_probes_keep_timeline_rows():
     box = {"v": [0.0, 0.0]}
     s = TimeSeriesSampler(cadence_us=1.0)
-    s.probe_vector("t", "counter", lambda: box["v"])
+    s.probe("t", "timeline", lambda: box["v"])
     for t, v in ((1.0, [2.0, 1.0]), (2.0, [5.0, 1.0]), (3.0, [1.0, 4.0])):
         box["v"] = v
         s._sample(t)
@@ -169,7 +173,7 @@ def test_counter_vector_probes_keep_timeline_rows():
 
 def test_sampler_decimation_bounds_memory_and_doubles_stride():
     s = TimeSeriesSampler(cadence_us=1.0, max_samples=4)
-    s.probe_gauge("m", 0, lambda: 1.0)
+    s.probe("m", "gauge", lambda: [1.0])
     for t in range(32):
         s._sample(float(t))
     assert len(s.times) < 4
@@ -180,7 +184,7 @@ def test_sampler_decimation_bounds_memory_and_doubles_stride():
 
 def test_sampler_skew_ratio_none_when_median_idle():
     s = TimeSeriesSampler(cadence_us=1.0)
-    s.probe_vector("m", "gauge", lambda: [9.0, 0.0, 0.0])
+    s.probe("m", "gauge", lambda: [9.0, 0.0, 0.0])
     s._sample(0.0)
     skew = s.skew("m")
     assert skew["max"] == 9.0
@@ -189,8 +193,8 @@ def test_sampler_skew_ratio_none_when_median_idle():
 
 def test_summary_round_trips_and_reports_rollups():
     s = TimeSeriesSampler(cadence_us=1.0)
-    s.probe_vector("m", "gauge", lambda: [1.0, 3.0])
-    s.probe_gauge("g", None, lambda: 7.0)   # machine-wide probe
+    s.probe("m", "gauge", lambda: [1.0, 3.0])
+    s.probe("g", "gauge", lambda: 7.0)      # machine-wide probe
     s._sample(0.0)
     s._sample(1.0)
     summary = json.loads(json.dumps(s.summary()))
@@ -221,6 +225,35 @@ def test_run_registers_the_probe_catalog(sampled_water):
     assert {"ni.queue_depth", "net.in_flight", "svm.page_faults",
             "svm.invalidations", "lock.wait_depth",
             "node.interrupts"} <= metrics
+
+
+def test_probes_are_declared_in_the_registry_only_when_read(monkeypatch):
+    """The layers declare their probes in the machine's registry, in
+    the order machine, then protocol; an unsampled run whose registry
+    is never read declares none."""
+    from repro.hw import FaultConfig
+    from repro.obs import MetricsRegistry
+    declared = []
+    register = MetricsRegistry.register_probe
+
+    def recording(self, name, *args):
+        declared.append(name)
+        return register(self, name, *args)
+
+    monkeypatch.setattr(MetricsRegistry, "register_probe", recording)
+    config = MachineConfig(nodes=8, topology="fat-tree",
+                           faults=FaultConfig(loss=0.02, seed=3))
+    params = scale_params("KVStore", config.total_procs)
+    run_svm(ShardedKVStore(**params), GENIMA, config=config)
+    assert declared == []
+    sampler = TimeSeriesSampler()
+    run_svm(ShardedKVStore(**params), GENIMA, config=config,
+            telemetry=sampler)
+    order = ["ni.queue_depth", "node.interrupts", "net.in_flight",
+             "retx.outstanding", "svm.page_faults", "svm.invalidations",
+             "lock.wait_depth"]
+    assert declared == order
+    assert list(sampler.metrics()) == order
 
 
 def test_run_result_carries_the_summary(sampled_water):

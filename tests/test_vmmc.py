@@ -161,21 +161,6 @@ def test_post_queue_full_stalls_sender():
     assert machine.nics[0].post_queue.total_put_stall_time > 0
 
 
-def test_delivery_handler_dispatch():
-    machine, vmmc = make_stack()
-    sim = machine.sim
-    seen = []
-    vmmc.register_delivery_handler(
-        "page_req", lambda pkt: seen.append((pkt.dst, pkt.message.payload)))
-
-    def sender():
-        yield from vmmc.send(2, 3, size=16, kind="page_req", payload="p7")
-
-    sim.process(sender())
-    sim.run()
-    assert seen == [(3, "p7")]
-
-
 # ------------------------------------------------------------------- fetch
 
 def test_remote_fetch_round_trip():
