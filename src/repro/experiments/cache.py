@@ -57,10 +57,17 @@ class ExperimentCache:
                  **params) -> CellSpec:
         """Cell for one SVM run.  ``config`` overrides the cache's
         machine entirely (fault sweeps); otherwise only ``nodes`` is
-        rescaled.  ``telemetry_us`` attaches a TimeSeriesSampler at
-        that cadence (the summary rides the cached result)."""
+        rescaled, and the cache's own machine is shared while the count
+        is unchanged (it is frozen).  ``telemetry_us`` attaches a
+        TimeSeriesSampler at that cadence (the summary rides the cached
+        result)."""
         if config is None:
-            config = self.config.scaled(nodes=nodes or self.config.nodes)
+            config = self.config
+            # Another count, or an equal float or bool, is rebuilt and
+            # so validated by MachineConfig.
+            if nodes is not None and (type(nodes) is not int
+                                      or nodes != config.nodes):
+                config = config.scaled(nodes=nodes)
         return CellSpec(kind="svm", app=app_name, params=params,
                         features=features, config=config,
                         telemetry_us=telemetry_us)
@@ -71,8 +78,14 @@ class ExperimentCache:
 
     def spec_origin(self, app_name: str, nprocs: Optional[int] = None,
                     **params) -> CellSpec:
+        if nprocs is None:
+            nprocs = self.config.total_procs
+        elif (not isinstance(nprocs, int) or isinstance(nprocs, bool)
+                or nprocs < 1):
+            raise ValueError(
+                f"nprocs must be an integer >= 1, got {nprocs!r}")
         return CellSpec(kind="origin", app=app_name, params=params,
-                        nprocs=nprocs or self.config.total_procs)
+                        nprocs=nprocs)
 
     def spec_profile(self, app_name: str, features,
                      config: Optional[MachineConfig] = None,

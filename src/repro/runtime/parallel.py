@@ -96,6 +96,20 @@ FINGERPRINT_MODULES = ("__init__.py", "experiments/cache.py",
 # --------------------------------------------------------------- canonical
 
 
+#: exact types that canonicalize to themselves (the common case, so it
+#: is tested first; subclasses of them take the ``isinstance`` path).
+_PLAIN = frozenset((str, int, float, bool, type(None)))
+
+
+@lru_cache(maxsize=None)
+def _field_names(cls: type) -> Optional[Tuple[str, ...]]:
+    """``cls``'s dataclass field names, or None for a non-dataclass.
+    Cached by the class itself, never by a value."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
 def canonical(obj: Any) -> Any:
     """Reduce ``obj`` to a canonical JSON-serializable structure.
 
@@ -107,10 +121,15 @@ def canonical(obj: Any) -> Any:
     must go through here (plain ``tuple(sorted(params.items()))``
     keying breaks on dict/list-valued params).
     """
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {"__dataclass__": type(obj).__name__,
-                **{f.name: canonical(getattr(obj, f.name))
-                   for f in dataclasses.fields(obj)}}
+    cls = type(obj)
+    if cls in _PLAIN:
+        return obj
+    names = _field_names(cls)
+    if names is not None:
+        out = {"__dataclass__": cls.__name__}
+        for name in names:
+            out[name] = canonical(getattr(obj, name))
+        return out
     if isinstance(obj, dict):
         items = sorted(((str(k), canonical(v)) for k, v in obj.items()),
                        key=lambda kv: kv[0])
@@ -120,7 +139,7 @@ def canonical(obj: Any) -> Any:
     if isinstance(obj, (set, frozenset)):
         return sorted((canonical(x) for x in obj),
                       key=lambda x: json.dumps(x, sort_keys=True))
-    if obj is None or isinstance(obj, (str, int, float, bool)):
+    if isinstance(obj, (str, int, float, bool)):
         return obj
     raise TypeError(
         f"cannot canonicalize {type(obj).__name__!r} value {obj!r} "
@@ -192,13 +211,16 @@ class CellSpec:
 
     def digest(self, fingerprint: Optional[str] = None) -> str:
         """Content address of this cell under the current sources."""
-        payload = {
-            "schema": STORE_SCHEMA,
+        return hashlib.sha256(canonical_json(
+            _keyed(self, fingerprint)).encode()).hexdigest()
+
+
+def _keyed(spec: CellSpec, fingerprint: Optional[str]) -> dict:
+    """What a cell's digest covers, with the spec itself as ``cell``:
+    one :func:`canonical` walk reduces the whole of it."""
+    return {"schema": STORE_SCHEMA,
             "fingerprint": fingerprint or code_fingerprint(),
-            "cell": canonical(self),
-        }
-        return hashlib.sha256(
-            canonical_json(payload).encode()).hexdigest()
+            "cell": spec}
 
 
 def _make_app(spec: CellSpec):
@@ -320,12 +342,9 @@ def make_envelope(spec: CellSpec, payload: dict,
     One shape for every writer, so any process sharing a store can
     read any other's entries.
     """
-    return {
-        "schema": STORE_SCHEMA,
-        "fingerprint": fingerprint or code_fingerprint(),
-        "cell": canonical(spec),
-        "payload": payload,
-    }
+    envelope = canonical(_keyed(spec, fingerprint))
+    envelope["payload"] = payload
+    return envelope
 
 
 # ------------------------------------------------------------------ store
@@ -359,13 +378,10 @@ class ResultStore:
             root = os.environ.get("REPRO_CACHE_DIR") or (
                 Path.home() / ".cache" / "repro")
         self.root = Path(root)
-
-    @property
-    def version_dir(self) -> Path:
-        return self.root / f"v{STORE_SCHEMA}"
+        self.version_dir = self.root / f"v{STORE_SCHEMA}"
 
     def path_for(self, digest: str) -> Path:
-        return self.version_dir / digest[:2] / f"{digest}.json"
+        return self.version_dir.joinpath(digest[:2], f"{digest}.json")
 
     def load(self, digest: str) -> Optional[dict]:
         """The stored payload envelope for ``digest``, or None.
@@ -390,7 +406,7 @@ class ResultStore:
         return envelope
 
     def lock_path(self, digest: str) -> Path:
-        return self.version_dir / digest[:2] / f"{digest}.lock"
+        return self.version_dir.joinpath(digest[:2], f"{digest}.lock")
 
     def claim(self, digest: str) -> Optional[int]:
         """Take the per-digest claim and return its file descriptor, or

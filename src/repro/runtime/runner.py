@@ -35,7 +35,11 @@ def run_on_backend(app, backend, system: str,
     backend is closed (:meth:`Backend.close`), so a caller that drops
     it frees the whole run by reference counting.
     """
-    nprocs = nprocs or backend.nprocs
+    if nprocs is None:
+        nprocs = backend.nprocs
+    elif (not isinstance(nprocs, int) or isinstance(nprocs, bool)
+            or nprocs < 1):
+        raise ValueError(f"nprocs must be an integer >= 1, got {nprocs!r}")
     sim = backend.sim
     regions = app.setup(backend)
     start_times = [0.0] * nprocs

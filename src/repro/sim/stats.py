@@ -148,10 +148,12 @@ class TimeBuckets:
 
     @classmethod
     def from_dict(cls, data: Dict[str, float]) -> "TimeBuckets":
-        """Inverse of :meth:`as_dict` (used by the run-cache codec)."""
-        buckets = cls()
+        """Inverse of :meth:`as_dict` (used by the run-cache codec).
+        A missing bucket raises ``KeyError``: a malformed stored result
+        must be recomputed, not read as no time in that category."""
+        buckets = cls.__new__(cls)
         for name in BUCKETS:
-            setattr(buckets, name, float(data.get(name, 0.0)))
+            setattr(buckets, name, float(data[name]))
         return buckets
 
     def fractions(self) -> Dict[str, float]:

@@ -7,6 +7,7 @@ fingerprint invalidation, corrupted-entry recovery, and single-flight
 across executors sharing one store (claim, wait, stale break).
 """
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -82,6 +83,76 @@ def test_digest_distinguishes_inputs():
     faulty = CellSpec(kind="svm", app=APP, features=GENIMA,
                       config=MachineConfig(faults=FaultConfig(loss=0.01)))
     assert base.digest(fp) != faulty.digest(fp)
+
+
+#: Cell keys pinned byte for byte under a fixed fingerprint: every
+#: store entry ever written is addressed by one of these derivations,
+#: so a change to how keys are computed must leave them all alone.
+PINNED_DIGESTS = {
+    "seq": "52fe0fa56848c12da7ce7462476f6dc6c1ec89b84b7103c8c5ea3128334f6482",
+    "svm": "b9aa567b577b4ef679c0b87b247b0a7884b524a840d06534a3f8da65d43bcbc4",
+    "svm_fat_tree_faults":
+        "3a6c8431c3a017cb5cae1294cc62098590930796d5cab3f768ab55f1f70b59bd",
+    "params":
+        "a6e5de50b6e1016de09f5d67ed094f0613f7beeee2d68242b915d143789f22b2",
+    "profile":
+        "38a2807ec0a38bb097bf6226d99a591846f8d924e0e60ca35ffcd314cdce7054",
+    "origin":
+        "3a78148272e54c56398d9129bddf078b8f095a4cd21c1f16a268460d6425001f",
+    "interrupt_int":
+        "6f53500eae5bcae1b64774d3af4006c514e4110b1156066d2a1bc58eaaa37867",
+    "interrupt_float":
+        "5c4a271ea690be5776cdc4b66f1d9b6578f221913a4f1ca7b93274550dec31dc",
+    "flag_true":
+        "b2dee13bd177634209c55ee5a9a60ceaafcdd6195ac2bdb88e2350ec3ae91445",
+    "flag_one":
+        "af64bf835fe0e2873cf3a58326387968f5832dadf4d7ae9c605e271b6da30b43",
+}
+
+
+def pinned_cells():
+    fat_tree = MachineConfig(nodes=8, topology="fat-tree",
+                             faults=FaultConfig(loss=0.01, dup=0.005, seed=7))
+    return {
+        "seq": CellSpec(kind="seq", app=APP, config=MachineConfig()),
+        "svm": svm_spec(),
+        "svm_fat_tree_faults": CellSpec(kind="svm", app=APP, features=BASE,
+                                        config=fat_tree, telemetry_us=500.0),
+        "params": svm_spec(grid={"ny": 2, "nx": 1}, order=(3, 1),
+                           sizes=[4, 2.5], tags={"b", "a"}),
+        "profile": CellSpec(kind="profile", app=APP, features=GENIMA,
+                            config=MachineConfig(), slice_us=1000.0,
+                            check=True),
+        "origin": CellSpec(kind="origin", app=APP, nprocs=16),
+        "interrupt_int": CellSpec(kind="svm", app=APP, features=GENIMA,
+                                  config=MachineConfig(interrupt_us=1)),
+        "interrupt_float": CellSpec(kind="svm", app=APP, features=GENIMA,
+                                    config=MachineConfig(interrupt_us=1.0)),
+        "flag_true": svm_spec(flag=True),
+        "flag_one": svm_spec(flag=1),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_digest_pinned(name):
+    assert pinned_cells()[name].digest("f" * 16) == PINNED_DIGESTS[name]
+
+
+def test_equal_but_differently_typed_values_keep_distinct_keys():
+    fp = "f" * 16
+    cells = pinned_cells()
+    assert cells["interrupt_int"].config == cells["interrupt_float"].config
+    assert (cells["interrupt_int"].digest(fp)
+            != cells["interrupt_float"].digest(fp))
+    assert cells["flag_true"] == cells["flag_one"]
+    assert cells["flag_true"].digest(fp) != cells["flag_one"].digest(fp)
+
+
+def test_envelope_cell_pinned():
+    spec = pinned_cells()["svm_fat_tree_faults"]
+    cell = make_envelope(spec, {"kind": "svm"}, "f" * 16)["cell"]
+    assert hashlib.sha256(canonical_json(cell).encode()).hexdigest() == (
+        "a65cee495b6097bbb5c7af7dbda16c96b64e4cca6779d9c8c0be2715acbaa32e")
 
 
 # ------------------------------------------------------------------- codecs
@@ -184,6 +255,20 @@ def test_executor_recovers_from_corrupted_entry(tmp_path, svm_payload):
     digest = spec.digest()
     GridExecutor(jobs=1, store=store).map([spec])
     store.path_for(digest).write_text('{"schema": 1, "payload": {}}')
+    result = GridExecutor(jobs=1, store=store).map([spec])[digest]
+    assert encode_result(result) == svm_payload["result"]
+    # and the recomputed entry was re-persisted, healed
+    assert store.load(digest)["payload"]["result"] == svm_payload["result"]
+
+
+def test_executor_recomputes_entry_missing_a_bucket(tmp_path, svm_payload):
+    store = ResultStore(tmp_path)
+    spec = svm_spec()
+    digest = spec.digest()
+    GridExecutor(jobs=1, store=store).map([spec])
+    envelope = store.load(digest)
+    del envelope["payload"]["result"]["buckets"][0]["data"]
+    store.store(digest, envelope)
     result = GridExecutor(jobs=1, store=store).map([spec])[digest]
     assert encode_result(result) == svm_payload["result"]
     # and the recomputed entry was re-persisted, healed
@@ -585,6 +670,67 @@ def test_warm_cell_read_digests_once(tmp_path, monkeypatch):
     monkeypatch.setattr(CellSpec, "digest", counting_digest)
     ExperimentCache(store=store).cell(spec)
     assert len(calls) == 1
+
+
+def test_warm_hit_builds_no_machine_and_walks_the_spec_once(tmp_path,
+                                                           monkeypatch):
+    store = ResultStore(tmp_path)
+    ExperimentCache(store=store).svm(APP, GENIMA)
+    cache = ExperimentCache(store=store)
+    built, digests, walked, rewalked = [], [], [], []
+    post_init = MachineConfig.__post_init__
+    digest = CellSpec.digest
+    canonical = parallel.canonical
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counting_digest(self, fingerprint=None):
+        digests.append(self)
+        return digest(self, fingerprint)
+
+    def counting_canonical(obj):
+        if isinstance(obj, CellSpec):
+            walked.append(obj)
+        elif isinstance(obj, dict) and "__dataclass__" in obj:
+            rewalked.append(obj)  # a second walk over canonical output
+        return canonical(obj)
+
+    def boom(_spec):
+        raise AssertionError("cache hit must not recompute")
+    monkeypatch.setattr(MachineConfig, "__post_init__", counting_post_init)
+    monkeypatch.setattr(CellSpec, "digest", counting_digest)
+    monkeypatch.setattr(parallel, "canonical", counting_canonical)
+    monkeypatch.setattr(parallel, "evaluate_cell", boom)
+    cache.svm(APP, GENIMA)
+    assert built == []
+    assert len(digests) == 1
+    assert len(walked) == len(digests)
+    assert rewalked == []
+
+
+@pytest.mark.parametrize("nodes", [0, -1, True, 4.0])
+def test_spec_svm_rejects_bad_node_count(nodes):
+    # None means the cache's machine; 0 used to mean it too.
+    with pytest.raises(ValueError, match="nodes"):
+        ExperimentCache().spec_svm(APP, GENIMA, nodes=nodes)
+
+
+@pytest.mark.parametrize("nprocs", [0, -1, True, 16.0, "16"])
+def test_spec_origin_rejects_bad_nprocs(nprocs):
+    with pytest.raises(ValueError, match="nprocs"):
+        ExperimentCache().spec_origin(APP, nprocs=nprocs)
+
+
+def test_spec_sizes_default_only_on_none():
+    cache = ExperimentCache()
+    assert cache.spec_svm(APP, GENIMA).config is cache.config
+    assert cache.spec_svm(APP, GENIMA, nodes=4).config is cache.config
+    assert cache.spec_svm(APP, GENIMA, nodes=8).config == MachineConfig(
+        nodes=8)
+    assert cache.spec_origin(APP).nprocs == cache.config.total_procs
+    assert cache.spec_origin(APP, nprocs=32).nprocs == 32
 
 
 def test_cache_spec_params_allow_dicts():

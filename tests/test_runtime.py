@@ -115,6 +115,22 @@ def test_run_on_backend_produces_complete_result():
     assert "interrupts" in result.stats
 
 
+@pytest.mark.parametrize("nprocs", [0, -2, True, 1.0])
+def test_run_on_backend_rejects_bad_nprocs(nprocs):
+    # None means the backend's count; 0 used to mean it too.
+    with pytest.raises(ValueError, match="nprocs"):
+        run_on_backend(TinyApp(), LocalBackend(), system="seq",
+                       nprocs=nprocs)
+
+
+def test_time_buckets_from_dict_requires_every_bucket():
+    data = TimeBuckets().as_dict()
+    assert TimeBuckets.from_dict(data).as_dict() == data
+    del data["lock"]
+    with pytest.raises(KeyError):
+        TimeBuckets.from_dict(data)
+
+
 def test_runner_resets_accounting_after_init():
     """Init-phase work (cold faults) must not appear in breakdowns."""
 
