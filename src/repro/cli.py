@@ -111,14 +111,13 @@ def _cmd_ladder(args) -> int:
     from .experiments import format_table
     from .runtime import speedup
     cache = _make_cache(args)
-    cache.warm([cache.spec_seq(args.app)]
-               + [cache.spec_svm(args.app, feats)
-                  for feats in PROTOCOL_LADDER])
-    seq = cache.seq(args.app)
+    runs = cache.run({"seq": cache.spec_seq(args.app),
+                      **{feats.name: cache.spec_svm(args.app, feats)
+                         for feats in PROTOCOL_LADDER}})
     rows = []
     for feats in PROTOCOL_LADDER:
-        result = cache.svm(args.app, feats)
-        rows.append((feats.name, speedup(seq, result),
+        result = runs[feats.name]
+        rows.append((feats.name, speedup(runs["seq"], result),
                      result.stats["interrupts"],
                      result.stats["messages"]))
     print(format_table(["Protocol", "Speedup", "Interrupts", "Messages"],

@@ -19,6 +19,9 @@
 4. **Eager vs lazy write notices**: message-count and time cost of
    DW's eager broadcast against the Base piggyback, on a lock-heavy
    workload.
+
+Each study reads its cells through the process-wide run cache in one
+batch; the Base and DW cells of ablations 1 and 4 are the same cells.
 """
 
 from __future__ import annotations
@@ -26,9 +29,10 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..hw import MachineConfig
-from ..runtime import run_sequential, run_svm
+from ..runtime import speedup
 from ..svm import BASE, DW, DW_RF_DD, GENIMA, ProtocolFeatures
 from ..apps import BarnesSpatial, WaterNsquared
+from .cache import grid_cache, run_rows
 from .reporting import format_table
 
 __all__ = [
@@ -39,14 +43,24 @@ __all__ = [
     "render_ablation",
 ]
 
+BARNES = BarnesSpatial.name
+
+
+def _water_runs(variants, molecules: int):
+    """``(features, result)`` per variant: one-step Water-nsquared at
+    ``molecules``, read through the run cache in one batch."""
+    cache = grid_cache()
+    runs = cache.run({i: cache.spec_svm(WaterNsquared.name, feats,
+                                        molecules=molecules, steps=1)
+                      for i, feats in enumerate(variants)})
+    return zip(variants, runs.values())
+
 
 def ablate_hol_blocking(molecules: int = 512) -> List[Dict]:
     """Water-nsquared lock time: DW (locks share the delivery FIFO)
     vs GeNIMA (locks handled in NI firmware)."""
     rows = []
-    for feats in (BASE, DW, GENIMA):
-        app = WaterNsquared(molecules=molecules, steps=1)
-        res = run_svm(app, feats)
+    for feats, res in _water_runs((BASE, DW, GENIMA), molecules):
         rows.append({
             "protocol": feats.name,
             "lock_ms": res.mean_breakdown.lock / 1000.0,
@@ -68,35 +82,39 @@ def ablate_post_queue(depths=(16, 64, 256),
     processing, so the pipelining/speed axis is the one that moves the
     result; queue depth alone absorbs bursts but not sustained rate.
     """
-    seq = run_sequential(BarnesSpatial())
+    cache = grid_cache()
+    grid = [(ni_proc, depth) for ni_proc in ni_speeds for depth in depths]
+    runs = run_rows(cache, [
+        {"res": cache.spec_svm(BARNES, DW_RF_DD, config=MachineConfig(
+            post_queue_len=depth, ni_proc_us=ni_proc))}
+        for ni_proc, depth in grid], seq=cache.spec_seq(BARNES))
     rows = []
-    for ni_proc in ni_speeds:
-        for depth in depths:
-            config = MachineConfig(post_queue_len=depth,
-                                   ni_proc_us=ni_proc)
-            res = run_svm(BarnesSpatial(), DW_RF_DD, config=config)
-            rows.append({
-                "ni_proc_us": ni_proc,
-                "post_queue": depth,
-                "speedup": seq.time_us / res.time_us,
-                "barrier_ms": res.mean_breakdown.barrier / 1000.0,
-            })
+    for (ni_proc, depth), run in zip(grid, runs):
+        rows.append({
+            "ni_proc_us": ni_proc,
+            "post_queue": depth,
+            "speedup": speedup(run["seq"], run["res"]),
+            "barrier_ms": run["res"].mean_breakdown.barrier / 1000.0,
+        })
     return rows
 
 
 def ablate_diff_scatter(runs_values=(1, 4, 10, 20, 30)) -> List[Dict]:
     """Direct vs packed diffs as within-page write scatter grows."""
+    cache = grid_cache()
+    packed_diffs = ProtocolFeatures(direct_writes=True, remote_fetch=True)
+    results = run_rows(cache, [
+        {"seq": cache.spec_seq(BARNES, scatter_runs=runs),
+         "packed": cache.spec_svm(BARNES, packed_diffs, scatter_runs=runs),
+         "direct": cache.spec_svm(BARNES, DW_RF_DD, scatter_runs=runs)}
+        for runs in runs_values])
     rows = []
-    for runs in runs_values:
-        seq = run_sequential(BarnesSpatial(scatter_runs=runs))
-        packed = run_svm(BarnesSpatial(scatter_runs=runs),
-                         ProtocolFeatures(direct_writes=True,
-                                          remote_fetch=True))
-        direct = run_svm(BarnesSpatial(scatter_runs=runs), DW_RF_DD)
+    for runs, run in zip(runs_values, results):
+        seq, packed, direct = run["seq"], run["packed"], run["direct"]
         rows.append({
             "runs_per_page": runs,
-            "packed_speedup": seq.time_us / packed.time_us,
-            "direct_speedup": seq.time_us / direct.time_us,
+            "packed_speedup": speedup(seq, packed),
+            "direct_speedup": speedup(seq, direct),
             "direct_messages": direct.stats["messages"],
             "packed_messages": packed.stats["messages"],
         })
@@ -106,9 +124,7 @@ def ablate_diff_scatter(runs_values=(1, 4, 10, 20, 30)) -> List[Dict]:
 def ablate_eager_wn(molecules: int = 512) -> List[Dict]:
     """Eager (DW) vs piggybacked (Base) write-notice propagation."""
     rows = []
-    for feats in (BASE, DW):
-        app = WaterNsquared(molecules=molecules, steps=1)
-        res = run_svm(app, feats)
+    for feats, res in _water_runs((BASE, DW), molecules):
         rows.append({
             "protocol": feats.name,
             "wn_messages": res.stats["wn_messages"],

@@ -3,12 +3,11 @@
 Figures 1-4 and Tables 1-2 all consume the same 10 apps x 5 protocols
 grid (plus sequential and hardware-DSM baselines).  The cache keeps a
 per-process ``digest -> RunResult`` map and delegates evaluation to
-:class:`repro.runtime.parallel.GridExecutor`, which adds two things the
-old in-process memo could not:
+:class:`repro.runtime.parallel.GridExecutor`, which adds two things:
 
 * **fan-out** — ``jobs > 1`` evaluates missing cells concurrently in a
-  spawn worker pool, and :meth:`warm` lets a driver submit its whole
-  grid up front instead of faulting cells in one at a time;
+  spawn worker pool: a driver reads its whole grid in one :meth:`run`
+  call instead of faulting cells in one at a time;
 * **persistence** — with a :class:`~repro.runtime.parallel.ResultStore`
   attached, results survive the process and are shared across drivers,
   CLI invocations and CI runs, keyed by a content digest that includes
@@ -22,14 +21,18 @@ unhashable or insertion-order-sensitive keys.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, List, Mapping, Optional, Sequence, TypeVar
 
+from ..apps import PAPER_APPS
 from ..hw import MachineConfig
 from ..runtime import RunResult
 from ..runtime.parallel import (CellSpec, GridExecutor, ResultStore,
                                 code_fingerprint)
 
-__all__ = ["ExperimentCache", "CACHE"]
+__all__ = ["ExperimentCache", "CACHE", "grid_cache", "paper_apps",
+           "run_rows"]
+
+K = TypeVar("K")
 
 
 class ExperimentCache:
@@ -39,7 +42,7 @@ class ExperimentCache:
     the CPU count); ``store`` (a
     :class:`~repro.runtime.parallel.ResultStore`) makes the cache
     persistent, and single-flights cells across processes sharing it.
-    Both default off, which reproduces the old in-process memo exactly.
+    Both default off: one process, memory only.
     """
 
     def __init__(self, config: Optional[MachineConfig] = None,
@@ -104,52 +107,58 @@ class ExperimentCache:
 
     # -------------------------------------------------------- evaluation
 
-    def warm(self, specs: Iterable[CellSpec]) -> None:
-        """Evaluate (or load) every missing cell, ``jobs`` at a time.
+    def run(self, cells: Mapping[K, CellSpec]) -> Dict[K, object]:
+        """The value of every cell under the caller's own key: a
+        :class:`RunResult`, :class:`~repro.obs.Profile` or
+        :class:`~repro.experiments.CritpathRun` by the cell's kind.
 
-        Drivers call this with their full grid before reading single
-        cells, so misses run concurrently instead of faulting in one
-        by one.  Merging is by digest: completion order never reaches
-        the results.
+        Each spec is digested once; the cells not held in memory are
+        resolved in one :meth:`GridExecutor.resolve` batch, in
+        ``cells`` order.  Equal specs share one evaluation and value.
         """
         fingerprint = code_fingerprint()
+        digests = {key: spec.digest(fingerprint)
+                   for key, spec in cells.items()}
         pending: Dict[str, CellSpec] = {}
-        for spec in specs:
-            digest = spec.digest(fingerprint)
+        for key, digest in digests.items():
             if digest not in self._results:
-                pending.setdefault(digest, spec)
+                pending.setdefault(digest, cells[key])
         if pending:
             self._results.update(self.executor.resolve(pending))
+        return {key: self._results[digest]
+                for key, digest in digests.items()}
 
     def cell(self, spec: CellSpec):
-        """The value for one cell (evaluating it if needed): a
-        :class:`RunResult` for svm/seq/origin cells, a
-        :class:`~repro.obs.Profile` or
-        :class:`~repro.experiments.CritpathRun` for the others."""
-        digest = spec.digest()
-        result = self._results.get(digest)
-        if result is None:
-            result = self.executor.resolve({digest: spec})[digest]
-            self._results[digest] = result
-        return result
+        """:meth:`run` for one cell."""
+        return self.run({None: spec})[None]
 
-    # ------------------------------------------------- classic accessors
 
-    def svm(self, app_name: str, features,
-            nodes: Optional[int] = None, **params) -> RunResult:
-        return self.cell(self.spec_svm(app_name, features, nodes=nodes,
-                                       **params))
+def run_rows(cache: ExperimentCache, rows: Sequence[Mapping[str, CellSpec]],
+             **shared: CellSpec) -> List[Dict[str, object]]:
+    """Each row's values under the row's own names, plus the ``shared``
+    cells' values in every row, all read in one
+    :meth:`ExperimentCache.run`."""
+    runs = cache.run({**shared, **{(i, name): spec
+                                   for i, row in enumerate(rows)
+                                   for name, spec in row.items()}})
+    return [{**{name: runs[name] for name in shared},
+             **{name: runs[i, name] for name in row}}
+            for i, row in enumerate(rows)]
 
-    def seq(self, app_name: str, **params) -> RunResult:
-        return self.cell(self.spec_seq(app_name, **params))
 
-    def origin(self, app_name: str, nprocs: Optional[int] = None,
-               **params) -> RunResult:
-        return self.cell(self.spec_origin(app_name, nprocs=nprocs,
-                                          **params))
+def grid_cache(cache: Optional[ExperimentCache] = None) -> ExperimentCache:
+    """``cache``, or the process-wide :data:`CACHE` (read per call)."""
+    return CACHE if cache is None else cache
 
-    def speedup(self, app_name: str, result: RunResult) -> float:
-        return self.seq(app_name).time_us / result.time_us
+
+def paper_apps(apps: Optional[Sequence[str]]) -> List[str]:
+    """All ten paper apps for None; an empty ``apps`` is an error."""
+    if apps is None:
+        return list(PAPER_APPS)
+    if not apps:
+        raise ValueError("apps must name at least one application "
+                         "(None selects all ten paper apps)")
+    return list(apps)
 
 
 #: process-wide cache used by all experiment drivers and benchmarks

@@ -71,5 +71,4 @@ def collect_critpaths_grid(app_name: str, variants: Sequence, cache,
     specs = [cache.spec_critpath(app_name, feats, config=config,
                                  check=check, **(params or {}))
              for feats in variants]
-    cache.warm(specs)
-    return [cache.cell(spec) for spec in specs]
+    return list(cache.run(dict(enumerate(specs))).values())

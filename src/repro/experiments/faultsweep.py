@@ -48,12 +48,11 @@ def compute_faultsweep(app_name: str, features,
         return base.scaled(faults=FaultConfig(
             loss=loss, jitter_us=jitter_us, seed=seed))
 
-    specs = [cache.spec_svm(app_name, features, config=cfg_for(loss))
-             for loss in loss_rates]
-    cache.warm(specs)
+    runs = cache.run({i: cache.spec_svm(app_name, features,
+                                        config=cfg_for(loss))
+                      for i, loss in enumerate(loss_rates)})
     rows: List[Dict] = []
-    for loss, spec in zip(loss_rates, specs):
-        result = cache.cell(spec)
+    for loss, result in zip(loss_rates, runs.values()):
         rows.append({
             "loss": loss,
             "time_us": result.time_us,

@@ -14,12 +14,13 @@ text table the benchmark harness prints.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
-from ..apps import PAPER_APPS
+from ..runtime import speedup
+from ..runtime.parallel import CellSpec
 from ..sim import BUCKETS
 from ..svm import BASE, GENIMA, PROTOCOL_LADDER
-from .cache import CACHE, ExperimentCache
+from .cache import ExperimentCache, grid_cache, paper_apps, run_rows
 from .reporting import format_table
 
 __all__ = [
@@ -32,21 +33,26 @@ __all__ = [
 LADDER_NAMES = [f.name for f in PROTOCOL_LADDER]
 
 
+def speedup_grid(cache: ExperimentCache, apps: List[str],
+                 columns: Callable[[str], Dict[str, CellSpec]]
+                 ) -> Dict[str, Dict[str, float]]:
+    """Per app, the speedup of each of its ``columns(app)`` cells over
+    its sequential run, all read in one :meth:`ExperimentCache.run`."""
+    rows = run_rows(cache, [{"seq": cache.spec_seq(app), **columns(app)}
+                            for app in apps])
+    return {app: {name: speedup(row["seq"], result)
+                  for name, result in row.items() if name != "seq"}
+            for app, row in zip(apps, rows)}
+
+
 # ------------------------------------------------------------------ Figure 1
 
-def compute_figure1(cache: ExperimentCache = CACHE,
+def compute_figure1(cache: Optional[ExperimentCache] = None,
                     apps: Optional[List[str]] = None) -> Dict[str, Dict[str, float]]:
-    apps = apps or PAPER_APPS
-    cache.warm([spec for app in apps
-                for spec in (cache.spec_seq(app), cache.spec_origin(app),
-                             cache.spec_svm(app, BASE))])
-    out = {}
-    for app in apps:
-        out[app] = {
-            "Origin": cache.speedup(app, cache.origin(app)),
-            "Base": cache.speedup(app, cache.svm(app, BASE)),
-        }
-    return out
+    cache = grid_cache(cache)
+    return speedup_grid(cache, paper_apps(apps), lambda app: {
+        "Origin": cache.spec_origin(app),
+        "Base": cache.spec_svm(app, BASE)})
 
 
 def render_figure1(data: Dict[str, Dict[str, float]]) -> str:
@@ -58,19 +64,11 @@ def render_figure1(data: Dict[str, Dict[str, float]]) -> str:
 
 # ------------------------------------------------------------------ Figure 2
 
-def compute_figure2(cache: ExperimentCache = CACHE,
+def compute_figure2(cache: Optional[ExperimentCache] = None,
                     apps: Optional[List[str]] = None) -> Dict[str, Dict[str, float]]:
-    apps = apps or PAPER_APPS
-    cache.warm([cache.spec_seq(app) for app in apps]
-               + [cache.spec_svm(app, feats)
-                  for app in apps for feats in PROTOCOL_LADDER])
-    out = {}
-    for app in apps:
-        out[app] = {
-            feats.name: cache.speedup(app, cache.svm(app, feats))
-            for feats in PROTOCOL_LADDER
-        }
-    return out
+    cache = grid_cache(cache)
+    return speedup_grid(cache, paper_apps(apps), lambda app: {
+        feats.name: cache.spec_svm(app, feats) for feats in PROTOCOL_LADDER})
 
 
 def render_figure2(data: Dict[str, Dict[str, float]]) -> str:
@@ -83,20 +81,20 @@ def render_figure2(data: Dict[str, Dict[str, float]]) -> str:
 
 # ------------------------------------------------------------------ Figure 3
 
-def compute_figure3(cache: ExperimentCache = CACHE,
+def compute_figure3(cache: Optional[ExperimentCache] = None,
                     apps: Optional[List[str]] = None) -> Dict[str, Dict[str, Dict[str, float]]]:
     """Per app, per protocol: execution-time fractions normalized to
     the Base protocol's total (as the paper's stacked bars are)."""
-    apps = apps or PAPER_APPS
-    cache.warm([cache.spec_svm(app, feats)
-                for app in apps for feats in PROTOCOL_LADDER])
+    cache, apps = grid_cache(cache), paper_apps(apps)
+    rows = run_rows(cache, [{feats.name: cache.spec_svm(app, feats)
+                             for feats in PROTOCOL_LADDER} for app in apps])
     out = {}
-    for app in apps:
-        base_total = cache.svm(app, BASE).mean_breakdown.total
+    for app, row in zip(apps, rows):
+        base_total = row[BASE.name].mean_breakdown.total
         per_protocol = {}
-        for feats in PROTOCOL_LADDER:
-            mean = cache.svm(app, feats).mean_breakdown
-            per_protocol[feats.name] = {
+        for name, result in row.items():
+            mean = result.mean_breakdown
+            per_protocol[name] = {
                 bucket: getattr(mean, bucket) / base_total
                 for bucket in BUCKETS
             }
@@ -119,21 +117,13 @@ def render_figure3(data) -> str:
 
 # ------------------------------------------------------------------ Figure 4
 
-def compute_figure4(cache: ExperimentCache = CACHE,
+def compute_figure4(cache: Optional[ExperimentCache] = None,
                     apps: Optional[List[str]] = None) -> Dict[str, Dict[str, float]]:
-    apps = apps or PAPER_APPS
-    cache.warm([spec for app in apps
-                for spec in (cache.spec_seq(app), cache.spec_origin(app),
-                             cache.spec_svm(app, BASE),
-                             cache.spec_svm(app, GENIMA))])
-    out = {}
-    for app in apps:
-        out[app] = {
-            "Origin": cache.speedup(app, cache.origin(app)),
-            "Base": cache.speedup(app, cache.svm(app, BASE)),
-            "GeNIMA": cache.speedup(app, cache.svm(app, GENIMA)),
-        }
-    return out
+    cache = grid_cache(cache)
+    return speedup_grid(cache, paper_apps(apps), lambda app: {
+        "Origin": cache.spec_origin(app),
+        "Base": cache.spec_svm(app, BASE),
+        "GeNIMA": cache.spec_svm(app, GENIMA)})
 
 
 def render_figure4(data: Dict[str, Dict[str, float]]) -> str:

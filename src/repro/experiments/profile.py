@@ -55,5 +55,4 @@ def collect_profiles_grid(app_name: str, variants: Sequence,
                                 slice_us=slice_us, check=check,
                                 **(params or {}))
              for feats in variants]
-    cache.warm(specs)
-    return [cache.cell(spec) for spec in specs]
+    return list(cache.run(dict(enumerate(specs))).values())

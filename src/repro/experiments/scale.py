@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..hw import MachineConfig
+from ..runtime import speedup
 from ..svm import BASE, GENIMA
-from .cache import CACHE, ExperimentCache
+from .cache import ExperimentCache, grid_cache
 from .reporting import format_table
 
 __all__ = ["SCALE_NODES", "SCALE_TOPOLOGIES", "SCALE_TELEMETRY_US",
@@ -91,11 +91,10 @@ def compute_scale(app_name: str = "KVStore",
     explain *where* capacity went, not just that it did.
     """
     from ..obs import telemetry_brief
-    cache = cache or CACHE
+    cache = grid_cache(cache)
     feature_sets = list(feature_sets)
-    seq_spec = cache.spec_seq(app_name, **scale_params(app_name, 1,
-                                                       seed=seed))
-    specs = [seq_spec]
+    cells = {"seq": cache.spec_seq(app_name,
+                                   **scale_params(app_name, 1, seed=seed))}
     grid = []
     for topo in topologies:
         for feats in feature_sets:
@@ -103,18 +102,17 @@ def compute_scale(app_name: str = "KVStore",
                 config = cache.config.scaled(
                     nodes=nodes, procs_per_node=procs_per_node,
                     topology=topo)
-                spec = cache.spec_svm(
+                cells[len(grid)] = cache.spec_svm(
                     app_name, feats, config=config,
                     telemetry_us=telemetry_us,
                     **scale_params(app_name, config.total_procs,
                                    seed=seed))
-                specs.append(spec)
-                grid.append((topo, feats, nodes, config, spec))
-    cache.warm(specs)
-    seq = cache.cell(seq_spec)
+                grid.append((topo, feats, nodes, config))
+    runs = cache.run(cells)
+    seq = runs["seq"]
     rows = []
-    for topo, feats, nodes, config, spec in grid:
-        result = cache.cell(spec)
+    for i, (topo, feats, nodes, config) in enumerate(grid):
+        result = runs[i]
         rows.append({
             "app": app_name,
             "topology": topo,
@@ -123,7 +121,7 @@ def compute_scale(app_name: str = "KVStore",
             "procs": config.total_procs,
             "time_us": result.time_us,
             "seq_time_us": seq.time_us,
-            "speedup": seq.time_us / result.time_us,
+            "speedup": speedup(seq, result),
             "telemetry": telemetry_brief(result.telemetry),
         })
     return rows

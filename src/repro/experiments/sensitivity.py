@@ -11,6 +11,9 @@
 * **Scaling study** — speedups versus processor count (Section 5:
   "we are currently investigating how the performance and bottlenecks
   scale with system size"), at fixed problem size.
+
+Both read their cells through the process-wide run cache, so a cell a
+figure already computed (the default machine's) is not computed again.
 """
 
 from __future__ import annotations
@@ -18,13 +21,24 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..hw import MachineConfig
-from ..runtime import run_sequential, run_svm
+from ..runtime import speedup
 from ..svm import BASE, GENIMA
-from ..apps import APP_REGISTRY
+from .cache import grid_cache, run_rows
 from .reporting import format_table
 
 __all__ = ["interrupt_cost_sensitivity", "scaling_study",
            "render_sensitivity", "render_scaling"]
+
+
+def _base_vs_genima(app_name: str, configs: List[MachineConfig]) -> List[Dict]:
+    """Per machine of ``configs``, the ``seq``, ``Base`` and ``GeNIMA``
+    runs of ``app_name``, all read through the run cache in one batch."""
+    cache = grid_cache()
+    return run_rows(cache, [{feats.name: cache.spec_svm(app_name, feats,
+                                                        config=config)
+                             for feats in (BASE, GENIMA)}
+                            for config in configs],
+                    seq=cache.spec_seq(app_name))
 
 
 def interrupt_cost_sensitivity(
@@ -36,18 +50,16 @@ def interrupt_cost_sensitivity(
     ``jitter_ratio`` scales the SMP scheduling jitter with the
     interrupt cost (they move together on real systems).
     """
-    cls = APP_REGISTRY[app_name]
-    seq = run_sequential(cls())
+    runs = _base_vs_genima(app_name, [
+        MachineConfig(interrupt_us=cost, sched_jitter_us=cost * jitter_ratio)
+        for cost in interrupt_costs])
     rows = []
-    for cost in interrupt_costs:
-        config = MachineConfig(interrupt_us=cost,
-                               sched_jitter_us=cost * jitter_ratio)
-        base = run_svm(cls(), BASE, config=config)
-        genima = run_svm(cls(), GENIMA, config=config)
+    for cost, run in zip(interrupt_costs, runs):
+        base, genima = run[BASE.name], run[GENIMA.name]
         rows.append({
             "interrupt_us": cost,
-            "base_speedup": seq.time_us / base.time_us,
-            "genima_speedup": seq.time_us / genima.time_us,
+            "base_speedup": speedup(run["seq"], base),
+            "genima_speedup": speedup(run["seq"], genima),
             "genima_gain_pct": 100.0 * (base.time_us / genima.time_us - 1),
         })
     return rows
@@ -65,19 +77,12 @@ def render_sensitivity(rows: List[Dict], app_name: str) -> str:
 def scaling_study(app_name: str = "Water-spatial",
                   node_counts=(1, 2, 4, 8)) -> List[Dict]:
     """Speedup vs processor count for Base and GeNIMA, fixed size."""
-    cls = APP_REGISTRY[app_name]
-    seq = run_sequential(cls())
-    rows = []
-    for nodes in node_counts:
-        config = MachineConfig(nodes=nodes)
-        base = run_svm(cls(), BASE, config=config)
-        genima = run_svm(cls(), GENIMA, config=config)
-        rows.append({
-            "procs": config.total_procs,
-            "base_speedup": seq.time_us / base.time_us,
-            "genima_speedup": seq.time_us / genima.time_us,
-        })
-    return rows
+    runs = _base_vs_genima(app_name, [MachineConfig(nodes=nodes)
+                                      for nodes in node_counts])
+    return [{"procs": run[BASE.name].nprocs,
+             "base_speedup": speedup(run["seq"], run[BASE.name]),
+             "genima_speedup": speedup(run["seq"], run[GENIMA.name])}
+            for run in runs]
 
 
 def render_scaling(rows: List[Dict], app_name: str) -> str:

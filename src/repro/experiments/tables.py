@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..apps import PAPER_APPS
-from ..svm import BASE, DW, DW_RF, DW_RF_DD, GENIMA
-from .cache import CACHE, ExperimentCache
+from ..svm import BASE, DW, DW_RF, DW_RF_DD, GENIMA, PROTOCOL_LADDER
+from .cache import ExperimentCache, grid_cache, paper_apps, run_rows
+from .figures import speedup_grid
 from .reporting import format_table
 
 __all__ = [
@@ -38,23 +38,17 @@ def _improvement(before: float, after: float) -> float:
 
 # ------------------------------------------------------------------- Table 1
 
-LADDER = (BASE, DW, DW_RF, DW_RF_DD, GENIMA)
-
-
-def compute_table1(cache: ExperimentCache = CACHE,
+def compute_table1(cache: Optional[ExperimentCache] = None,
                    apps: Optional[List[str]] = None) -> Dict[str, Dict[str, float]]:
-    apps = apps or PAPER_APPS
-    cache.warm([cache.spec_seq(app) for app in apps]
-               + [cache.spec_svm(app, feats)
-                  for app in apps for feats in LADDER])
+    cache, apps = grid_cache(cache), paper_apps(apps)
+    rows = run_rows(cache, [
+        {"seq": cache.spec_seq(app),
+         **{feats.name: cache.spec_svm(app, feats)
+            for feats in PROTOCOL_LADDER}} for app in apps])
     out = {}
-    for app in apps:
-        seq = cache.seq(app)
-        base = cache.svm(app, BASE)
-        dw = cache.svm(app, DW)
-        rf = cache.svm(app, DW_RF)
-        dd = cache.svm(app, DW_RF_DD)
-        genima = cache.svm(app, GENIMA)
+    for app, row in zip(apps, rows):
+        seq, base, genima = row["seq"], row[BASE.name], row[GENIMA.name]
+        dw, rf, dd = row[DW.name], row[DW_RF.name], row[DW_RF_DD.name]
         out[app] = {
             "uniproc_s": seq.time_us / 1e6,
             # col 4: overall improvement Base -> GeNIMA (speedup gain)
@@ -88,13 +82,12 @@ def render_table1(data: Dict[str, Dict[str, float]]) -> str:
 
 # ------------------------------------------------------------------- Table 2
 
-def compute_table2(cache: ExperimentCache = CACHE,
+def compute_table2(cache: Optional[ExperimentCache] = None,
                    apps: Optional[List[str]] = None) -> Dict[str, Dict[str, float]]:
-    apps = apps or PAPER_APPS
-    cache.warm([cache.spec_svm(app, GENIMA) for app in apps])
+    cache, apps = grid_cache(cache), paper_apps(apps)
+    runs = cache.run({app: cache.spec_svm(app, GENIMA) for app in apps})
     out = {}
-    for app in apps:
-        result = cache.svm(app, GENIMA)
+    for app, result in runs.items():
         out[app] = {
             "BT": 100.0 * result.barrier_fraction,
             "BPT": 100.0 * result.barrier_protocol_fraction,
@@ -117,17 +110,17 @@ def render_table2(data: Dict[str, Dict[str, float]]) -> str:
 STAGE_NAMES = ("source", "lanai", "net", "dest")
 
 
-def compute_table34(cache: ExperimentCache = CACHE,
+def compute_table34(cache: Optional[ExperimentCache] = None,
                     apps: Optional[List[str]] = None) -> Dict[str, Dict]:
     """Returns {app: {"small": {"Base": ratios, "GeNIMA": ratios},
     "large": {...}}} with per-stage contention ratios."""
-    apps = apps or PAPER_APPS
-    cache.warm([cache.spec_svm(app, feats)
-                for app in apps for feats in (BASE, GENIMA)])
+    cache, apps = grid_cache(cache), paper_apps(apps)
+    rows = run_rows(cache, [{"base": cache.spec_svm(app, BASE),
+                             "genima": cache.spec_svm(app, GENIMA)}
+                            for app in apps])
     out = {}
-    for app in apps:
-        base = cache.svm(app, BASE)
-        genima = cache.svm(app, GENIMA)
+    for app, row in zip(apps, rows):
+        base, genima = row["base"], row["genima"]
         out[app] = {
             "small": {"Base": base.monitor_small,
                       "GeNIMA": genima.monitor_small},
@@ -158,22 +151,12 @@ def render_table34(data: Dict[str, Dict], size_class: str) -> str:
 
 # ------------------------------------------------------------------- Table 5
 
-def compute_table5(cache: ExperimentCache = CACHE,
+def compute_table5(cache: Optional[ExperimentCache] = None,
                    apps: Optional[List[str]] = None) -> Dict[str, Dict[str, float]]:
-    apps = apps or PAPER_APPS
-    cache.warm([spec for app in apps
-                for spec in (cache.spec_seq(app),
-                             cache.spec_svm(app, GENIMA, nodes=8),
-                             cache.spec_origin(app, nprocs=32))])
-    out = {}
-    for app in apps:
-        svm32 = cache.svm(app, GENIMA, nodes=8)
-        origin32 = cache.origin(app, nprocs=32)
-        out[app] = {
-            "SVM": cache.speedup(app, svm32),
-            "Origin": cache.speedup(app, origin32),
-        }
-    return out
+    cache = grid_cache(cache)
+    return speedup_grid(cache, paper_apps(apps), lambda app: {
+        "SVM": cache.spec_svm(app, GENIMA, nodes=8),
+        "Origin": cache.spec_origin(app, nprocs=32)})
 
 
 def render_table5(data: Dict[str, Dict[str, float]]) -> str:

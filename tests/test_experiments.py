@@ -3,14 +3,18 @@
 import pytest
 
 from repro.experiments import (ExperimentCache, compute_figure1,
-                               compute_figure2, compute_figure4,
-                               compute_scale, compute_table1,
-                               compute_table2, compute_table34,
+                               compute_figure2, compute_figure3,
+                               compute_figure4, compute_scale,
+                               compute_table1, compute_table2,
+                               compute_table34, compute_table5,
                                format_table, measure_comm_layer,
                                render_figure1, render_figure2,
                                render_scale, render_table1,
                                render_table2, render_table34,
-                               scale_params)
+                               scale_params, scaling_study)
+from repro.experiments import cache as cache_module
+from repro.runtime import parallel, runner
+from repro.runtime.parallel import CellSpec, ResultStore
 from repro.svm import BASE, GENIMA
 
 FAST_APPS = ["Water-spatial", "Ocean-rowwise"]
@@ -24,30 +28,78 @@ def cache():
 # ------------------------------------------------------------------- cache
 
 def test_cache_reuses_results(cache):
-    first = cache.svm("Water-spatial", GENIMA)
-    second = cache.svm("Water-spatial", GENIMA)
+    first = cache.cell(cache.spec_svm("Water-spatial", GENIMA))
+    second = cache.cell(cache.spec_svm("Water-spatial", GENIMA))
     assert first is second
 
 
 def test_cache_distinguishes_protocols(cache):
-    base = cache.svm("Water-spatial", BASE)
-    genima = cache.svm("Water-spatial", GENIMA)
-    assert base is not genima
-    assert base.system == "Base"
-    assert genima.system == "GeNIMA"
+    runs = cache.run({name: cache.spec_svm("Water-spatial", feats)
+                      for name, feats in (("base", BASE),
+                                          ("genima", GENIMA))})
+    assert runs["base"] is not runs["genima"]
+    assert runs["base"].system == "Base"
+    assert runs["genima"].system == "GeNIMA"
 
 
 def test_cache_distinguishes_node_counts(cache):
-    sixteen = cache.svm("Water-spatial", GENIMA, nodes=4)
-    thirtytwo = cache.svm("Water-spatial", GENIMA, nodes=8)
-    assert sixteen.nprocs == 16
-    assert thirtytwo.nprocs == 32
+    runs = cache.run({nodes: cache.spec_svm("Water-spatial", GENIMA,
+                                            nodes=nodes)
+                      for nodes in (4, 8)})
+    assert runs[4].nprocs == 16
+    assert runs[8].nprocs == 32
 
 
-def test_cache_speedup_uses_sequential_baseline(cache):
-    result = cache.svm("Water-spatial", GENIMA)
-    assert cache.speedup("Water-spatial", result) == pytest.approx(
-        cache.seq("Water-spatial").time_us / result.time_us)
+def test_run_keeps_positional_duplicates(cache):
+    spec = cache.spec_svm("Water-spatial", GENIMA)
+    runs = cache.run(dict(enumerate([spec, spec])))
+    assert list(runs) == [0, 1]
+    assert runs[0] is runs[1]
+
+
+def _no_evaluation(monkeypatch):
+    """Fail on any cell evaluated, and on any run simulated outside one."""
+    def boom(*args, **kwargs):
+        raise AssertionError("a run was simulated")
+    monkeypatch.setattr(parallel, "evaluate_cell", boom)
+    monkeypatch.setattr(runner, "run_on_backend", boom)
+
+
+PAPER_DRIVERS = [compute_figure1, compute_figure2, compute_figure3,
+                 compute_figure4, compute_table1, compute_table2,
+                 compute_table34, compute_table5]
+
+
+@pytest.mark.parametrize("driver", PAPER_DRIVERS,
+                         ids=lambda fn: fn.__name__)
+def test_empty_app_list_is_an_error(driver, monkeypatch):
+    # Empty is an error, not the full ten-app grid (a ~45 s cold run).
+    _no_evaluation(monkeypatch)
+    with pytest.raises(ValueError, match="apps"):
+        driver(ExperimentCache(), apps=[])
+
+
+def test_warm_figure_digests_each_cell_once(tmp_path, monkeypatch):
+    store = ResultStore(tmp_path)
+    compute_figure2(ExperimentCache(store=store), apps=FAST_APPS)
+    calls = []
+    digest = CellSpec.digest
+
+    def counting_digest(self, fingerprint=None):
+        calls.append(self)
+        return digest(self, fingerprint)
+    monkeypatch.setattr(CellSpec, "digest", counting_digest)
+    _no_evaluation(monkeypatch)
+    compute_figure2(ExperimentCache(store=store), apps=FAST_APPS)
+    assert len(calls) == len(FAST_APPS) * 6  # seq + five ladder rungs
+
+
+def test_study_reuses_figure_cells(monkeypatch):
+    monkeypatch.setattr(cache_module, "CACHE", ExperimentCache())
+    compute_figure2(apps=["Water-spatial"])
+    _no_evaluation(monkeypatch)
+    rows = scaling_study("Water-spatial", node_counts=(4,))
+    assert [row["procs"] for row in rows] == [16]
 
 
 # -------------------------------------------------------------------- scale

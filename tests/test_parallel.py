@@ -650,11 +650,10 @@ def test_map_treats_corrupt_entry_as_miss(tmp_path, monkeypatch,
 
 def test_cache_warm_is_idempotent(tmp_path):
     cache = ExperimentCache(store=ResultStore(tmp_path))
-    specs = [cache.spec_svm(APP, GENIMA), cache.spec_seq(APP)]
-    cache.warm(specs)
-    first = cache.cell(specs[0])
-    cache.warm(specs)
-    assert cache.cell(specs[0]) is first  # in-memory identity preserved
+    cells = dict(enumerate([cache.spec_svm(APP, GENIMA), cache.spec_seq(APP)]))
+    first = cache.run(cells)[0]
+    assert cache.run(cells)[0] is first  # in-memory identity preserved
+    assert cache.cell(cells[0]) is first
 
 
 def test_warm_cell_read_digests_once(tmp_path, monkeypatch):
@@ -675,7 +674,7 @@ def test_warm_cell_read_digests_once(tmp_path, monkeypatch):
 def test_warm_hit_builds_no_machine_and_walks_the_spec_once(tmp_path,
                                                            monkeypatch):
     store = ResultStore(tmp_path)
-    ExperimentCache(store=store).svm(APP, GENIMA)
+    ExperimentCache(store=store).cell(svm_spec())
     cache = ExperimentCache(store=store)
     built, digests, walked, rewalked = [], [], [], []
     post_init = MachineConfig.__post_init__
@@ -703,7 +702,7 @@ def test_warm_hit_builds_no_machine_and_walks_the_spec_once(tmp_path,
     monkeypatch.setattr(CellSpec, "digest", counting_digest)
     monkeypatch.setattr(parallel, "canonical", counting_canonical)
     monkeypatch.setattr(parallel, "evaluate_cell", boom)
-    cache.svm(APP, GENIMA)
+    cache.cell(cache.spec_svm(APP, GENIMA))
     assert built == []
     assert len(digests) == 1
     assert len(walked) == len(digests)
@@ -742,7 +741,7 @@ def test_cache_spec_params_allow_dicts():
 
 def test_caches_share_store_across_instances(tmp_path):
     store = ResultStore(tmp_path)
-    first = ExperimentCache(store=store).svm(APP, GENIMA)
-    second = ExperimentCache(store=store).svm(APP, GENIMA)
+    first = ExperimentCache(store=store).cell(svm_spec())
+    second = ExperimentCache(store=store).cell(svm_spec())
     assert first is not second
     assert encode_result(first) == encode_result(second)
