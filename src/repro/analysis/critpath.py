@@ -1,9 +1,11 @@
 """Critical-path extraction from causal span traces.
 
 Operates offline on the ``span.*`` records a spanned run leaves in its
-trace (:mod:`repro.sim.spans`).  The extractor walks *backwards* from
-the end of the last-finishing rank's ``run`` span to the start of the
-timed section, alternating two moves:
+trace (:mod:`repro.sim.spans`), read once in trace order: the index
+the walk needs is built as the rows stream by, so the caller can hand
+over ``iter(tracer)`` instead of a row list.  The extractor walks
+*backwards* from the end of the last-finishing rank's ``run`` span to
+the start of the timed section, alternating two moves:
 
 * **local segment** — within one track (a serial execution lane),
   everything between the latest *resume point* before the cursor and
@@ -38,8 +40,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..sim import BUCKETS, TIME_TOLERANCE_US
 from ..sim.trace import TraceEvent
@@ -132,40 +133,94 @@ class CriticalPath:
 
 # -------------------------------------------------------------- parsing
 
-#: sort key of the ``(key, ...)`` tuples below: their ``(t, seq)`` key.
-_first = itemgetter(0)
+#: a record's position in the trace: ``(t, seq)``.
+_Key = Tuple[float, int]
+#: one innermost-span coverage piece: ``(k0, k1, bucket, name)``.
+_Piece = Tuple[_Key, _Key, str, str]
+
+
+class _Cover:
+    """One track's coverage sweep, fed begin/end marks in trace order.
+
+    Between two consecutive marks the track's time belongs to its
+    innermost open span: the last-begun one still open.  ``stack``
+    holds begun spans in begin order and ``open`` maps each open sid to
+    its begin key, so a closed (or re-begun) entry is skipped lazily
+    when it reaches the top; a non-LIFO close costs nothing until then.
+    """
+
+    __slots__ = ("open", "stack", "prev", "pieces", "keys")
+
+    def __init__(self) -> None:
+        self.open: Dict[int, _Key] = {}
+        self.stack: List[Tuple[_Key, int, str, str]] = []
+        self.prev: Optional[_Key] = None
+        self.pieces: List[_Piece] = []   #: in key order
+        self.keys: List[_Key] = []       #: each piece's start key
+
+    def mark(self, key: _Key) -> None:
+        """Close the piece that ends at ``key`` (a begin or an end)."""
+        prev = self.prev
+        if self.open and prev is not None:
+            stack, open_ = self.stack, self.open
+            while open_.get(stack[-1][1]) != stack[-1][0]:
+                stack.pop()
+            _, _, bucket, name = stack[-1]
+            self.pieces.append((prev, key, bucket, name))
+            self.keys.append(prev)
+        self.prev = key
 
 
 class _Trace:
-    """Span records indexed for the backward walk."""
+    """Span records indexed for the backward walk, built in one pass.
 
-    def __init__(self, events: Sequence[TraceEvent]):
+    Rows must arrive in trace order, as :class:`~repro.sim.Tracer` and
+    :meth:`~repro.analysis.hb.HBGraph.rows` yield them: every index is
+    then appended to in key order, so nothing is sorted or rebuilt
+    afterwards.  ``rows`` counts every row read.
+    """
+
+    def __init__(self, events: Iterable[TraceEvent]):
         #: fid -> (key, t, track, kind, bucket)
-        self.flows: Dict[int, Tuple[Tuple[float, int], float, str,
-                                    str, str]] = {}
-        #: track -> sorted [(key, t, fid)] resume points (wakes and
-        #: linked begins).
-        self.resumes: Dict[str, List[Tuple[Tuple[float, int],
-                                           float, int]]] = {}
-        #: track -> [(key, +1/-1, sid, bucket, name)] coverage events.
-        cover: Dict[str, List[Tuple[Tuple[float, int], int, int,
-                                    str, str]]] = {}
+        self.flows: Dict[int, Tuple[_Key, float, str, str, str]] = {}
+        #: track -> resume points (wakes and linked begins), as
+        #: [(key, t, fid)] and, for bisection, their keys.
+        self.resumes: Dict[str, List[Tuple[_Key, float, int]]] = {}
+        self.resume_keys: Dict[str, List[_Key]] = {}
+        #: track -> innermost-span coverage sweep.
+        self.cover: Dict[str, _Cover] = {}
         #: run spans: track -> (begin_key, begin_t); and ends.
-        self.run_begin: Dict[str, Tuple[Tuple[float, int], float]] = {}
-        run_end: Dict[str, Tuple[Tuple[float, int], float]] = {}
-        sid_info: Dict[int, Tuple[str, str, str]] = {}  # track,bucket,name
+        self.run_begin: Dict[str, Tuple[_Key, float]] = {}
+        run_end: Dict[str, Tuple[_Key, float]] = {}
+        #: sid -> (track, its sweep, span name)
+        sid_info: Dict[int, Tuple[str, _Cover, str]] = {}
+        cover = self.cover
+        last: _Key = (-math.inf, 0)
+        rows = 0
         for t, category, f, seq in events:
+            rows += 1
+            if not category.startswith("span."):
+                continue
+            key = (t, seq)
+            if key <= last:
+                raise ValueError(
+                    f"span row seq {seq} at t={t} arrives out of "
+                    f"(t, seq) order: pass the rows in trace order")
+            last = key
             if category == "span.begin":
-                key = (t, seq)
                 sid, track = f["sid"], f["track"]
-                bucket, name = f.get("bucket", "other"), f.get("name", "")
-                sid_info[sid] = (track, bucket, name)
-                cover.setdefault(track, []).append(
-                    (key, 1, sid, bucket, name))
+                name = f.get("name", "")
+                sweep = cover.get(track)
+                if sweep is None:
+                    sweep = cover[track] = _Cover()
+                sweep.mark(key)
+                sweep.open[sid] = key
+                sweep.stack.append((key, sid, f.get("bucket", "other"),
+                                    name))
+                sid_info[sid] = (track, sweep, name)
                 link = f.get("link")
                 if link is not None:
-                    self.resumes.setdefault(track, []).append(
-                        (key, t, link))
+                    self._resume(track, key, t, link)
                 if name == "run":
                     self.run_begin[track] = (key, t)
             elif category == "span.end":
@@ -173,51 +228,28 @@ class _Trace:
                 info = sid_info.get(sid)
                 if info is None:
                     continue
-                track, bucket, name = info
-                key = (t, seq)
-                cover.setdefault(track, []).append(
-                    (key, -1, sid, bucket, name))
+                track, sweep, name = info
+                sweep.mark(key)
+                sweep.open.pop(sid, None)
                 if name == "run":
                     run_end[track] = (key, t)
             elif category == "span.flow":
-                self.flows[f["fid"]] = ((t, seq), t, f["track"],
+                self.flows[f["fid"]] = (key, t, f["track"],
                                         f.get("kind", "flow"),
                                         f.get("bucket", "other"))
             elif category == "span.wake":
-                self.resumes.setdefault(f["track"], []).append(
-                    ((t, seq), t, f["fid"]))
-        for lst in self.resumes.values():
-            lst.sort(key=_first)
-        self.resume_keys = {tr: [r[0] for r in lst]
-                            for tr, lst in self.resumes.items()}
+                self._resume(f["track"], key, t, f["fid"])
+        self.rows = rows
         #: run spans that both began and ended, as (end_key, end_t, track)
         self.runs = [(k, t, tr) for tr, (k, t) in run_end.items()
                      if tr in self.run_begin]
-        #: track -> [(k0, k1, bucket, name)] innermost-span coverage.
-        self.cover = {tr: self._pieces(evs)
-                      for tr, evs in cover.items()}
-        self.cover_keys = {tr: [p[0] for p in pieces]
-                           for tr, pieces in self.cover.items()}
 
-    @staticmethod
-    def _pieces(evs):
-        """Sweep begin/end events into innermost-span coverage pieces."""
-        evs = sorted(evs, key=_first)
-        open_spans: Dict[int, Tuple[Tuple[float, int], str, str]] = {}
-        pieces = []
-        prev_key = None
-        for key, delta, sid, bucket, name in evs:
-            if prev_key is not None and open_spans and prev_key < key:
-                _, b, n = max(open_spans.values())
-                pieces.append((prev_key, key, b, n))
-            if delta > 0:
-                open_spans[sid] = (key, bucket, name)
-            else:
-                open_spans.pop(sid, None)
-            prev_key = key
-        return pieces
+    def _resume(self, track: str, key: _Key, t: float, fid: int) -> None:
+        self.resumes.setdefault(track, []).append((key, t, fid))
+        self.resume_keys.setdefault(track, []).append(key)
 
-    def latest_resume(self, track: str, key):
+    def latest_resume(self, track: str,
+                      key: _Key) -> Optional[Tuple[_Key, float, int]]:
         """Latest resume point on ``track`` strictly before ``key``."""
         keys = self.resume_keys.get(track)
         if not keys:
@@ -225,17 +257,20 @@ class _Trace:
         i = bisect.bisect_left(keys, key)
         return self.resumes[track][i - 1] if i else None
 
-    def attribute(self, track: str, k0, k1) -> Tuple[Dict[str, float], str]:
+    def attribute(self, track: str, k0: _Key,
+                  k1: _Key) -> Tuple[Dict[str, float], str]:
         """Bucket attribution of [k0, k1) on ``track`` by innermost
         span coverage; uncovered time goes to ``other``.  Also returns
         the name of the longest covering span (for display)."""
-        pieces = self.cover.get(track, [])
-        keys = self.cover_keys.get(track, [])
+        sweep = self.cover.get(track)
+        pieces = sweep.pieces if sweep is not None else []
+        keys = sweep.keys if sweep is not None else []
         out: Dict[str, float] = {}
         longest, label = 0.0, ""
         i = max(bisect.bisect_right(keys, k0) - 1, 0)
         covered = 0.0
-        for p0, p1, bucket, name in pieces[i:]:
+        for j in range(i, len(pieces)):
+            p0, p1, bucket, name = pieces[j]
             if p0 >= k1:
                 break
             lo = max(p0[0], k0[0])
@@ -255,11 +290,15 @@ class _Trace:
 # ------------------------------------------------------------ extraction
 
 
-def extract_critical_path(events: Sequence[TraceEvent]) -> CriticalPath:
+def extract_critical_path(events: Iterable[TraceEvent]) -> CriticalPath:
     """Extract the critical path from a spanned run's trace events.
 
-    Raises :class:`ValueError` when the trace carries no completed
-    ``run`` spans (the run was not executed with ``spans=True``).
+    ``events`` is any iterable of rows in trace order (a list, a
+    :class:`~repro.sim.Tracer` or ``iter(tracer)``); it is read once,
+    and rows of other families are skipped.  Raises
+    :class:`ValueError` when the trace carries no completed ``run``
+    spans (the run was not executed with ``spans=True``) or when span
+    rows arrive out of order.
     """
     tr = _Trace(events)
     if not tr.runs:
@@ -275,9 +314,9 @@ def extract_critical_path(events: Sequence[TraceEvent]) -> CriticalPath:
     complete = False
     terminal_track = track
     terminal_t = cursor_t
-    # Each iteration strictly decreases cursor_key; the event list is
+    # Each iteration strictly decreases cursor_key; the trace is
     # finite, so this bound is never hit on a well-formed trace.
-    for _ in range(len(events) + 1):
+    for _ in range(tr.rows + 1):
         floor = tr.run_begin.get(track)
         rp = tr.latest_resume(track, cursor_key)
         if floor is not None and (rp is None or rp[0] <= floor[0]):

@@ -7,7 +7,8 @@ need:
 * the **import graph** (project-internal edges only, resolved from
   absolute and relative imports at any nesting depth — function-level
   lazy imports included, because the cache fingerprint rule cares
-  exactly about those);
+  exactly about those; imports under ``if TYPE_CHECKING:`` never run,
+  so they are no edges);
 * a **symbol table** of classes and functions per module, plus
   line-interval lookup of the innermost enclosing definition (each
   finding names the symbol it sits in);
@@ -130,6 +131,26 @@ class ModuleInfo:
         return None
 
 
+def _is_type_checking(test: ast.expr) -> bool:
+    """``TYPE_CHECKING`` or ``<module>.TYPE_CHECKING``."""
+    if isinstance(test, ast.Attribute):
+        return test.attr == "TYPE_CHECKING"
+    return isinstance(test, ast.Name) and test.id == "TYPE_CHECKING"
+
+
+def _runtime_nodes(tree: ast.AST) -> Iterator[ast.AST]:
+    """Every node of ``tree`` that can execute: ``ast.walk`` minus the
+    bodies of ``if TYPE_CHECKING:`` blocks (their ``else`` runs)."""
+    stack: List[ast.AST] = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, ast.If) and _is_type_checking(node.test):
+            stack.extend(node.orelse)
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+
+
 class ProjectModel:
     """All modules of one package, with cross-module lookups."""
 
@@ -180,7 +201,7 @@ class ProjectModel:
     # ------------------------------------------------------------ imports
 
     def _collect_imports(self, info: ModuleInfo) -> None:
-        for node in ast.walk(info.tree):
+        for node in _runtime_nodes(info.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     self._add_internal(info, alias.name)

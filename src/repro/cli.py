@@ -234,6 +234,7 @@ def _cmd_critpath(args) -> int:
     from .analysis import (CRITPATH_SCHEMA, Sanitizer, render_ladder_diff,
                            render_path)
     from .experiments import collect_critpath, collect_critpaths_grid
+    from .sim import Tracer
     app_name = _resolve_name(args.app, APP_REGISTRY, "application")
     variant_names = [_resolve_name(v, PROTOCOLS, "protocol variant")
                      for v in (args.variant
@@ -241,13 +242,16 @@ def _cmd_critpath(args) -> int:
     cls = APP_REGISTRY[app_name]
     config = MachineConfig(nodes=args.nodes)
     if args.perfetto or args.check:
-        # Perfetto export and the sanitizer consume the live span
-        # stream, which the store does not keep: run serial and fresh.
+        # Perfetto export and the sanitizer consume the live trace,
+        # which the store does not keep: run serial and fresh, and
+        # record every family (Perfetto's instant events, the
+        # sanitizer's protocol checks), not just the spans.
         runs = []
         for name in variant_names:
             app = cls(**cls.paper_params) if args.paper_size else cls()
             runs.append(collect_critpath(app, PROTOCOLS[name],
-                                         config=config, check=args.check))
+                                         config=config, check=args.check,
+                                         tracer=Tracer(capacity=None)))
     else:
         runs = collect_critpaths_grid(
             app_name, [PROTOCOLS[n] for n in variant_names],

@@ -4,10 +4,14 @@ One :func:`collect_critpath` call runs an application under one
 protocol variant with causal span recording armed (``spans=True``),
 extracts the critical path offline
 (:func:`repro.analysis.extract_critical_path`) and returns the run,
-the path and the full tracer (kept so callers can export the span
-stream to Perfetto); :func:`collect_critpaths_grid` sweeps a list of
-variants through the run cache (pass Base first so the ladder diff
+the path and the tracer; :func:`collect_critpaths_grid` sweeps a list
+of variants through the run cache (pass Base first so the ladder diff
 normalizes the way the paper does).
+
+The extractor reads only ``span.*`` rows, so by default the tracer
+keeps only those.  A caller that reads more of the trace (Perfetto's
+instant events, the sanitizer's protocol checks) passes its own
+unfiltered tracer.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ __all__ = ["CritpathRun", "collect_critpath", "collect_critpaths_grid"]
 
 @dataclass
 class CritpathRun:
-    """One spanned run: its result, critical path and span trace.
+    """One spanned run: its result, critical path and trace.
 
     ``tracer`` is ``None`` when the run was decoded from the persistent
     store: the span stream is not persisted, only the extracted path,
@@ -35,22 +39,25 @@ class CritpathRun:
     variant: str   #: protocol variant name ("Base", "GeNIMA", ...)
     result: object     #: the :class:`~repro.runtime.results.RunResult`
     path: object       #: the :class:`~repro.analysis.CriticalPath`
-    tracer: Optional[Tracer]  #: span stream (None for cached runs)
+    tracer: Optional[Tracer]  #: the run's trace (None for cached runs)
 
 
 def collect_critpath(app, features,
                      config: Optional[MachineConfig] = None,
-                     check: bool = False) -> CritpathRun:
+                     check: bool = False,
+                     tracer: Optional[Tracer] = None) -> CritpathRun:
     """Run ``app`` under ``features`` with spans; extract the path.
 
     ``check`` additionally installs the runtime invariant checker.
-    The tracer is unbounded: critical-path extraction needs the whole
-    span stream, not a ring-buffer suffix.
+    ``tracer`` defaults to an unbounded span-only one: extraction needs
+    the whole span stream, not a ring-buffer suffix, and nothing else.
+    The extractor reads the rows once, as ``iter(tracer)`` yields them.
     """
-    tracer = Tracer(capacity=None)
+    if tracer is None:
+        tracer = Tracer(categories={"span"}, capacity=None)
     result = run_svm(app, features, config=config, tracer=tracer,
                      check=check, spans=True)
-    path = extract_critical_path(tracer.events)
+    path = extract_critical_path(iter(tracer))
     return CritpathRun(variant=features.name, result=result,
                        path=path, tracer=tracer)
 

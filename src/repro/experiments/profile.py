@@ -13,13 +13,15 @@ in the persistent store; cached profiles decode through
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..hw import MachineConfig
 from ..obs import (Profile, TimeSeriesSampler, build_profile,
                    probe_phases)
 from ..runtime import run_svm
-from .cache import ExperimentCache
+
+if TYPE_CHECKING:  # an annotation only: cells never run the cache
+    from .cache import ExperimentCache
 
 __all__ = ["collect_profile", "collect_profiles_grid"]
 

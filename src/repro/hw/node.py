@@ -97,16 +97,3 @@ class Node:
         finally:
             self.protocol_proc.release()
         self.interrupt_busy_us += self.sim.now - start
-
-    def run_handler(self, service_us: float, entry_delay: bool = True):
-        """Generator: one fixed-cost protocol-handler activation.
-
-        Convenience wrapper over :meth:`handler` used by the
-        interrupt-driven Base protocol for page requests, lock requests
-        and diff applies.
-        """
-        def body():
-            if service_us > 0:
-                yield self.sim.timeout(service_us)
-
-        yield from self.handler(body(), entry_delay=entry_delay)

@@ -87,8 +87,7 @@ FINGERPRINT_DIRS = ("sim", "hw", "svm", "vmmc", "faults", "apps",
 #: still execute (lazy imports): they shape cached payloads, so they
 #: must invalidate the cache too.  The FPR whole-program lint pass
 #: verifies this list covers everything reachable from this module.
-FINGERPRINT_MODULES = ("__init__.py", "experiments/cache.py",
-                       "experiments/critpath.py",
+FINGERPRINT_MODULES = ("__init__.py", "experiments/critpath.py",
                        "experiments/profile.py",
                        "experiments/reporting.py")
 

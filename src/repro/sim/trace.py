@@ -29,9 +29,11 @@ numbers are implicit (``seq = dropped + index + 1``), per-category
 counts are folded lazily from the id columns, and :class:`TraceEvent`
 rows (immutable ``(t, category, fields, seq)`` tuples) are materialized
 only on query, so ``to_jsonl()`` (and everything the sanitizer/critpath
-readers see) is byte-identical to the one-row-per-record sink.  That
-sink is still available as ``Tracer(sink="tuples")``; the golden
-regression tests compare the two bytewise on a full ladder cell.
+readers see) is byte-identical to a one-row-per-record sink; the tests
+keep such a sink as the oracle and compare the two bytewise on a full
+ladder cell.  ``iter(tracer)`` yields the retained rows once, in record
+order, without building the list ``events`` returns, so a reader that
+folds the stream as it goes never holds every row at once.
 
 ``flush()`` seals the mutable tail into a frozen segment; the sampler
 calls it once per time slice so a long traced run grows a list of
@@ -41,7 +43,7 @@ immutable column blocks instead of one ever-reallocating array.
 from __future__ import annotations
 
 from array import array
-from collections import Counter, deque, namedtuple
+from collections import Counter, namedtuple
 from itertools import chain, count, repeat
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -66,7 +68,7 @@ class TraceEvent(namedtuple("_TraceRow", "t category fields seq")):
 
     An immutable tuple, so readers may unpack it
     (``for t, category, fields, seq in events``) instead of paying an
-    attribute lookup per field; the sinks build rows with one
+    attribute lookup per field; the tracer builds rows with one
     ``tuple.__new__`` each.  ``fields`` defaults to a fresh dict.
     """
 
@@ -98,17 +100,11 @@ class Tracer:
     ``categories`` filters at record time on the *prefix* before the
     first dot (``"fetch"`` admits ``"fetch.retry"``); None records
     everything.  ``capacity`` bounds memory (oldest events drop);
-    counts are kept for all admitted events regardless.  ``sink``
-    selects the storage engine: ``"columnar"`` (default) or
-    ``"tuples"`` (the legacy one-TraceEvent-per-record deque, kept for
-    bytewise cross-validation).
+    counts are kept for all admitted events regardless.
     """
 
-    def __new__(cls, categories: Optional[Iterable[str]] = None,
-                capacity: Optional[int] = 100_000,
-                sink: str = "columnar"):
-        if sink not in ("columnar", "tuples"):
-            raise ValueError(f"unknown trace sink {sink!r}")
+    def __init__(self, categories: Optional[Iterable[str]] = None,
+                 capacity: Optional[int] = 100_000):
         if isinstance(categories, str):
             # set("fetch") would admit the prefixes f, e, t, c and h.
             raise ValueError(f"categories must be None or an iterable of "
@@ -119,13 +115,6 @@ class Tracer:
                                      or capacity < 0):
             raise ValueError(f"capacity must be None or an integer >= 0, "
                              f"got {capacity!r}")
-        if cls is Tracer and sink == "tuples":
-            return object.__new__(_TupleTracer)
-        return object.__new__(cls)
-
-    def __init__(self, categories: Optional[Iterable[str]] = None,
-                 capacity: Optional[int] = 100_000,
-                 sink: str = "columnar"):
         self.categories = set(categories) if categories is not None \
             else None
         self.capacity = capacity
@@ -291,6 +280,10 @@ class Tracer:
         return total
 
     # -------------------------------------------------------------- query
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        """The retained records, once, as :class:`TraceEvent` rows."""
+        return self._rows()
 
     @property
     def events(self) -> List[TraceEvent]:
@@ -484,68 +477,3 @@ class Tracer:
                             "s": "t", "args": dict(f)})
         return out
 
-
-class _TupleTracer(Tracer):
-    """The legacy sink: one :class:`TraceEvent` per record in a deque.
-
-    Construct via ``Tracer(sink="tuples")``.  Kept as the
-    cross-validation reference for the columnar sink — the golden
-    tests assert both produce byte-identical ``to_jsonl()`` on a full
-    ladder cell — and for any external code that pokes at a live
-    ``events`` list while recording.
-    """
-
-    def __init__(self, categories: Optional[Iterable[str]] = None,
-                 capacity: Optional[int] = 100_000,
-                 sink: str = "tuples"):
-        self.categories = set(categories) if categories is not None \
-            else None
-        self.capacity = capacity
-        self._events: deque = deque(maxlen=capacity)
-        self._counts: Counter = Counter()
-        self._seq = 0
-        self._admit = {}
-
-    def append(self, t: float, category: str,
-               fields: Dict[str, Any]) -> None:
-        categories = self.categories
-        if categories is not None:
-            admit = self._admit.get(category)
-            if admit is None:
-                admit = category.split(".", 1)[0] in categories
-                self._admit[category] = admit
-            if not admit:
-                return
-        self._counts[category] += 1
-        self._seq += 1
-        self._events.append(
-            _new_row(TraceEvent, (t, category, fields, self._seq)))
-
-    def flush(self) -> None:
-        pass
-
-    def _rows(self) -> Iterator[TraceEvent]:
-        return iter(self._events)
-
-    @property
-    def events(self) -> List[TraceEvent]:
-        return list(self._events)
-
-    def count(self, category: str) -> int:
-        return self._counts[category]
-
-    def count_prefix(self, category: str) -> int:
-        prefix = category + "."
-        return self._counts[category] + sum(
-            n for c, n in self._counts.items() if c.startswith(prefix))
-
-    def counts(self) -> Dict[str, int]:
-        return dict(self._counts)
-
-    def clear(self) -> None:
-        self._events.clear()
-        self._counts.clear()
-        self._seq = 0
-
-    def to_jsonl(self) -> str:
-        return "\n".join(e.to_json() for e in self._events)

@@ -6,7 +6,7 @@ from .features import (BASE, DW, DW_RF, DW_RF_DD, GENIMA, GENIMA_MC,
                        GENIMA_PLUS, GENIMA_SG, PROTOCOL_LADDER,
                        ProtocolFeatures)
 from .locks import InterruptLockManager
-from .mprotect import MprotectModel, coalesce_pages
+from .mprotect import MprotectModel
 from .pages import (HomePage, NodePageTable, PageAccess, PageDirectory,
                     SharedRegion)
 from .protocol import HLRCProtocol
@@ -30,7 +30,6 @@ __all__ = [
     "PROTOCOL_LADDER",
     "InterruptLockManager",
     "MprotectModel",
-    "coalesce_pages",
     "HomePage",
     "NodePageTable",
     "PageAccess",

@@ -10,27 +10,11 @@ per-node running total.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable
 
 from ..hw.config import MachineConfig
 
-__all__ = ["coalesce_pages", "MprotectModel"]
-
-
-def coalesce_pages(pages: Iterable[int]) -> List[Tuple[int, int]]:
-    """Group page ids into maximal runs of consecutive ids.
-
-    Returns ``[(first_page, count), ...]`` sorted ascending; duplicate
-    ids are collapsed.
-    """
-    uniq = sorted(set(pages))
-    runs: List[Tuple[int, int]] = []
-    for page in uniq:
-        if runs and page == runs[-1][0] + runs[-1][1]:
-            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
-        else:
-            runs.append((page, 1))
-    return runs
+__all__ = ["MprotectModel"]
 
 
 class MprotectModel:
@@ -45,8 +29,9 @@ class MprotectModel:
     def protect(self, node: int, pages: Iterable[int]) -> float:
         """Account one protection change on ``node``; returns its cost.
 
-        One call per run of :func:`coalesce_pages`, counted without
-        sorting (a page starts a run iff its predecessor is absent).
+        One call per maximal run of consecutive page ids, counted
+        without sorting (a page starts a run iff its predecessor is
+        absent).
         """
         uniq = set(pages)
         n_runs = len([p for p in uniq if p - 1 not in uniq])

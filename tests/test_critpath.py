@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro import PROTOCOL_LADDER, run_svm
-from repro.analysis import (Sanitizer, bucket_shares,
+from repro.analysis import (PathStep, Sanitizer, bucket_shares,
                             extract_critical_path, render_ladder_diff,
                             render_path)
 from repro.apps import BarnesSpatial
@@ -105,3 +105,120 @@ def test_cli_critpath(tmp_path, capsys):
         events = json.loads(f.read_text())
         assert any(e["ph"] == "B" for e in events)
         assert any(e["ph"] == "s" for e in events)
+
+
+# -- the streaming extractor against the sort-based reference -------------
+
+#: cells whose paths the span-only, one-sweep extractor must reproduce.
+REFERENCE_CELLS = [("FFT", "Base"), ("FFT", "GeNIMA"),
+                   ("Barnes-spatial", "GeNIMA"), ("Water-spatial", "Base"),
+                   ("LU-contiguous", "DW+RF"), ("Radix-local", "DW")]
+
+
+@pytest.mark.parametrize("app,rung", REFERENCE_CELLS,
+                         ids=[f"{a}/{r}" for a, r in REFERENCE_CELLS])
+def test_span_only_path_matches_reference_on_full_trace(app, rung):
+    from repro.apps import APP_REGISTRY
+    from tests.critpath_reference import reference_critical_path
+
+    feats = {f.name: f for f in PROTOCOL_LADDER}[rung]
+    run = collect_critpath(APP_REGISTRY[app](), feats)
+    full = Tracer(capacity=None)
+    run_svm(APP_REGISTRY[app](), feats, tracer=full, spans=True)
+    assert full.count_prefix("span") < sum(full.counts().values())
+    reference = reference_critical_path(full.events)
+    assert run.path.to_dict() == reference.to_dict()
+    assert run.path.ok()
+
+
+def _rows(*records):
+    """TraceEvent rows from ``(t, category, fields)``, seq from 1."""
+    from repro.sim import TraceEvent
+    return [TraceEvent(t, c, f, seq)
+            for seq, (t, c, f) in enumerate(records, 1)]
+
+
+#: r0 sends a page request at 10; on h0 the linked handler ``A`` opens
+#: at 12, ``B`` at 14, A closes under B (non-LIFO), ``C`` opens at 17
+#: and B closes under C (non-LIFO again); h0 replies at 19 and r0 is
+#: woken at 22.
+NON_LIFO = _rows(
+    (0.0, "span.begin", {"sid": 1, "track": "r0", "name": "run",
+                         "bucket": "compute"}),
+    (10.0, "span.flow", {"fid": 1, "track": "r0", "kind": "page_req",
+                         "bucket": "data"}),
+    (12.0, "span.begin", {"sid": 2, "track": "h0", "name": "A",
+                          "bucket": "data", "link": 1}),
+    (13.0, "fetch.ok", {"gid": 4}),
+    (14.0, "span.begin", {"sid": 3, "track": "h0", "name": "B",
+                          "bucket": "lock"}),
+    (16.0, "span.end", {"sid": 2}),
+    (17.0, "span.begin", {"sid": 4, "track": "h0", "name": "C",
+                          "bucket": "barrier"}),
+    (18.0, "span.end", {"sid": 3}),
+    (19.0, "span.flow", {"fid": 2, "track": "h0", "kind": "page_reply",
+                         "bucket": "data"}),
+    (20.0, "span.end", {"sid": 4}),
+    (22.0, "span.wake", {"fid": 2, "track": "r0"}),
+    (30.0, "span.end", {"sid": 1}),
+)
+
+
+def test_non_lifo_closes_on_a_handler_track():
+    from tests.critpath_reference import reference_critical_path
+
+    path = extract_critical_path(NON_LIFO)
+    assert path.to_dict() == reference_critical_path(NON_LIFO).to_dict()
+    assert path.ok() and path.total_us == 30.0
+    h0 = [s for s in path.steps if s.kind == "seg" and s.track == "h0"]
+    # [12, 19) on h0: A to 14, B to 17 (A closed under it), C after;
+    # the label names the longest piece (A's, B's is split at 16).
+    assert h0 == [PathStep("seg", "h0", 12.0, 19.0,
+                           {"data": 2.0, "lock": 3.0, "barrier": 2.0},
+                           "A")]
+
+
+def test_extractor_reads_a_one_shot_iterator():
+    want = extract_critical_path(NON_LIFO).to_dict()
+    assert extract_critical_path(iter(NON_LIFO)).to_dict() == want
+    assert extract_critical_path(r for r in NON_LIFO).to_dict() == want
+    tracer = Tracer(capacity=None)
+    for t, category, fields, _ in NON_LIFO:
+        tracer.append(t, category, fields)
+    assert extract_critical_path(iter(tracer)).to_dict() == want
+    assert extract_critical_path(tracer).to_dict() == want
+
+
+def test_extractor_rejects_span_rows_out_of_order():
+    rows = list(NON_LIFO)
+    rows[5], rows[6] = rows[6], rows[5]
+    with pytest.raises(ValueError, match="out of"):
+        extract_critical_path(rows)
+
+
+def test_collect_critpath_keeps_only_the_span_stream(ladder_runs):
+    for run in ladder_runs:
+        counts = run.tracer.counts()
+        assert counts and all(c.startswith("span.") for c in counts)
+    # a caller's own tracer records every family
+    full = collect_critpath(BarnesSpatial(), GENIMA,
+                            tracer=Tracer(capacity=None))
+    assert full.tracer.count_prefix("fetch") > 0
+    assert full.path.to_dict() == ladder_runs[-1].path.to_dict()
+
+
+def test_cli_critpath_check_sanitizes_every_family(monkeypatch, capsys):
+    seen = []
+    real = Sanitizer.run
+
+    def run(self, events):
+        events = list(events)
+        seen.append({e.category.split(".", 1)[0] for e in events})
+        return real(self, events)
+
+    monkeypatch.setattr(Sanitizer, "run", run)
+    assert main(["critpath", "--app", "fft", "--variant", "base",
+                 "--nodes", "2", "--check"]) == 0
+    capsys.readouterr()
+    assert len(seen) == 1
+    assert {"span", "fault", "fetch"} <= seen[0]

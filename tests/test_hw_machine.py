@@ -43,6 +43,11 @@ def test_interrupt_jitter_is_deterministic_per_seed():
         == [b.interrupt_entry_delay() for _ in range(10)]
 
 
+def service(sim, us):
+    """A handler body that occupies the protocol process for ``us``."""
+    yield sim.timeout(us)
+
+
 def test_handlers_serialize_on_protocol_process():
     machine = Machine(MachineConfig(sched_jitter_us=0.0))
     node = machine.nodes[0]
@@ -51,7 +56,7 @@ def test_handlers_serialize_on_protocol_process():
 
     def handler(tag):
         t0 = sim.now
-        yield from node.run_handler(50.0)
+        yield from node.handler(service(sim, 50.0))
         spans.append((tag, t0, sim.now))
 
     for i in range(3):
@@ -72,7 +77,7 @@ def test_handler_without_entry_delay_pays_dispatch_only():
     t_end = []
 
     def run():
-        yield from node.run_handler(10.0, entry_delay=False)
+        yield from node.handler(service(sim, 10.0), entry_delay=False)
         t_end.append(sim.now)
 
     sim.process(run())

@@ -249,6 +249,33 @@ def test_executor_fingerprint_invalidates(tmp_path, monkeypatch):
     assert len(store) == 2  # new digest, old entry untouched
 
 
+def test_fingerprint_ignores_driver_only_modules(tmp_path, monkeypatch):
+    """Editing the experiment cache (a driver no cell runs) keeps every
+    stored cell reachable; editing a module a cell runs does not."""
+    import shutil
+    import repro
+    src = os.path.dirname(repro.__file__)
+    copy = tmp_path / "repro"
+    shutil.copytree(src, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(repro, "__file__", str(copy / "__init__.py"))
+
+    def fingerprint_after(edit):
+        with open(copy / edit, "a") as fh:
+            fh.write("\n# an edit\n")
+        parallel.code_fingerprint.cache_clear()
+        return parallel.code_fingerprint()
+
+    try:
+        parallel.code_fingerprint.cache_clear()
+        before = parallel.code_fingerprint()
+        assert fingerprint_after("experiments/cache.py") == before
+        assert fingerprint_after("experiments/critpath.py") != before
+    finally:
+        monkeypatch.undo()
+        parallel.code_fingerprint.cache_clear()
+
+
 def test_executor_recovers_from_corrupted_entry(tmp_path, svm_payload):
     store = ResultStore(tmp_path)
     spec = svm_spec()

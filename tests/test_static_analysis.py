@@ -153,6 +153,35 @@ def test_fpr_real_tree_has_no_gaps():
     assert [v for v in report.violations if v.family == "FPR"] == []
 
 
+def test_fpr_ignores_imports_under_type_checking(tmp_path):
+    """An import that only type checkers run is no import-graph edge;
+    its ``else`` branch and a lazy import still are."""
+    pkg = tmp_path / "tcpkg"
+    for sub in ("runtime", "drivers"):
+        (pkg / sub).mkdir(parents=True)
+        (pkg / sub / "__init__.py").write_text("")
+    (pkg / "__init__.py").write_text("")
+    (pkg / "runtime" / "grid.py").write_text(
+        'FINGERPRINT_DIRS = ("runtime",)\n'
+        'FINGERPRINT_MODULES = ()\n'
+        "import typing\n"
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    from ..drivers.typed import Typed\n"
+        "if typing.TYPE_CHECKING:\n"
+        "    from ..drivers import typed_too\n"
+        "else:\n"
+        "    from ..drivers import fallback\n"
+        "def cell():\n"
+        "    from ..drivers import lazy\n")
+    for mod in ("typed", "typed_too", "fallback", "lazy"):
+        (pkg / "drivers" / f"{mod}.py").write_text("class Typed: ...\n")
+    report = analyze_project(pkg)
+    flagged = {v.path.rsplit("/", 1)[-1] for v in report.violations
+               if v.rule == "FPR001"}
+    assert flagged == {"fallback.py", "lazy.py"}
+
+
 def test_fingerprint_modules_exist():
     from repro.runtime.parallel import (FINGERPRINT_DIRS,
                                         FINGERPRINT_MODULES)

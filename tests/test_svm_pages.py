@@ -5,7 +5,7 @@ from hypothesis import example, given, strategies as st
 
 from repro.hw import MachineConfig
 from repro.svm import (DiffShape, HomePage, NodePageTable, PageAccess,
-                       PageDirectory, coalesce_pages)
+                       PageDirectory)
 from repro.svm.mprotect import MprotectModel
 
 
@@ -232,6 +232,22 @@ def test_needed_versions_keep_maximum():
 
 
 # ----------------------------------------------------------------- mprotect
+
+def coalesce_pages(pages):
+    """Group page ids into maximal runs of consecutive ids.
+
+    Returns ``[(first_page, count), ...]`` sorted ascending; duplicate
+    ids are collapsed.  The sorting reference that
+    ``MprotectModel.protect``'s one-pass run count must agree with.
+    """
+    runs = []
+    for page in sorted(set(pages)):
+        if runs and page == runs[-1][0] + runs[-1][1]:
+            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
+        else:
+            runs.append((page, 1))
+    return runs
+
 
 def test_coalesce_pages_runs():
     assert coalesce_pages([1, 2, 3, 7, 8, 10]) == [(1, 3), (7, 2), (10, 1)]

@@ -3,6 +3,10 @@
 from repro.hw import Machine, MachineConfig
 from repro.sim import SpanTracer, Simulator, TraceEvent, Tracer
 from repro.svm import BASE, GENIMA, HLRCProtocol
+from tests.tuple_tracer import TupleTracer
+
+#: the columnar tracer and its one-row-per-record oracle.
+SINKS = {"columnar": Tracer, "tuples": TupleTracer}
 
 
 # ----------------------------------------------------------------- Tracer
@@ -125,19 +129,19 @@ def test_trace_event_row_contract():
 
 def test_categories_must_not_be_a_bare_string():
     import pytest
-    for sink in ("columnar", "tuples"):
+    for sink in SINKS.values():
         # set("fetch") is {'f', 'e', 't', 'c', 'h'}: it recorded nothing.
         with pytest.raises(ValueError, match="categories"):
-            Tracer(categories="fetch", sink=sink)
+            sink(categories="fetch")
         for categories in ((), {"fetch"}, ["fetch"], None):
-            tr = Tracer(categories=categories, sink=sink)
+            tr = sink(categories=categories)
             tr.record(1.0, "fetch.ok", gid=1)
             assert tr.count("fetch.ok") == (0 if categories == () else 1)
 
 
 def test_append_keeps_the_callers_dict():
-    for sink in ("columnar", "tuples"):
-        tr = Tracer(sink=sink)
+    for sink in SINKS.values():
+        tr = sink()
         fields = {"gid": 7}
         tr.append(1.0, "fetch.ok", fields)
         tr.record(2.0, "fetch.ok", gid=8)
@@ -145,7 +149,7 @@ def test_append_keeps_the_callers_dict():
         assert rows[0].fields is fields
         assert rows == [TraceEvent(1.0, "fetch.ok", {"gid": 7}, 1),
                         TraceEvent(2.0, "fetch.ok", {"gid": 8}, 2)]
-        Tracer(categories=(), sink=sink).append(1.0, "x", {})
+        sink(categories=()).append(1.0, "x", {})
 
 
 # ------------------------------------------------------------ span tracing
@@ -295,22 +299,20 @@ def test_trace_event_ordering_is_chronological():
     assert times == sorted(times)
 
 
-# -- columnar vs legacy tuple sink -----------------------------------------
+# -- columnar vs the tuple-sink oracle -------------------------------------
 
 
-def test_sink_arg_validated_and_selects_engine():
+def test_capacity_validated_and_sink_arg_gone():
     import pytest
-    with pytest.raises(ValueError):
-        Tracer(sink="parquet")
-    assert type(Tracer(sink="tuples")) is not type(Tracer())
-    assert isinstance(Tracer(sink="tuples"), Tracer)
+    with pytest.raises(TypeError):
+        Tracer(sink="tuples")
     # Both sinks reject a capacity that is not None or a count: -5 kept
     # nothing, NaN never bounded and 2.5 failed late at the first trim.
-    for sink in ("columnar", "tuples"):
+    for sink in SINKS.values():
         for capacity in (-5, float("nan"), 2.5, True):
             with pytest.raises(ValueError, match="capacity"):
-                Tracer(capacity=capacity, sink=sink)
-        assert Tracer(capacity=0, sink=sink).capacity == 0
+                sink(capacity=capacity)
+        assert sink(capacity=0).capacity == 0
 
 
 def _fill(tr, n=500):
@@ -321,7 +323,7 @@ def _fill(tr, n=500):
 
 def test_columnar_jsonl_matches_tuple_sink_bytewise():
     col = _fill(Tracer(capacity=None))
-    tup = _fill(Tracer(capacity=None, sink="tuples"))
+    tup = _fill(TupleTracer(capacity=None))
     assert col.to_jsonl() == tup.to_jsonl()
     assert col.counts() == tup.counts()
     assert col.events == tup.events
@@ -329,16 +331,26 @@ def test_columnar_jsonl_matches_tuple_sink_bytewise():
 
 def test_columnar_matches_tuple_sink_under_eviction():
     col = _fill(Tracer(capacity=64), n=1000)
-    tup = _fill(Tracer(capacity=64, sink="tuples"), n=1000)
+    tup = _fill(TupleTracer(capacity=64), n=1000)
     assert col.to_jsonl() == tup.to_jsonl()
     assert col.counts() == tup.counts()          # counts cover dropped
     assert [e.seq for e in col.events] == [e.seq for e in tup.events]
     assert col.count_prefix("fam") == 1000
 
 
+def test_iter_yields_the_retained_rows_once():
+    col = _fill(Tracer(capacity=64), n=1000)
+    col.flush()
+    rows = iter(col)
+    assert list(rows) == col.events == _fill(TupleTracer(capacity=64),
+                                             n=1000).events
+    assert list(rows) == []                     # one-shot
+    assert list(col) == col.events              # a fresh pass each call
+
+
 def test_columnar_flush_is_transparent():
     col = Tracer(capacity=None)
-    tup = Tracer(capacity=None, sink="tuples")
+    tup = TupleTracer(capacity=None)
     for i in range(300):
         col.record(float(i), "x", i=i)
         tup.record(float(i), "x", i=i)
@@ -353,7 +365,7 @@ def test_columnar_flush_is_transparent():
 
 def test_columnar_flush_with_eviction_keeps_window_exact():
     col = Tracer(capacity=100)
-    tup = Tracer(capacity=100, sink="tuples")
+    tup = TupleTracer(capacity=100)
     for i in range(1000):
         col.record(float(i), "y", i=i)
         tup.record(float(i), "y", i=i)
@@ -380,8 +392,8 @@ def test_sinks_equal_row_for_row_on_a_spanned_cell():
     from repro.svm import BASE
 
     rows = {}
-    for sink in ("columnar", "tuples"):
-        tracer = Tracer(capacity=None, sink=sink)
+    for sink, cls in SINKS.items():
+        tracer = cls(capacity=None)
         run_svm(APP_REGISTRY["Barnes-spatial"](), BASE,
                 config=MachineConfig(), tracer=tracer, spans=True)
         rows[sink] = tracer.events
@@ -398,8 +410,8 @@ def test_columnar_sink_full_ladder_cell_bytewise():
     from repro.svm import GENIMA
 
     outs = {}
-    for sink in ("columnar", "tuples"):
-        tracer = Tracer(capacity=None, sink=sink)
+    for sink, cls in SINKS.items():
+        tracer = cls(capacity=None)
         run_svm(APP_REGISTRY["FFT"](), GENIMA,
                 config=MachineConfig(), tracer=tracer)
         outs[sink] = tracer.to_jsonl()
