@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import bisect
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..sim.trace import TraceEvent
 
@@ -84,7 +84,7 @@ class ClockHistory:
 class HBGraph:
     """The happens-before structure of one traced run."""
 
-    def __init__(self, events: Sequence[TraceEvent]):
+    def __init__(self, events: Iterable[TraceEvent]):
         self.events = events = list(events)
         #: category -> positions of its rows in ``events``
         self._index: Dict[str, List[int]] = {}

@@ -41,7 +41,8 @@ trace slice for debugging.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+                    Type)
 
 from ..sim import TIME_TOLERANCE_US
 from ..sim.trace import TraceEvent
@@ -450,12 +451,13 @@ class Sanitizer:
         self.checks: List[SanitizerCheck] = [
             SANITIZER_CHECKS[n]() for n in names]
 
-    def run(self, events: Sequence[TraceEvent]) -> List[Finding]:
-        events = list(events)
+    def run(self, events: Iterable[TraceEvent]) -> List[Finding]:
+        """Check ``events``, any iterable of trace rows; the
+        happens-before graph's row list is the only copy made."""
         hb = HBGraph(events)
         findings: List[Finding] = []
         for check in self.checks:
-            findings.extend(check.run(events, hb))
+            findings.extend(check.run(hb.events, hb))
         return findings
 
 
@@ -473,4 +475,4 @@ def sanitize_run(app: object, features: object, config: object = None,
     tracer = Tracer(capacity=None)
     result = run_svm(app, features, config=config, tracer=tracer,
                      check=check_invariants)
-    return result, Sanitizer().run(tracer.events)
+    return result, Sanitizer().run(iter(tracer))

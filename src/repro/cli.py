@@ -283,7 +283,7 @@ def _cmd_critpath(args) -> int:
     status = 0
     if args.check:
         for run in runs:
-            findings = Sanitizer().run(run.tracer.events)
+            findings = Sanitizer().run(iter(run.tracer))
             for finding in findings:
                 print(finding, file=sys.stderr)
             if findings:

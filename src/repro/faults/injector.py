@@ -17,7 +17,10 @@ designed to survive an imperfect fabric.  :class:`FaultInjector` wraps
   packet).
 
 Every decision is drawn from a named per-link
-``random.Random(f"{seed}:{src}->{dst}")`` stream.  Because the
+``random.Random(f"{seed}:{src}->{dst}")`` stream, held as a window of
+its next draws (:class:`repro.sim.SeededStream`) rather than as a
+generator: a 256-node fabric has thousands of links, each drawing a
+few times per run.  Because the
 simulation itself is deterministic, the per-link packet order is
 deterministic, so identical seeds give byte-identical traces — the
 property the determinism regression tests assert.
@@ -31,12 +34,11 @@ dropped packet's message was silently lost.
 from __future__ import annotations
 
 import dataclasses
-import random
 from typing import Dict, Tuple
 
 from ..hw.config import FaultConfig, MachineConfig
 from ..hw.packet import Packet
-from ..sim import Timeout
+from ..sim import SeededStream, Timeout
 
 __all__ = ["FaultInjector", "MsgIds"]
 
@@ -63,7 +65,12 @@ class MsgIds:
 
 
 class FaultInjector:
-    """Per-link packet fault decisions between injection and receive."""
+    """Per-link packet fault decisions between injection and receive.
+
+    Link ``src -> dst`` draws from the stream of
+    ``random.Random(f"{seed}:{src}->{dst}")``, held as a window of
+    draws and created at the link's first packet.
+    """
 
     def __init__(self, sim, config: MachineConfig, msg_ids=None,
                  topology=None):
@@ -83,20 +90,20 @@ class FaultInjector:
         #: optional repro.sim.Tracer receiving ``fault.*`` events.
         self.tracer = None
         self.msg_ids = msg_ids if msg_ids is not None else MsgIds()
-        self._rngs: Dict[Tuple[int, int], random.Random] = {}
+        self._streams: Dict[Tuple[int, int], SeededStream] = {}
         # Counters.
         self.packets_dropped = 0
         self.packets_duplicated = 0
         self.packets_reordered = 0
         self.packets_jittered = 0
 
-    def _rng(self, src: int, dst: int) -> random.Random:
-        rng = self._rngs.get((src, dst))
+    def _rng(self, src: int, dst: int) -> SeededStream:
+        rng = self._streams.get((src, dst))
         if rng is None:
             # A string seed hashes through SHA-512 inside Random, so it
             # is stable across processes (unlike hash()-based seeding).
-            rng = random.Random(f"{self.fcfg.seed}:{src}->{dst}")
-            self._rngs[(src, dst)] = rng
+            rng = SeededStream(f"{self.fcfg.seed}:{src}->{dst}")
+            self._streams[(src, dst)] = rng
         return rng
 
     def deliver(self, pkt: Packet, arrive) -> None:

@@ -30,9 +30,10 @@ class FaultConfig:
     """Deterministic fault model for the network fabric.
 
     All fault decisions are drawn from named per-link
-    ``random.Random(f"{seed}:{src}->{dst}")`` streams, so identical
-    seeds give byte-identical traces regardless of which links carry
-    traffic first.  Attaching a FaultConfig to
+    ``random.Random(f"{seed}:{src}->{dst}")`` streams, each held as a
+    window of its next draws (:class:`repro.sim.SeededStream`), so
+    identical seeds give byte-identical traces regardless of which
+    links carry traffic first.  Attaching a FaultConfig to
     :attr:`MachineConfig.faults` also arms the drop-tolerant transport
     (:mod:`repro.faults.reliable`): per-channel sequence numbers,
     message acks, and timeout/retransmit with capped exponential

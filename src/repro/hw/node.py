@@ -13,9 +13,7 @@ processors on the node and the application's bus intensity.
 
 from __future__ import annotations
 
-import random
-
-from ..sim import Resource, Simulator
+from ..sim import Resource, SeededStream, Simulator
 from .config import MachineConfig
 
 __all__ = ["Node"]
@@ -30,8 +28,10 @@ class Node:
         self.node_id = node_id
         #: HLRC-SMP's floating protocol process (serial per node).
         self.protocol_proc = Resource(sim, 1, name=f"node{node_id}.proto")
-        #: deterministic per-node RNG (scheduling jitter etc.).
-        self.rng = random.Random(config.seed * 1000003 + node_id)
+        #: deterministic per-node draws (scheduling jitter): the stream
+        #: of ``random.Random(seed * 1000003 + node_id)``, seeded at
+        #: the first interrupt.
+        self.rng = SeededStream(config.seed * 1000003 + node_id)
         # Interrupt accounting.
         self.interrupts_taken = 0
         self.interrupt_busy_us = 0.0

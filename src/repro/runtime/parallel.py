@@ -50,7 +50,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..hw import MachineConfig
 from ..svm import ProtocolFeatures
@@ -315,7 +315,7 @@ def decode_payload(payload: dict):
     """Store payload -> live object (RunResult / Profile / CritpathRun).
 
     Raises ``KeyError``/``TypeError``/``ValueError`` on malformed
-    payloads; :meth:`GridExecutor.map` treats any of those as a cache
+    payloads; :meth:`GridExecutor.resolve` treats any of those as a cache
     miss and recomputes.
     """
     kind = payload["kind"]
@@ -488,10 +488,11 @@ POLL_S = 0.05
 class GridExecutor:
     """Evaluate grid cells concurrently, through the store when given.
 
-    :meth:`map` is the API: specs in, ``{digest: live object}`` out.
-    It is order-independent: the result is keyed by content digest,
-    and every value passes through the same JSON round trip wherever
-    it was computed.
+    :meth:`resolve` is the API: ``{digest: spec}`` in,
+    ``{digest: live object}`` out (``ExperimentCache.run`` digests the
+    specs).  It is order-independent: the result is keyed by content
+    digest, and every value passes through the same JSON round trip
+    wherever it was computed.
 
     **Single-flight.**  With a store, executors in any number of
     processes sharing it compute each digest once between them.  A
@@ -521,16 +522,9 @@ class GridExecutor:
         self.jobs = min(jobs, os.cpu_count() or 1)
         self.store = store
 
-    def map(self, specs: Iterable[CellSpec]) -> Dict[str, object]:
-        fingerprint = code_fingerprint()
-        cells: Dict[str, CellSpec] = {}
-        for spec in specs:
-            cells.setdefault(spec.digest(fingerprint), spec)
-        return self.resolve(cells)
-
     def resolve(self, cells: Dict[str, CellSpec]) -> Dict[str, object]:
-        """:meth:`map` for callers that already hold the digests:
-        ``cells`` maps each digest to its spec."""
+        """The value of every cell: ``cells`` maps each digest to its
+        spec, the result maps each digest to its live object."""
         out: Dict[str, object] = {}
         todo = [digest for digest in cells if not self._read(digest, out)]
         while True:

@@ -10,8 +10,8 @@ from .engine import (
 )
 from .resources import RateServer, Resource, Store
 from .spans import SpanTracer, nic_track, node_track, rank_track
-from .stats import (BUCKETS, TIME_TOLERANCE_US, RunningStat, TimeBuckets,
-                    weighted_mean)
+from .stats import (BUCKETS, TIME_TOLERANCE_US, RunningStat, SeededStream,
+                    TimeBuckets, weighted_mean)
 from .trace import TraceEvent, Tracer
 from .trace_schema import TRACE_SCHEMA, TraceFamily
 
@@ -27,6 +27,7 @@ __all__ = [
     "Store",
     "BUCKETS",
     "RunningStat",
+    "SeededStream",
     "TIME_TOLERANCE_US",
     "TimeBuckets",
     "weighted_mean",

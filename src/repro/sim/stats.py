@@ -20,15 +20,22 @@ and ``bytes`` columns of the experiment tables): counts are per
 messages and ``k * size`` bytes, exactly as if it were ``k`` unicast
 sends — the NI-multicast saving shows up in host post overhead and
 source DMA, not in the wire-traffic accounting.
+
+:class:`SeededStream` is the seeded random stream of the per-node
+scheduling jitter and the per-link fault decisions: the draws of a
+``random.Random(key)``, held a window at a time.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List
+import random
+from array import array
+from itertools import repeat, starmap
+from typing import Dict, Iterable, List, Optional, Union
 
-__all__ = ["BUCKETS", "RunningStat", "TIME_TOLERANCE_US", "TimeBuckets",
-           "weighted_mean"]
+__all__ = ["BUCKETS", "RunningStat", "SeededStream", "TIME_TOLERANCE_US",
+           "TimeBuckets", "weighted_mean"]
 
 
 class RunningStat:
@@ -186,3 +193,69 @@ def weighted_mean(pairs: Iterable[tuple]) -> float:
         num += value * weight
         den += weight
     return num / den if den else 0.0
+
+
+class SeededStream:
+    """The draws of ``random.Random(key)``, without keeping its state.
+
+    A ``random.Random`` carries 2.5 KB of Mersenne Twister state, and a
+    fault-injected 256-node run seeds one per link to draw about four
+    floats from each.  A stream returns exactly the floats
+    ``random.Random(key)`` would return through :meth:`random`,
+    :meth:`uniform` and :meth:`expovariate` (CPython's expressions),
+    but holds only the next few of them.  It seeds nothing until the
+    first draw.  When its window runs out it re-seeds, skips the draws
+    already made and refills a window as large as all of them, at least
+    :attr:`FIRST_WINDOW`, so a stream of n draws seeds O(log n) times.
+    A stream that has made :attr:`KEEP_AFTER` draws keeps its generator
+    instead: a larger window would outweigh the state it replaces.
+    """
+
+    __slots__ = ("_key", "_window", "_drawn", "_rng")
+
+    #: draws in the first window.  The links of perfbench's 256-node
+    #: lossy KVStore/Base cell draw 1-34 times (median 3); 16 leaves
+    #: ~4% of them one re-seed.
+    FIRST_WINDOW = 16
+    #: 256 doubles are 2 KB, about the Mersenne Twister's 624 words.
+    KEEP_AFTER = 256
+
+    def __init__(self, key: Union[int, str]):
+        self._key = key
+        #: the next draws, last one first (``pop`` takes the next).
+        self._window: Optional[array] = None
+        #: draws the generator has produced so far.
+        self._drawn = 0
+        self._rng: Optional[random.Random] = None
+
+    def random(self) -> float:
+        window = self._window
+        if window:
+            return window.pop()
+        return self._refill()
+
+    def uniform(self, a: float, b: float) -> float:
+        return a + (b - a) * self.random()
+
+    def expovariate(self, lambd: float) -> float:
+        return -math.log(1.0 - self.random()) / lambd
+
+    def _refill(self) -> float:
+        rng = self._rng
+        if rng is not None:
+            return rng.random()
+        rng = random.Random(self._key)
+        drawn = self._drawn
+        # Each random() consumes two 32-bit outputs; getrandbits
+        # consumes one per 32 bits, so this skips the drawn floats.
+        rng.getrandbits(64 * drawn)
+        if drawn >= self.KEEP_AFTER:
+            self._rng = rng
+            self._window = None
+            return rng.random()
+        size = max(self.FIRST_WINDOW, drawn)
+        window = array("d", starmap(rng.random, repeat((), size)))
+        window.reverse()
+        self._window = window
+        self._drawn = drawn + size
+        return window.pop()

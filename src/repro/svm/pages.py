@@ -173,14 +173,20 @@ class HomePage:
 
 @dataclass
 class _PageEntry:
-    access: PageAccess = PageAccess.INVALID
+    """One (node, page) state.  A 256-node run holds tens of thousands,
+    so the fields live in slots, not a per-instance ``__dict__``
+    (declared by hand: ``dataclass(slots=True)`` needs Python 3.10)."""
+
+    __slots__ = ("access", "needed", "twinned", "dirty")
+
+    access: PageAccess
     #: versions this node must see at the home before a fetch is valid:
     #: writer node -> interval index.
-    needed: Dict[int, int] = field(default_factory=dict)
+    needed: Dict[int, int]
     #: twin exists for the current interval.
-    twinned: bool = False
+    twinned: bool
     #: accumulated write shape for the current interval.
-    dirty: Optional[DiffShape] = None
+    dirty: Optional[DiffShape]
 
 
 class NodePageTable:
@@ -203,7 +209,7 @@ class NodePageTable:
     def entry(self, gid: int) -> _PageEntry:
         e = self._entries.get(gid)
         if e is None:
-            e = _PageEntry()
+            e = _PageEntry(PageAccess.INVALID, {}, False, None)
             self._entries[gid] = e
         return e
 

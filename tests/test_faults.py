@@ -232,11 +232,27 @@ LOSSY_PINS = [
      137_335, (250, 321, 3674)),
 ]
 
+#: The same cell with latency jitter armed as well, the one draw kind
+#: LOSSY_PINS leave out; the counters add ``packets_jittered``.
+JITTER_PINS = [
+    ("Base",
+     "3f4ecd8f8e253ffd89db3309604b57da7243c8bfb637ae06dc2d9bb26ef8a2ca",
+     95_229, (164, 179, 2156, 4907)),
+    ("GeNIMA",
+     "9b5296b7e7a7be00a56994c543d4ee0cf900430249309cbffc2b4f9724fae4ad",
+     138_009, (245, 310, 3686, 7886)),
+]
 
-@pytest.mark.parametrize("protocol,sha,events,counters", LOSSY_PINS,
-                         ids=["base", "genima"])
-def test_lossy_fat_tree_trace_pinned(monkeypatch, protocol, sha, events,
-                                     counters):
+
+def _jittered_kvstore_config():
+    return MachineConfig(nodes=8, topology="fat-tree",
+                         faults=FaultConfig(loss=0.02, dup=0.02,
+                                            reorder=0.02, jitter_us=2.0,
+                                            seed=5))
+
+
+def _check_pinned_trace(monkeypatch, config, protocol, sha, events,
+                        counters):
     from repro.apps import APP_REGISTRY
     from repro.runtime import run_svm
     from repro.sim import Simulator
@@ -253,12 +269,53 @@ def test_lossy_fat_tree_trace_pinned(monkeypatch, protocol, sha, events,
     tracer = Tracer(capacity=None)
     result = run_svm(APP_REGISTRY["KVStore"](),
                      {"Base": BASE, "GeNIMA": GENIMA}[protocol],
-                     config=_lossy_kvstore_config(), tracer=tracer,
-                     spans=True)
+                     config=config, tracer=tracer, spans=True)
     assert hashlib.sha256(tracer.to_jsonl().encode()).hexdigest() == sha
     assert dispatched[-1] == events
-    assert (result.stats["retransmits"], result.stats["dup_discards"],
-            result.stats["acks_sent"]) == counters
+    names = ("retransmits", "dup_discards", "acks_sent",
+             "packets_jittered")[:len(counters)]
+    assert tuple(result.stats[name] for name in names) == counters
+
+
+@pytest.mark.parametrize("protocol,sha,events,counters", LOSSY_PINS,
+                         ids=["base", "genima"])
+def test_lossy_fat_tree_trace_pinned(monkeypatch, protocol, sha, events,
+                                     counters):
+    _check_pinned_trace(monkeypatch, _lossy_kvstore_config(), protocol,
+                        sha, events, counters)
+
+
+@pytest.mark.parametrize("protocol,sha,events,counters", JITTER_PINS,
+                         ids=["base", "genima"])
+def test_jittered_fat_tree_trace_pinned(monkeypatch, protocol, sha,
+                                        events, counters):
+    _check_pinned_trace(monkeypatch, _jittered_kvstore_config(), protocol,
+                        sha, events, counters)
+
+
+def test_injector_keeps_no_generator_per_link():
+    """perfbench's 256-node lossy KVStore/Base cell draws a few times on
+    each of ~4,200 links: every link holds a window of its stream's
+    draws, and not one keeps a 2.5 KB ``random.Random``."""
+    import random
+    from repro.apps import APP_REGISTRY
+    from repro.experiments.scale import scale_params
+    from repro.runtime import SVMBackend, run_on_backend
+    from repro.sim import SeededStream
+    from repro.svm import BASE
+    config = MachineConfig(nodes=256, procs_per_node=1,
+                           topology="fat-tree",
+                           faults=FaultConfig(loss=0.01, seed=0))
+    params = scale_params("KVStore", config.total_procs, seed=0)
+    backend = SVMBackend(config, BASE)
+    run_on_backend(APP_REGISTRY["KVStore"](**params), backend,
+                   system="Base")
+    streams = backend.machine.fault_injector._streams
+    assert len(streams) > 4000
+    assert {type(stream) for stream in streams.values()} == {SeededStream}
+    assert not [r for stream in streams.values()
+                for r in gc.get_referents(stream)
+                if isinstance(r, random.Random)]
 
 
 # ---------------------------------------------------------- retained state

@@ -2,6 +2,8 @@
 trace export, reporting edge cases."""
 
 import json
+import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +11,9 @@ from hypothesis import given, strategies as st
 from repro.experiments.reporting import format_float, format_table
 from repro.hw import MachineConfig, Message
 from repro.hw.packet import Packet
-from repro.sim import RunningStat, TimeBuckets, Tracer, weighted_mean
+from repro.sim import (RunningStat, SeededStream, TimeBuckets, Tracer,
+                       weighted_mean)
+from repro.sim import stats
 
 
 # -------------------------------------------------------------- RunningStat
@@ -57,6 +61,49 @@ def test_running_stat_merge_equals_concat(xs, ys):
 def test_weighted_mean():
     assert weighted_mean([(10.0, 1.0), (20.0, 3.0)]) == pytest.approx(17.5)
     assert weighted_mean([]) == 0.0
+
+
+# ------------------------------------------------------------- SeededStream
+
+@pytest.mark.parametrize("key", [7, 12345 * 1000003 + 3, "0:3->17"],
+                         ids=["int", "node-key", "link-key"])
+def test_seeded_stream_matches_random(key):
+    """Draw for draw, through every refill and past the point where the
+    stream keeps its generator, mixing the three draw kinds."""
+    stream, rng = SeededStream(key), random.Random(key)
+    for i in range(2 * SeededStream.KEEP_AFTER + 7):
+        kind = i % 3
+        if kind == 0:
+            assert stream.random() == rng.random(), i
+        elif kind == 1:
+            assert stream.uniform(0.0, 3.5) == rng.uniform(0.0, 3.5), i
+        else:
+            assert stream.expovariate(0.25) == rng.expovariate(0.25), i
+
+
+def test_seeded_stream_seeds_lazily_and_rarely(monkeypatch):
+    """No seeding before the first draw, one for the first window, one
+    per doubling after it, and none once the generator is kept."""
+    seeded = []
+
+    def counting(key):
+        seeded.append(key)
+        return random.Random(key)
+
+    monkeypatch.setattr(stats, "random", SimpleNamespace(Random=counting))
+    stream = SeededStream("k")
+    assert seeded == []
+    first = SeededStream.FIRST_WINDOW
+    for _ in range(first):
+        stream.random()
+    assert len(seeded) == 1
+    stream.random()
+    assert len(seeded) == 2
+    keep = SeededStream.KEEP_AFTER
+    for _ in range(4 * keep):
+        stream.random()
+    doublings = (keep // first).bit_length() - 1
+    assert len(seeded) == 2 + doublings
 
 
 # -------------------------------------------------------------- TimeBuckets

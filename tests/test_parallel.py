@@ -36,6 +36,11 @@ def svm_spec(features=GENIMA, **params) -> CellSpec:
                     config=MachineConfig())
 
 
+def resolve(executor: GridExecutor, specs) -> dict:
+    """``executor``'s values for ``specs``, keyed by digest."""
+    return executor.resolve({spec.digest(): spec for spec in specs})
+
+
 # --------------------------------------------------------------- canonical
 
 def test_canonical_sorts_dict_keys():
@@ -228,13 +233,13 @@ def test_executor_persists_and_reloads(tmp_path, monkeypatch, svm_payload):
     store = ResultStore(tmp_path)
     spec = svm_spec()
     digest = spec.digest()
-    first = GridExecutor(jobs=1, store=store).map([spec])
+    first = resolve(GridExecutor(jobs=1, store=store), [spec])
     assert len(store) == 1
     # A second executor must serve the hit without evaluating anything.
     def boom(_spec):
         raise AssertionError("cache hit must not recompute")
     monkeypatch.setattr(parallel, "evaluate_cell", boom)
-    reloaded = GridExecutor(jobs=1, store=store).map([spec])
+    reloaded = resolve(GridExecutor(jobs=1, store=store), [spec])
     assert encode_result(reloaded[digest]) == encode_result(first[digest])
     assert encode_result(first[digest]) == svm_payload["result"]
 
@@ -242,10 +247,10 @@ def test_executor_persists_and_reloads(tmp_path, monkeypatch, svm_payload):
 def test_executor_fingerprint_invalidates(tmp_path, monkeypatch):
     store = ResultStore(tmp_path)
     spec = svm_spec()
-    GridExecutor(jobs=1, store=store).map([spec])
+    resolve(GridExecutor(jobs=1, store=store), [spec])
     assert len(store) == 1
     monkeypatch.setattr(parallel, "code_fingerprint", lambda: "0" * 16)
-    GridExecutor(jobs=1, store=store).map([spec])
+    resolve(GridExecutor(jobs=1, store=store), [spec])
     assert len(store) == 2  # new digest, old entry untouched
 
 
@@ -280,9 +285,9 @@ def test_executor_recovers_from_corrupted_entry(tmp_path, svm_payload):
     store = ResultStore(tmp_path)
     spec = svm_spec()
     digest = spec.digest()
-    GridExecutor(jobs=1, store=store).map([spec])
+    resolve(GridExecutor(jobs=1, store=store), [spec])
     store.path_for(digest).write_text('{"schema": 1, "payload": {}}')
-    result = GridExecutor(jobs=1, store=store).map([spec])[digest]
+    result = resolve(GridExecutor(jobs=1, store=store), [spec])[digest]
     assert encode_result(result) == svm_payload["result"]
     # and the recomputed entry was re-persisted, healed
     assert store.load(digest)["payload"]["result"] == svm_payload["result"]
@@ -292,31 +297,33 @@ def test_executor_recomputes_entry_missing_a_bucket(tmp_path, svm_payload):
     store = ResultStore(tmp_path)
     spec = svm_spec()
     digest = spec.digest()
-    GridExecutor(jobs=1, store=store).map([spec])
+    resolve(GridExecutor(jobs=1, store=store), [spec])
     envelope = store.load(digest)
     del envelope["payload"]["result"]["buckets"][0]["data"]
     store.store(digest, envelope)
-    result = GridExecutor(jobs=1, store=store).map([spec])[digest]
+    result = resolve(GridExecutor(jobs=1, store=store), [spec])[digest]
     assert encode_result(result) == svm_payload["result"]
     # and the recomputed entry was re-persisted, healed
     assert store.load(digest)["payload"]["result"] == svm_payload["result"]
 
 
 def test_executor_dedupes_equal_specs(tmp_path):
+    """Equal specs under two keys share one evaluation and value."""
     store = ResultStore(tmp_path)
-    out = GridExecutor(jobs=1, store=store).map([svm_spec(), svm_spec()])
-    assert len(out) == 1
+    out = ExperimentCache(store=store).run({"a": svm_spec(),
+                                            "b": svm_spec()})
+    assert len({id(value) for value in out.values()}) == 1
     assert len(store) == 1
 
 
 def test_pool_matches_serial(tmp_path, svm_payload, monkeypatch):
     """jobs=2 through a real spawn pool == jobs=1 in-process, bytewise."""
     specs = [svm_spec(), svm_spec(features=BASE)]
-    serial = GridExecutor(jobs=1).map(specs)
+    serial = resolve(GridExecutor(jobs=1), specs)
     store = ResultStore(tmp_path)
     # two workers even on a one-CPU host, so the pool path runs
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
-    pooled = GridExecutor(jobs=2, store=store).map(specs)
+    pooled = resolve(GridExecutor(jobs=2, store=store), specs)
     assert serial.keys() == pooled.keys()
     # the parent claimed and wrote both cells, and released every claim
     assert len(store) == 2
@@ -390,7 +397,7 @@ def test_store_write_releases_claim(tmp_path, monkeypatch, svm_payload):
     store = ResultStore(tmp_path)
     counting_evaluator(monkeypatch, tagged_payload(svm_payload))
     spec = svm_spec()
-    GridExecutor(jobs=1, store=store).map([spec])
+    resolve(GridExecutor(jobs=1, store=store), [spec])
     assert store.load(spec.digest()) is not None
     assert not store.lock_path(spec.digest()).exists()
     # and the claim is immediately re-takeable (nothing leaked)
@@ -443,7 +450,7 @@ def test_concurrent_executors_compute_each_digest_once(
     def client(idx):
         try:
             barrier.wait(timeout=10)
-            out = GridExecutor(jobs=1, store=store).map(specs)
+            out = resolve(GridExecutor(jobs=1, store=store), specs)
             outs[idx] = {d: encode_result(r) for d, r in out.items()}
         except Exception as exc:  # surfaced below
             errors.append(exc)
@@ -471,8 +478,8 @@ def test_concurrent_executors_compute_each_digest_once(
 
 
 def _shared_store_client(root, specs, fingerprint, barrier, queue):
-    """One spawned process: map ``specs`` over the store at ``root`` and
-    report the digests it computed and its encoded results.
+    """One spawned process: resolve ``specs`` through the store at
+    ``root`` and report the digests it computed and its encoded results.
 
     Digests are taken under the parent's ``fingerprint``: a fresh
     interpreter hashes the sources as they are now, and a source edit
@@ -487,7 +494,7 @@ def _shared_store_client(root, specs, fingerprint, barrier, queue):
         return evaluate(spec)
     parallel.evaluate_cell = counting
     barrier.wait(timeout=60)
-    out = GridExecutor(jobs=1, store=ResultStore(root)).map(specs)
+    out = resolve(GridExecutor(jobs=1, store=ResultStore(root)), specs)
     queue.put((computed, {d: encode_result(r) for d, r in out.items()}))
 
 
@@ -497,7 +504,7 @@ def test_processes_sharing_a_store_match_serial(tmp_path):
     results, and no claim is left behind."""
     specs = [svm_spec(), svm_spec(features=BASE)]
     serial = {d: encode_result(r)
-              for d, r in GridExecutor(jobs=1).map(specs).items()}
+              for d, r in resolve(GridExecutor(jobs=1), specs).items()}
     context = multiprocessing.get_context("spawn")
     barrier = context.Barrier(2)
     queue = context.Queue()
@@ -540,7 +547,7 @@ def test_executor_waits_for_held_claim(tmp_path, monkeypatch, svm_payload):
 
     thread = threading.Thread(target=holder, daemon=True)
     thread.start()
-    result = GridExecutor(jobs=1, store=store).map([spec])[digest]
+    result = resolve(GridExecutor(jobs=1, store=store), [spec])[digest]
     thread.join(timeout=10)
     assert not thread.is_alive()
     assert evaluated == []
@@ -558,7 +565,7 @@ def test_executor_computes_when_claim_vanishes(tmp_path, monkeypatch,
     fd = store.claim(digest)
     thread = threading.Timer(0.3, store.release, args=(digest, fd))
     thread.start()
-    result = GridExecutor(jobs=1, store=store).map([spec])[digest]
+    result = resolve(GridExecutor(jobs=1, store=store), [spec])[digest]
     thread.join(timeout=10)
     assert not thread.is_alive()
     assert evaluated == [digest]
@@ -576,7 +583,7 @@ def test_executor_breaks_stale_claim(tmp_path, monkeypatch, svm_payload):
     lock.parent.mkdir(parents=True)
     lock.touch()
     monkeypatch.setattr(ResultStore, "lock_stale_s", 0.3)
-    GridExecutor(jobs=1, store=store).map([spec])
+    resolve(GridExecutor(jobs=1, store=store), [spec])
     assert evaluated == [digest]
     assert store.load(digest) is not None
     assert not lock.exists()
@@ -602,7 +609,7 @@ def test_raising_holder_does_not_hang_waiter(tmp_path, monkeypatch,
 
     def run(sink):
         try:
-            sink.append(GridExecutor(jobs=1, store=store).map([spec]))
+            sink.append(resolve(GridExecutor(jobs=1, store=store), [spec]))
         except RuntimeError as exc:
             errors.append(exc)
 
@@ -636,7 +643,7 @@ def test_entry_written_before_claim_is_reused(tmp_path, monkeypatch,
         store.store(d, make_envelope(spec, tagged_payload(svm_payload)(spec)))
         return claim(d)
     monkeypatch.setattr(store, "claim", claim_after_holder_finished)
-    result = GridExecutor(jobs=1, store=store).map([spec])[digest]
+    result = resolve(GridExecutor(jobs=1, store=store), [spec])[digest]
     assert evaluated == []
     assert result.time_us == 5.0
     assert not store.lock_path(digest).exists()
@@ -657,7 +664,7 @@ def test_corrupt_entry_under_claim_is_recomputed(tmp_path, monkeypatch,
         store.path_for(d).write_text('{"schema": 1, "payload": {}}')
         return fd
     monkeypatch.setattr(store, "claim", claim_after_corrupt_write)
-    GridExecutor(jobs=1, store=store).map([spec])
+    resolve(GridExecutor(jobs=1, store=store), [spec])
     assert evaluated == [digest]
     assert store.load(digest)["payload"]["result"] == svm_payload["result"]
 
@@ -669,7 +676,7 @@ def test_map_treats_corrupt_entry_as_miss(tmp_path, monkeypatch,
     digest = spec.digest()
     store.store(digest, {"schema": STORE_SCHEMA, "payload": {}})
     evaluated = counting_evaluator(monkeypatch, tagged_payload(svm_payload))
-    GridExecutor(jobs=1, store=store).map([spec])
+    resolve(GridExecutor(jobs=1, store=store), [spec])
     assert evaluated == [digest]
 
 
