@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..hw.config import MachineConfig
 from .diffs import DiffShape
@@ -171,33 +171,29 @@ class HomePage:
         return all(snapshot.get(n, 0) >= v for n, v in needed.items())
 
 
-@dataclass
-class _PageEntry:
-    """One (node, page) state.  A 256-node run holds tens of thousands,
-    so the fields live in slots, not a per-instance ``__dict__``
-    (declared by hand: ``dataclass(slots=True)`` needs Python 3.10)."""
-
-    __slots__ = ("access", "needed", "twinned", "dirty")
-
-    access: PageAccess
-    #: versions this node must see at the home before a fetch is valid:
-    #: writer node -> interval index.
-    needed: Dict[int, int]
-    #: twin exists for the current interval.
-    twinned: bool
-    #: accumulated write shape for the current interval.
-    dirty: Optional[DiffShape]
-
-
 class NodePageTable:
-    """Per-node page table: access state, twins and dirty shapes."""
+    """Per-node page table: access state, dirty shapes, needed versions.
+
+    A 256-node Base run holds tens of thousands of (node, page) states,
+    so the table keeps only what the protocol sets, in three maps:
+
+    * ``_access`` — the pages that are not INVALID; a missing page is
+      INVALID, and an invalidation pops it;
+    * ``dirty_pages`` — pages written in the current interval, with
+      their accumulated write shape; a page is twinned exactly when it
+      is in this map;
+    * ``_needed`` — versions this node must see at the home before a
+      fetch of the page is valid, one immutable tuple ``(writer,
+      interval, writer, interval, ...)`` sorted by writer.
+    """
 
     def __init__(self, node: int, config: MachineConfig):
         self.node = node
         self.config = config
-        self._entries: Dict[int, _PageEntry] = {}
+        self._access: Dict[int, PageAccess] = {}
         #: pages dirtied in the node's current interval.
         self.dirty_pages: Dict[int, DiffShape] = {}
+        self._needed: Dict[int, Tuple[int, ...]] = {}
         #: optional hook(node, gid, old, new, why) observing protection
         #: changes — installed by the analysis invariant checker.
         self.on_transition = None
@@ -206,16 +202,8 @@ class NodePageTable:
         self.write_faults = 0
         self.invalidations = 0
 
-    def entry(self, gid: int) -> _PageEntry:
-        e = self._entries.get(gid)
-        if e is None:
-            e = _PageEntry(PageAccess.INVALID, {}, False, None)
-            self._entries[gid] = e
-        return e
-
     def access(self, gid: int) -> PageAccess:
-        e = self._entries.get(gid)
-        return e.access if e is not None else PageAccess.INVALID
+        return self._access.get(gid, PageAccess.INVALID)
 
     # -- faults ------------------------------------------------------------
 
@@ -226,29 +214,25 @@ class NodePageTable:
 
     def mark_valid(self, gid: int, writable: bool = False,
                    why: str = "fault") -> None:
-        e = self.entry(gid)
-        old = e.access
-        e.access = PageAccess.WRITE if writable else PageAccess.READ
-        self._transition(gid, old, e.access, why)
+        old = self._access.get(gid, PageAccess.INVALID)
+        new = PageAccess.WRITE if writable else PageAccess.READ
+        self._access[gid] = new
+        self._transition(gid, old, new, why)
 
     def record_write(self, gid: int, shape: DiffShape) -> bool:
         """Note a write to ``gid`` this interval.
 
         Returns True if this is the first write (twin must be made).
         """
-        e = self.entry(gid)
-        first = not e.twinned
-        if first:
-            e.twinned = True
-        old = e.access
-        e.access = PageAccess.WRITE
-        self._transition(gid, old, e.access, "write")
-        if gid in self.dirty_pages:
-            self.dirty_pages[gid] = self.dirty_pages[gid].merge(shape)
-        else:
+        dirty = self.dirty_pages.get(gid)
+        old = self._access.get(gid, PageAccess.INVALID)
+        self._access[gid] = PageAccess.WRITE
+        self._transition(gid, old, PageAccess.WRITE, "write")
+        if dirty is None:
             self.dirty_pages[gid] = shape
-        e.dirty = self.dirty_pages[gid]
-        return first
+            return True
+        self.dirty_pages[gid] = dirty.merge(shape)
+        return False
 
     # -- interval close ------------------------------------------------------
 
@@ -261,12 +245,10 @@ class NodePageTable:
         """
         dirty = self.dirty_pages
         self.dirty_pages = {}
+        access = self._access
         for gid in dirty:
-            e = self.entry(gid)
-            e.twinned = False
-            e.dirty = None
-            if e.access is PageAccess.WRITE:
-                e.access = PageAccess.READ
+            if access.get(gid) is PageAccess.WRITE:
+                access[gid] = PageAccess.READ
                 self._transition(gid, PageAccess.WRITE, PageAccess.READ,
                                  "close")
         return dirty
@@ -283,16 +265,27 @@ class NodePageTable:
         the diff before reading) but never loses access — HLRC homes do
         not invalidate their own pages.
         """
-        e = self.entry(gid)
-        if e.needed.get(writer, 0) < interval:
-            e.needed[writer] = interval
+        needed = self._needed.get(gid, ())
+        n = len(needed)
+        i = 0
+        while i < n and needed[i] < writer:
+            i += 2
+        if i < n and needed[i] == writer:
+            if needed[i + 1] < interval:
+                self._needed[gid] = (needed[:i + 1] + (interval,)
+                                     + needed[i + 2:])
+        elif interval > 0:  # an absent writer stands at interval 0
+            self._needed[gid] = needed[:i] + (writer, interval) + needed[i:]
         self.invalidations += 1
-        if is_home or e.access is PageAccess.INVALID:
+        if is_home:
             return False
-        old = e.access
-        e.access = PageAccess.INVALID
+        old = self._access.pop(gid, None)
+        if old is None:
+            return False
         self._transition(gid, old, PageAccess.INVALID, "invalidate")
         return True
 
     def needed_versions(self, gid: int) -> Dict[int, int]:
-        return dict(self.entry(gid).needed)
+        """A fresh dict: the protocol parks it with home waiters."""
+        needed = self._needed.get(gid, ())
+        return dict(zip(needed[::2], needed[1::2]))

@@ -359,7 +359,7 @@ class HLRCProtocol:
         yield self.sim.timeout(self.config.notify_us)
         if self.tracer is not None:
             self._trace("fetch.ok", node=node_id, gid=gid,
-                        snapshot=tuple(sorted((snapshot or {}).items())),
+                        snapshot=tuple(sorted(snapshot.items())),
                         needed=tuple(sorted(needed.items())))
 
     def _home_page_handler(self, gid: int, home: int,

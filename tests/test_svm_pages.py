@@ -1,5 +1,8 @@
 """Unit tests for regions, the page directory, page tables, mprotect."""
 
+import random
+from typing import Dict, Optional
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -229,6 +232,154 @@ def test_needed_versions_keep_maximum():
     t.invalidate(7, writer=1, interval=5)
     t.invalidate(7, writer=1, interval=3)
     assert t.needed_versions(7) == {1: 5}
+
+
+def test_needed_versions_returns_a_copy():
+    # The protocol parks these dicts in its home waiters across yields.
+    t = make_table()
+    t.invalidate(7, writer=1, interval=2)
+    needed = t.needed_versions(7)
+    needed[1] = 9
+    needed[3] = 1
+    assert t.needed_versions(7) == {1: 2}
+    t.needed_versions(8)[0] = 1
+    assert t.needed_versions(8) == {}
+
+
+class _PageEntry:
+    """One (node, page) state of the reference table."""
+
+    __slots__ = ("access", "needed", "twinned", "dirty")
+
+    def __init__(self):
+        self.access = PageAccess.INVALID
+        self.needed: Dict[int, int] = {}
+        self.twinned = False
+        self.dirty: Optional[DiffShape] = None
+
+
+class EntryPageTable:
+    """Page table with one entry object per touched (node, page).
+
+    The reference that ``NodePageTable``'s three maps must agree with:
+    every public method gives the same result and the same
+    ``on_transition`` calls, in the same order.
+    """
+
+    def __init__(self, node):
+        self.node = node
+        self._entries = {}
+        self.dirty_pages = {}
+        self.on_transition = None
+        self.read_faults = 0
+        self.write_faults = 0
+        self.invalidations = 0
+
+    def entry(self, gid):
+        return self._entries.setdefault(gid, _PageEntry())
+
+    def access(self, gid):
+        e = self._entries.get(gid)
+        return e.access if e is not None else PageAccess.INVALID
+
+    def _transition(self, gid, old, new, why):
+        if self.on_transition is not None and old is not new:
+            self.on_transition(self.node, gid, old, new, why)
+
+    def mark_valid(self, gid, writable=False, why="fault"):
+        e = self.entry(gid)
+        old = e.access
+        e.access = PageAccess.WRITE if writable else PageAccess.READ
+        self._transition(gid, old, e.access, why)
+
+    def record_write(self, gid, shape):
+        e = self.entry(gid)
+        first = not e.twinned
+        e.twinned = True
+        old = e.access
+        e.access = PageAccess.WRITE
+        self._transition(gid, old, e.access, "write")
+        if gid in self.dirty_pages:
+            self.dirty_pages[gid] = self.dirty_pages[gid].merge(shape)
+        else:
+            self.dirty_pages[gid] = shape
+        e.dirty = self.dirty_pages[gid]
+        return first
+
+    def take_dirty(self):
+        dirty = self.dirty_pages
+        self.dirty_pages = {}
+        for gid in dirty:
+            e = self.entry(gid)
+            e.twinned = False
+            e.dirty = None
+            if e.access is PageAccess.WRITE:
+                e.access = PageAccess.READ
+                self._transition(gid, PageAccess.WRITE, PageAccess.READ,
+                                 "close")
+        return dirty
+
+    def invalidate(self, gid, writer, interval, is_home=False):
+        e = self.entry(gid)
+        if e.needed.get(writer, 0) < interval:
+            e.needed[writer] = interval
+        self.invalidations += 1
+        if is_home or e.access is PageAccess.INVALID:
+            return False
+        old = e.access
+        e.access = PageAccess.INVALID
+        self._transition(gid, old, PageAccess.INVALID, "invalidate")
+        return True
+
+    def needed_versions(self, gid):
+        return dict(self.entry(gid).needed)
+
+
+PAGES = range(10)
+
+
+def _random_op(rng):
+    gid = rng.choice(PAGES)
+    kind = rng.choice(("mark_valid", "record_write", "record_write",
+                       "take_dirty", "invalidate", "invalidate",
+                       "invalidate"))
+    if kind == "mark_valid":
+        return kind, (gid, rng.random() < 0.3,
+                      rng.choice(("fault", "migrate")))
+    if kind == "record_write":
+        runs = rng.randint(1, 4)
+        return kind, (gid, DiffShape(runs=runs,
+                                     bytes_modified=runs * rng.choice(
+                                         (4, 8, 64))))
+    if kind == "take_dirty":
+        return kind, ()
+    # Intervals arrive out of order, and interval 0 is never needed.
+    return kind, (gid, rng.randint(0, 6), rng.randint(0, 9),
+                  rng.random() < 0.25)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_page_table_matches_entry_reference(seed):
+    rng = random.Random(seed)
+    table, reference = NodePageTable(3, CFG), EntryPageTable(3)
+    calls = {}
+    for t in (table, reference):
+        log = calls[t] = []
+        t.on_transition = lambda *args, log=log: log.append(args)
+    for _step in range(600):
+        kind, args = _random_op(rng)
+        got = getattr(table, kind)(*args)
+        want = getattr(reference, kind)(*args)
+        assert got == want, (kind, args)
+        assert calls[table] == calls[reference]
+        assert table.dirty_pages == reference.dirty_pages
+        for gid in PAGES:
+            assert table.access(gid) is reference.access(gid)
+            assert (table.needed_versions(gid)
+                    == reference.needed_versions(gid))
+    assert table.invalidations == reference.invalidations > 0
+    assert {name for _n, _g, _o, _new, name in calls[reference]} == {
+        "fault", "migrate", "write", "close", "invalidate"}
 
 
 # ----------------------------------------------------------------- mprotect
