@@ -1,26 +1,23 @@
-"""FPR: cache-fingerprint coverage of the import graph.
+"""FPR: the run cache's fingerprint list equals the import graph.
 
-``runtime/parallel.py`` memoises experiment cells under a content
-digest that includes ``code_fingerprint()`` — a hash of the source
-files in ``FINGERPRINT_DIRS`` (plus ``FINGERPRINT_MODULES``).  Any
-module that can influence a cell's result but is *not* hashed makes
-the cache silently stale: edit the module, rerun, get yesterday's
-numbers.  The reachable set is computed from the import graph,
-starting at the modules that evaluate cells (the ones that define or
-assign ``FINGERPRINT_DIRS`` — they are the cache entry points), and
-closed over *all* imports including function-level lazy ones, because
-``evaluate_cell`` imports its workloads lazily.
+``code_fingerprint()`` (``runtime/parallel.py``) hashes the sources
+named in ``FINGERPRINT_MODULES``, and every cached cell is keyed by it.
+The list must be exactly the modules reachable from the module that
+defines it, over all imports, lazy ones included (see
+:class:`~repro.analysis.static.project.ProjectModel`).  Editing a
+listed module turns the store cold; editing any other keeps it warm.
+To add a module, import it and run ``repro lint``: it names the entry.
 
-* **FPR001** — a module is reachable from the cache entry point but
-  covered by neither ``FINGERPRINT_DIRS`` nor ``FINGERPRINT_MODULES``.
-* **FPR002** — a declared fingerprint dir or module does not exist on
-  disk: the declaration is dead and the hash is narrower than the
-  author believes.
+* **FPR001** — reachable but not listed: editing the module leaves
+  cached results stale.
+* **FPR002** — listed but unreachable, or missing: an edit no cell can
+  see turns every cached result cold.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+import ast
+from typing import Dict, Iterator, Optional
 
 from ..lint import LintViolation
 from .project import ModuleInfo, ProjectModel
@@ -28,75 +25,50 @@ from .registry import ProjectRule, register_project_rule
 
 __all__ = ["FprRule"]
 
+_DECL = "FINGERPRINT_MODULES"
 
-def _fingerprint_decl(project: ProjectModel
-                      ) -> Optional[Tuple[ModuleInfo, Tuple[str, ...],
-                                          Tuple[str, ...]]]:
-    """The module declaring ``FINGERPRINT_DIRS`` plus both declared
-    tuples (dirs, extra modules)."""
-    for info in project.modules.values():
-        dirs = info.tuple_constants.get("FINGERPRINT_DIRS")
-        if dirs is not None:
-            modules = info.tuple_constants.get("FINGERPRINT_MODULES", ())
-            return info, dirs, modules
+
+def _entries(info: ModuleInfo) -> Optional[Dict[str, ast.Constant]]:
+    """Each ``FINGERPRINT_MODULES`` entry's literal, by its value, or
+    None when ``info`` does not assign the tuple."""
+    for stmt in info.tree.body:
+        if isinstance(stmt, ast.Assign) \
+                and isinstance(stmt.value, (ast.Tuple, ast.List)) \
+                and any(isinstance(t, ast.Name) and t.id == _DECL
+                        for t in stmt.targets):
+            return {e.value: e for e in stmt.value.elts
+                    if isinstance(e, ast.Constant)}
     return None
-
-
-def _covered(info: ModuleInfo, dirs: Tuple[str, ...],
-             modules: Tuple[str, ...]) -> bool:
-    rel = info.rel
-    top = rel.split("/", 1)[0]
-    if "/" in rel and top in dirs:
-        return True
-    return rel in modules
 
 
 @register_project_rule
 class FprRule(ProjectRule):
-    """Everything the run cache can execute must be fingerprinted."""
+    """The fingerprint hashes exactly what the run cache can execute."""
 
     name = "fpr"
     family = "FPR"
-    description = ("modules reachable from the run cache are covered "
-                   "by the code fingerprint")
+    description = ("the code fingerprint lists exactly the modules "
+                   "reachable from the run cache")
 
     def check(self, project: ProjectModel) -> Iterator[LintViolation]:
-        decl = _fingerprint_decl(project)
-        if decl is None:
-            return
-        anchor, dirs, modules = decl
-
-        # FPR002: dead declarations.
-        root = project.root
-        for d in dirs:
-            if not (root / d).is_dir():
+        for anchor in project.modules.values():
+            entries = _entries(anchor)
+            if entries is None:
+                continue
+            reachable = {project.modules[name].rel: project.modules[name]
+                         for name in project.reachable_from(anchor.name)}
+            for rel in sorted(set(reachable) - set(entries)):
+                info = reachable[rel]
                 yield self.hit(
-                    anchor, anchor.tree.body[0] if anchor.tree.body
-                    else None, "FPR002",
-                    f"FINGERPRINT_DIRS names {d!r} but "
-                    f"{(root / d).as_posix()} does not exist; the "
-                    f"fingerprint is narrower than declared")
-        for m in modules:
-            if not (root / m).is_file():
-                yield self.hit(
-                    anchor, anchor.tree.body[0] if anchor.tree.body
-                    else None, "FPR002",
-                    f"FINGERPRINT_MODULES names {m!r} but "
-                    f"{(root / m).as_posix()} does not exist; the "
-                    f"fingerprint is narrower than declared")
-
-        # FPR001: reachable but unhashed modules.
-        reachable = project.reachable_from(anchor.name)
-        missing: List[ModuleInfo] = []
-        for name in sorted(reachable):
-            info = project.modules[name]
-            if not _covered(info, dirs, modules):
-                missing.append(info)
-        for info in missing:
-            yield self.hit(
-                info, info.tree.body[0] if info.tree.body else None,
-                "FPR001",
-                f"module {info.name} is reachable from the run cache "
-                f"(via {anchor.name}) but not covered by "
-                f"FINGERPRINT_DIRS/FINGERPRINT_MODULES: editing it "
-                f"will NOT invalidate cached results")
+                    info, info.tree.body[0] if info.tree.body else None,
+                    "FPR001",
+                    f"module {info.name} is reachable from the run cache "
+                    f"(via {anchor.name}) but {rel!r} is not in {_DECL}: "
+                    f"editing it will NOT invalidate cached results")
+            for rel in sorted(set(entries) - set(reachable)):
+                why = ("no cell can import it: editing it turns every "
+                       "cached result cold for nothing"
+                       if (project.root / rel).is_file()
+                       else "no such module exists")
+                yield self.hit(anchor, entries[rel], "FPR002",
+                               f"{_DECL} lists {rel!r}, but {why}")

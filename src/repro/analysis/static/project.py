@@ -8,7 +8,10 @@ need:
   absolute and relative imports at any nesting depth — function-level
   lazy imports included, because the cache fingerprint rule cares
   exactly about those; imports under ``if TYPE_CHECKING:`` never run,
-  so they are no edges);
+  so they are no edges).  ``from hub import name``, where ``hub`` is a
+  PEP 562 lazy package, is an edge to the one module its literal
+  ``__getattr__`` import of ``name`` loads; the imports inside that
+  ``__getattr__`` are no edges of the hub itself;
 * a **symbol table** of classes and functions per module, plus
   line-interval lookup of the innermost enclosing definition (each
   finding names the symbol it sits in);
@@ -46,6 +49,9 @@ class ModuleInfo:
     is_package: bool          #: True for ``__init__.py`` modules
     #: project-internal modules this module imports (any nesting depth).
     imports: Set[str] = field(default_factory=set)
+    #: a lazy hub's exports: name -> (absolute base, imported name), one
+    #: per literal ``from`` import in its ``__getattr__``.
+    lazy_exports: Dict[str, Tuple[str, str]] = field(default_factory=dict)
     #: module-level ``NAME = "str"`` constants.
     str_constants: Dict[str, str] = field(default_factory=dict)
     #: module- and class-level ``NAME = ("a", "b")`` constants; class
@@ -138,12 +144,27 @@ def _is_type_checking(test: ast.expr) -> bool:
     return isinstance(test, ast.Name) and test.id == "TYPE_CHECKING"
 
 
-def _runtime_nodes(tree: ast.AST) -> Iterator[ast.AST]:
+def _lazy_hook(info: ModuleInfo) -> Optional[ast.FunctionDef]:
+    """The module-level ``__getattr__`` of a package ``__init__``: the
+    PEP 562 hook that makes the package a lazy hub."""
+    if info.is_package:
+        for node in info.tree.body:
+            if isinstance(node, ast.FunctionDef) \
+                    and node.name == "__getattr__":
+                return node
+    return None
+
+
+def _runtime_nodes(tree: ast.AST,
+                   skip: Optional[ast.AST] = None) -> Iterator[ast.AST]:
     """Every node of ``tree`` that can execute: ``ast.walk`` minus the
-    bodies of ``if TYPE_CHECKING:`` blocks (their ``else`` runs)."""
+    bodies of ``if TYPE_CHECKING:`` blocks (their ``else`` runs) and
+    minus the subtree ``skip``."""
     stack: List[ast.AST] = [tree]
     while stack:
         node = stack.pop()
+        if node is skip:
+            continue
         yield node
         if isinstance(node, ast.If) and _is_type_checking(node.test):
             stack.extend(node.orelse)
@@ -187,6 +208,8 @@ class ProjectModel:
                 is_package=path.name == "__init__.py")
             model.modules[name] = info
         for info in model.modules.values():
+            model._collect_lazy_exports(info)
+        for info in model.modules.values():
             model._collect_imports(info)
             model._collect_constants(info)
         return model
@@ -200,8 +223,20 @@ class ProjectModel:
 
     # ------------------------------------------------------------ imports
 
+    def _collect_lazy_exports(self, info: ModuleInfo) -> None:
+        hook = _lazy_hook(info)
+        if hook is None:
+            return
+        for node in _runtime_nodes(hook):
+            if isinstance(node, ast.ImportFrom):
+                base = self._import_base(info, node)
+                if base is not None:
+                    for alias in node.names:
+                        info.lazy_exports[alias.asname or alias.name] = (
+                            base, alias.name)
+
     def _collect_imports(self, info: ModuleInfo) -> None:
-        for node in _runtime_nodes(info.tree):
+        for node in _runtime_nodes(info.tree, skip=_lazy_hook(info)):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     self._add_internal(info, alias.name)
@@ -210,13 +245,20 @@ class ProjectModel:
                 if base is None:
                     continue
                 for alias in node.names:
-                    target = f"{base}.{alias.name}" if base else alias.name
-                    if target in self.modules:
-                        # ``from pkg.mod import name`` where name is a
-                        # module: depend on the module itself.
-                        info.imports.add(target)
-                    else:
-                        self._add_internal(info, base)
+                    self._add_internal(info,
+                                       self._resolve_from(base, alias.name))
+
+    def _resolve_from(self, base: str, name: str) -> str:
+        """The module ``from base import name`` depends on: the
+        submodule ``base.name`` if there is one, else the module a lazy
+        hub's ``__getattr__`` imports ``name`` from (followed through
+        hubs of hubs), else ``base`` itself."""
+        if f"{base}.{name}" in self.modules:
+            return f"{base}.{name}"
+        hub = self.modules.get(base)
+        if hub is not None and name in hub.lazy_exports:
+            return self._resolve_from(*hub.lazy_exports[name])
+        return base
 
     def _import_base(self, info: ModuleInfo,
                      node: ast.ImportFrom) -> Optional[str]:
@@ -292,7 +334,9 @@ class ProjectModel:
     # ------------------------------------------------------------ lookups
 
     def reachable_from(self, entry: str) -> Set[str]:
-        """Transitive import closure of ``entry`` (inclusive)."""
+        """Transitive import closure of ``entry`` (inclusive).  Python
+        runs ``a`` and ``a.b`` before ``a.b.c``, so every reached
+        module's parent packages are reached too."""
         seen: Set[str] = set()
         frontier = [entry]
         while frontier:
@@ -301,6 +345,7 @@ class ProjectModel:
                 continue
             seen.add(name)
             frontier.extend(self.modules[name].imports)
+            frontier.append(name.rpartition(".")[0])
         return seen
 
     def find_class(self, class_name: str

@@ -257,11 +257,6 @@ class MachineConfig:
             raise ValueError(f"rank {rank} out of range")
         return rank // self.procs_per_node
 
-    def procs_of(self, node: int) -> Tuple[int, ...]:
-        """Global ranks of the processes on ``node``."""
-        base = node * self.procs_per_node
-        return tuple(range(base, base + self.procs_per_node))
-
     # -- uncontended stage references (used by the firmware monitor) -----------
 
     def src_uncontended_us(self, size: int) -> float:

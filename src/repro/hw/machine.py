@@ -119,10 +119,6 @@ class Machine:
         """The node hosting global process ``rank``."""
         return self.nodes[self.config.node_of(rank)]
 
-    def nic_of(self, rank: int) -> NIC:
-        """The NIC of the node hosting global process ``rank``."""
-        return self.nics[self.config.node_of(rank)]
-
     def run(self, until: Optional[float] = None) -> float:
         return self.sim.run(until=until)
 

@@ -98,7 +98,7 @@ class Packet:
     dst_node: Optional[int] = None
     pkt_id: int = field(default_factory=lambda: next(_seq))
 
-    # -- stage timestamps, filled in as the packet moves ------------------
+    # -- stage timestamps (PerfMonitor.record derives Section 3.1 latencies)
     t_enqueue: float = 0.0      # request visible in NI request queue
     t_src_done: float = 0.0     # data DMA'd into sending NI memory
     t_injected: float = 0.0     # last word pushed into the network
@@ -116,25 +116,3 @@ class Packet:
     @property
     def dst(self) -> int:
         return self.message.dst if self.dst_node is None else self.dst_node
-
-    @property
-    def is_small(self) -> bool:
-        return self.size <= SMALL_MESSAGE_BYTES
-
-    # -- measured stage latencies (Section 3.1 definitions) -----------------
-
-    @property
-    def source_latency(self) -> float:
-        return self.t_src_done - self.t_enqueue
-
-    @property
-    def lanai_latency(self) -> float:
-        return self.t_injected - self.t_src_done
-
-    @property
-    def net_latency(self) -> float:
-        return self.t_net_arrival - self.t_src_done
-
-    @property
-    def dest_latency(self) -> float:
-        return self.t_delivered - self.t_net_arrival

@@ -19,10 +19,11 @@ constructor params (dicts sorted, tuples/lists normalized),
 :class:`~repro.svm.features.ProtocolFeatures`,
 :class:`~repro.hw.config.MachineConfig` (which embeds the
 :class:`~repro.hw.config.FaultConfig`, seeds included), plus a *code
-fingerprint* — the package version hashed together with every source
-file the simulation's outcome can depend on.  Editing the simulator
-invalidates the whole store automatically; editing only docs or the
-experiment renderers does not.
+fingerprint* — the package version hashed together with the sources
+listed in :data:`FINGERPRINT_MODULES`, every module a cell can import.
+Editing one of them invalidates the whole store automatically; editing
+anything else (docs, the CLI, the figure and table renderers, the
+experiment cache, the dashboards, the linters) keeps it warm.
 
 **Determinism.**  The simulator guarantees byte-identical results per
 cell; the executor adds two rules so the *grid* inherits that
@@ -76,20 +77,36 @@ __all__ = [
 #: unreachable rather than misread).
 STORE_SCHEMA = 1
 
-#: package subdirectories whose sources determine simulation outcomes;
-#: all of them feed the code fingerprint.  ``experiments``/``cli`` are
-#: deliberately absent as *directories*: renderers and drivers consume
-#: results, they do not produce them.
-FINGERPRINT_DIRS = ("sim", "hw", "svm", "vmmc", "faults", "apps",
-                    "runtime", "hwdsm", "obs", "analysis")
-
-#: individual modules outside FINGERPRINT_DIRS that evaluate_cell can
-#: still execute (lazy imports): they shape cached payloads, so they
-#: must invalidate the cache too.  The FPR whole-program lint pass
-#: verifies this list covers everything reachable from this module.
-FINGERPRINT_MODULES = ("__init__.py", "experiments/critpath.py",
-                       "experiments/profile.py",
-                       "experiments/reporting.py")
+#: every module a cell can import, relative to the package root: the
+#: sources :func:`code_fingerprint` hashes.  Editing a module not listed
+#: here (a renderer, a driver, a linter) keeps every stored cell warm.
+#: The FPR lint (``repro lint``) holds this tuple equal to the import
+#: closure of this module: after adding an import it names the missing
+#: entry (FPR001), after removing one the stale entry (FPR002).  Kept
+#: sorted, the order the fingerprint hashes them in.
+FINGERPRINT_MODULES = (
+    "__init__.py",
+    "analysis/__init__.py", "analysis/critpath.py", "analysis/invariants.py",
+    "apps/__init__.py", "apps/barnes.py", "apps/base.py", "apps/datacenter.py",
+    "apps/fft.py", "apps/lu.py", "apps/ocean.py", "apps/radix.py",
+    "apps/tasks.py", "apps/water.py",
+    "experiments/__init__.py", "experiments/critpath.py",
+    "experiments/profile.py",
+    "faults/__init__.py", "faults/injector.py", "faults/reliable.py",
+    "hw/__init__.py", "hw/config.py", "hw/machine.py", "hw/network.py",
+    "hw/nic.py", "hw/node.py", "hw/packet.py", "hw/topology.py",
+    "hwdsm/__init__.py", "hwdsm/origin.py",
+    "obs/__init__.py", "obs/metrics.py", "obs/profiler.py",
+    "obs/timeseries.py",
+    "runtime/__init__.py", "runtime/backends.py", "runtime/context.py",
+    "runtime/parallel.py", "runtime/results.py", "runtime/runner.py",
+    "sim/__init__.py", "sim/engine.py", "sim/resources.py", "sim/spans.py",
+    "sim/stats.py", "sim/trace.py", "sim/trace_schema.py",
+    "svm/__init__.py", "svm/barriers.py", "svm/diffs.py", "svm/features.py",
+    "svm/locks.py", "svm/mprotect.py", "svm/pages.py", "svm/protocol.py",
+    "svm/timestamps.py",
+    "vmmc/__init__.py", "vmmc/api.py", "vmmc/locks.py", "vmmc/monitor.py",
+)
 
 
 # --------------------------------------------------------------- canonical
@@ -153,24 +170,21 @@ def canonical_json(obj: Any) -> str:
 
 @lru_cache(maxsize=1)
 def code_fingerprint() -> str:
-    """Hash of the package version plus every outcome-relevant source.
+    """Hash of the package version plus the :data:`FINGERPRINT_MODULES`
+    sources.
 
     Cached per process: the sources cannot change under a running
-    simulation, and hashing ~80 files on every digest would dominate
-    cache lookups.
+    simulation, and hashing them on every digest would dominate cache
+    lookups.
     """
     import repro
     root = Path(repro.__file__).resolve().parent
     digest = hashlib.sha256()
     digest.update(repro.__version__.encode())
-    paths = [path
-             for sub in FINGERPRINT_DIRS
-             for path in sorted((root / sub).rglob("*.py"))]
-    paths.extend(root / mod for mod in FINGERPRINT_MODULES)
-    for path in sorted(paths):
-        digest.update(str(path.relative_to(root)).encode())
+    for rel in FINGERPRINT_MODULES:
+        digest.update(rel.encode())
         digest.update(b"\0")
-        digest.update(path.read_bytes())
+        digest.update((root / rel).read_bytes())
     return digest.hexdigest()[:16]
 
 

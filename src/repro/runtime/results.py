@@ -42,10 +42,6 @@ class RunResult:
     def mean_breakdown(self) -> TimeBuckets:
         return TimeBuckets.average(self.buckets)
 
-    @property
-    def breakdown_fractions(self) -> Dict[str, float]:
-        return self.mean_breakdown.fractions()
-
     # -- Table 2 metrics ------------------------------------------------------
 
     @property

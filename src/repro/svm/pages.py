@@ -66,9 +66,6 @@ class SharedRegion:
         self.check_index(index)
         return self.base + index
 
-    def gids(self, indices) -> List[int]:
-        return [self.gid(i) for i in indices]
-
     def home_of(self, index: int) -> int:
         return self.homes[index]
 

@@ -1,4 +1,4 @@
-"""FPR001: reachable from the cache entry point, not fingerprinted."""
+"""FPR001: reachable from the cache entry point, not listed."""
 
 
 def render(result):

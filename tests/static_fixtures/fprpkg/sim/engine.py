@@ -1,4 +1,4 @@
-"""Covered by FINGERPRINT_DIRS ("sim")."""
+"""Imported at module level by the cache entry point: listed."""
 
 
 def run(cell):

@@ -27,11 +27,6 @@ def test_node_of_out_of_range():
         PAPER_16P.node_of(-1)
 
 
-def test_procs_of_node():
-    assert PAPER_16P.procs_of(0) == (0, 1, 2, 3)
-    assert PAPER_16P.procs_of(3) == (12, 13, 14, 15)
-
-
 def test_packets_for_segmentation():
     cfg = PAPER_16P
     assert cfg.packets_for(0) == 1
@@ -70,7 +65,6 @@ def test_node_of_covers_odd_node_counts(nodes):
     assert cfg.node_of(per - 1) == 0
     assert cfg.node_of(per) == 1
     assert cfg.node_of(cfg.total_procs - 1) == nodes - 1
-    assert cfg.procs_of(nodes - 1)[-1] == cfg.total_procs - 1
     with pytest.raises(ValueError):
         cfg.node_of(cfg.total_procs)
 

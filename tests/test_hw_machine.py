@@ -96,10 +96,9 @@ def test_machine_builds_requested_topology():
     assert machine.network.node_ids == list(range(8))
 
 
-def test_machine_node_and_nic_of_rank():
+def test_machine_node_of_rank():
     machine = Machine()
     assert machine.node_of(5) is machine.nodes[1]
-    assert machine.nic_of(15) is machine.nics[3]
 
 
 def test_network_rejects_duplicate_attach():
@@ -204,27 +203,6 @@ def test_multicast_validation():
         Message(src=0, dst=1, size=8, multicast_dsts=(0, 1))
     with pytest.raises(ValueError):
         Message(src=0, dst=1, size=8, multicast_dsts=(1, 1))
-
-
-def test_packet_stage_latencies():
-    msg = Message(src=0, dst=1, size=100)
-    pkt = Packet(message=msg, size=100, index=0, is_last=True)
-    pkt.t_enqueue = 10.0
-    pkt.t_src_done = 14.0
-    pkt.t_injected = 20.0
-    pkt.t_net_arrival = 21.0
-    pkt.t_delivered = 30.0
-    assert pkt.source_latency == pytest.approx(4.0)
-    assert pkt.lanai_latency == pytest.approx(6.0)
-    assert pkt.net_latency == pytest.approx(7.0)
-    assert pkt.dest_latency == pytest.approx(9.0)
-
-
-def test_packet_small_classification():
-    msg = Message(src=0, dst=1, size=5000)
-    small = Packet(message=msg, size=256, index=0, is_last=False)
-    large = Packet(message=msg, size=257, index=1, is_last=True)
-    assert small.is_small and not large.is_small
 
 
 def test_packet_dst_override_for_multicast():

@@ -11,6 +11,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -255,8 +256,9 @@ def test_executor_fingerprint_invalidates(tmp_path, monkeypatch):
 
 
 def test_fingerprint_ignores_driver_only_modules(tmp_path, monkeypatch):
-    """Editing the experiment cache (a driver no cell runs) keeps every
-    stored cell reachable; editing a module a cell runs does not."""
+    """Editing a module no cell runs (the experiment cache, dashboards,
+    linters, the unused datastore) keeps every stored cell reachable;
+    editing a module a cell runs does not."""
     import shutil
     import repro
     src = os.path.dirname(repro.__file__)
@@ -274,11 +276,62 @@ def test_fingerprint_ignores_driver_only_modules(tmp_path, monkeypatch):
     try:
         parallel.code_fingerprint.cache_clear()
         before = parallel.code_fingerprint()
-        assert fingerprint_after("experiments/cache.py") == before
-        assert fingerprint_after("experiments/critpath.py") != before
+        for edit in ("experiments/cache.py", "obs/dash.py",
+                     "obs/openmetrics.py", "analysis/static/driver.py",
+                     "analysis/lint.py", "analysis/sanitizer.py",
+                     "svm/datastore.py"):
+            assert fingerprint_after(edit) == before, edit
+        for edit in ("experiments/critpath.py", "experiments/__init__.py",
+                     "faults/reliable.py"):
+            after = fingerprint_after(edit)
+            assert after != before, edit
+            before = after
     finally:
         monkeypatch.undo()
         parallel.code_fingerprint.cache_clear()
+
+
+#: evaluates one cell of every kind, plus a lossy svm cell (which arms
+#: the fault layer), then prints the package-relative path of every
+#: ``repro`` module the interpreter loaded.
+_LOADED_MODULES_SCRIPT = """
+import sys
+from pathlib import Path
+import repro
+from repro.hw import FaultConfig, MachineConfig
+from repro.runtime.parallel import CellSpec, evaluate_cell
+from repro.svm import GENIMA
+app, config = "Water-spatial", MachineConfig()
+for spec in (
+        CellSpec(kind="svm", app=app, features=GENIMA, config=config,
+                 telemetry_us=500.0),
+        CellSpec(kind="seq", app=app, config=config),
+        CellSpec(kind="origin", app=app, nprocs=4),
+        CellSpec(kind="profile", app=app, features=GENIMA, config=config,
+                 slice_us=500.0, check=True),
+        CellSpec(kind="critpath", app=app, features=GENIMA, config=config,
+                 check=True),
+        CellSpec(kind="svm", app="KVStore", features=GENIMA,
+                 config=MachineConfig(faults=FaultConfig(loss=0.01)))):
+    evaluate_cell(spec)
+root = Path(repro.__file__).resolve().parent
+for name, module in sorted(sys.modules.items()):
+    if name.split(".")[0] == "repro":
+        print(Path(module.__file__).resolve().relative_to(root).as_posix())
+"""
+
+
+def test_fingerprint_covers_every_module_a_cell_loads():
+    """The dynamic side of the FPR lint: whatever a fresh interpreter
+    imports to evaluate cells is hashed by the fingerprint."""
+    import repro
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES_SCRIPT], check=True,
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}).stdout.split()
+    assert "faults/reliable.py" in out and "experiments/__init__.py" in out
+    assert sorted(set(out) - set(parallel.FINGERPRINT_MODULES)) == []
 
 
 def test_executor_recovers_from_corrupted_entry(tmp_path, svm_payload):

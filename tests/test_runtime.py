@@ -251,12 +251,6 @@ def test_finished_runs_free_themselves(monkeypatch):
 
 # ------------------------------------------------------------------- results
 
-def test_breakdown_fractions_sum_to_one():
-    result = run_svm(TinyApp(), GENIMA)
-    fracs = result.breakdown_fractions
-    assert sum(fracs.values()) == pytest.approx(1.0)
-
-
 def test_result_summary_fields():
     result = run_svm(TinyApp(), GENIMA)
     summary = result.summary()

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.static import analyze_paths, analyze_project
+from repro.analysis.static import (ProjectModel, analyze_paths,
+                                   analyze_project)
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "static_fixtures"
@@ -140,15 +141,47 @@ def test_trc_checks_dict_taking_append(tmp_path):
 
 
 def test_fpr_fixture_findings():
-    got = sorted((v.rule, Path(v.path).name) for v in findings("fprpkg"))
-    assert got == [("FPR001", "tables.py"), ("FPR002", "cachegrid.py")]
-    msgs = {v.rule: v.message for v in findings("fprpkg")}
-    assert "fprpkg.render.tables" in msgs["FPR001"]
-    assert "'ghostdir'" in msgs["FPR002"]
+    found = findings("fprpkg")
+    assert sorted((v.rule, Path(v.path).name, v.line) for v in found) == [
+        ("FPR001", "tables.py", 1),      # lazy import, not listed
+        ("FPR002", "cachegrid.py", 8),   # hub/slow.py: unreachable
+        ("FPR002", "cachegrid.py", 12),  # sim/ghost.py: no such file
+    ]
+    msgs = [v.message for v in sorted(found, key=lambda v: (v.rule, v.line))]
+    assert "fprpkg.render.tables" in msgs[0]
+    assert "'hub/slow.py'" in msgs[1] and "no cell can import" in msgs[1]
+    assert "'sim/ghost.py'" in msgs[2] and "no such module" in msgs[2]
+
+
+def fprpkg_reachable():
+    model = ProjectModel.load(FIXTURES / "fprpkg")
+    return model, model.reachable_from("fprpkg.runtime.cachegrid")
+
+
+def test_fpr_resolves_lazy_hub_names():
+    """``from hub import name`` depends on the one module the hub's
+    ``__getattr__`` loads for ``name`` (through a hub of hubs too); the
+    hub's own lazy imports are no edges of it."""
+    model, reachable = fprpkg_reachable()
+    assert "fprpkg.hub.fast" in model.modules["fprpkg.runtime.cachegrid"] \
+        .imports
+    assert "fprpkg.hub.fast" in reachable
+    assert "fprpkg.hub.slow" not in reachable
+    assert model.modules["fprpkg.hub"].imports == set()
+    assert model.modules["fprpkg.hub"].lazy_exports == {
+        "fast": ("fprpkg.hub.fast", "fast"),
+        "slow": ("fprpkg.hub.slow", "slow")}
+
+
+def test_fpr_reaches_parent_packages():
+    """Importing ``a.b.c`` runs ``a`` and ``a.b`` first."""
+    _, reachable = fprpkg_reachable()
+    assert {"fprpkg", "fprpkg.hub", "fprpkg.render", "fprpkg.runtime",
+            "fprpkg.sim"} <= reachable
 
 
 def test_fpr_real_tree_has_no_gaps():
-    """Every module evaluate_cell can reach is fingerprinted."""
+    """FINGERPRINT_MODULES is exactly what evaluate_cell can reach."""
     report = analyze_project(REPO / "src" / "repro", package="repro")
     assert [v for v in report.violations if v.family == "FPR"] == []
 
@@ -162,8 +195,8 @@ def test_fpr_ignores_imports_under_type_checking(tmp_path):
         (pkg / sub / "__init__.py").write_text("")
     (pkg / "__init__.py").write_text("")
     (pkg / "runtime" / "grid.py").write_text(
-        'FINGERPRINT_DIRS = ("runtime",)\n'
-        'FINGERPRINT_MODULES = ()\n'
+        'FINGERPRINT_MODULES = ("__init__.py", "drivers/__init__.py",\n'
+        '                       "runtime/__init__.py", "runtime/grid.py")\n'
         "import typing\n"
         "from typing import TYPE_CHECKING\n"
         "if TYPE_CHECKING:\n"
@@ -177,17 +210,17 @@ def test_fpr_ignores_imports_under_type_checking(tmp_path):
     for mod in ("typed", "typed_too", "fallback", "lazy"):
         (pkg / "drivers" / f"{mod}.py").write_text("class Typed: ...\n")
     report = analyze_project(pkg)
-    flagged = {v.path.rsplit("/", 1)[-1] for v in report.violations
-               if v.rule == "FPR001"}
-    assert flagged == {"fallback.py", "lazy.py"}
+    assert sorted((v.rule, Path(v.path).name)
+                  for v in report.violations) == [
+        ("FPR001", "fallback.py"), ("FPR001", "lazy.py")]
 
 
 def test_fingerprint_modules_exist():
-    from repro.runtime.parallel import (FINGERPRINT_DIRS,
-                                        FINGERPRINT_MODULES)
+    """Every entry is a file, listed once, in sorted order (the order
+    the fingerprint hashes them in)."""
+    from repro.runtime.parallel import FINGERPRINT_MODULES
     root = REPO / "src" / "repro"
-    for d in FINGERPRINT_DIRS:
-        assert (root / d).is_dir(), d
+    assert list(FINGERPRINT_MODULES) == sorted(set(FINGERPRINT_MODULES))
     for m in FINGERPRINT_MODULES:
         assert (root / m).is_file(), m
 
