@@ -11,6 +11,9 @@ emit site is checked against it:
   family: missing required fields, or extra fields on a non-variadic
   family (``**kwargs`` splats disable the missing-field check), or,
   on a variadic family, an extra field spelled like a declared one.
+  One finding per site names all of them, and the declared field an
+  extra one misspells: a typo of a required field is reported as the
+  missing field and the undeclared one together.
   ``tracer.append(t, category, fields)`` takes its fields from a dict
   literal, or from the literal a local name was assigned (plus its
   constant-key stores; an ``update`` call counts as a splat).
@@ -381,34 +384,32 @@ class TrcRule(ProjectRule):
 
     def _check_fields(self, site: EmitSite, fam: SchemaFamily
                       ) -> Iterator[LintViolation]:
-        given = set(site.fields)
-        declared = set(fam.fields)
-        required = set(fam.required)
-        missing = sorted(required - given)
-        extra = sorted(given - declared)
-        if missing and not site.has_splat:
+        declared = sorted(fam.fields)
+        missing = ([] if site.has_splat
+                   else sorted(set(fam.required) - set(site.fields)))
+        # An extra field's near match: beside a missing field a looser
+        # likeness ("dts" for "dst") is already a likely typo of it.
+        near = {name: (difflib.get_close_matches(name, missing, 1, 0.6)
+                       or difflib.get_close_matches(name, declared, 1, 0.8)
+                       or [None])[0]
+                for name in sorted(set(site.fields) - set(declared))}
+        # A variadic family takes any extra field, but one spelled like
+        # a declared field is a typo of it.
+        extra = [name for name, match in near.items()
+                 if match or not fam.variadic]
+        found = []
+        if missing:
+            found.append("is missing required field(s) "
+                         + ", ".join(missing))
+        if extra:
+            found.append("passes undeclared field(s) " + ", ".join(extra))
+        found += [f"{name!r} looks like a misspelling of {near[name]!r}"
+                  for name in extra if near[name]]
+        if found:
+            found.append(f"declared fields are {', '.join(declared)}")
             yield self.hit(
                 site.info, site.node, "TRC002",
-                f"trace {site.category!r} emit is missing required "
-                f"field(s) {', '.join(missing)}")
-        elif extra and not fam.variadic:
-            yield self.hit(
-                site.info, site.node, "TRC002",
-                f"trace {site.category!r} emit passes undeclared "
-                f"field(s) {', '.join(extra)}; declared fields are "
-                f"{', '.join(sorted(declared))}")
-        else:
-            # A variadic family takes any extra field, but one spelled
-            # like a declared field is a typo of it.
-            for name in extra:
-                near = difflib.get_close_matches(name, sorted(declared),
-                                                 n=1, cutoff=0.8)
-                if near:
-                    yield self.hit(
-                        site.info, site.node, "TRC002",
-                        f"trace {site.category!r} emit passes field "
-                        f"{name!r}, a misspelling of declared field "
-                        f"{near[0]!r}?")
+                f"trace {site.category!r} emit {'; '.join(found)}")
 
     def _check_guard(self, site: EmitSite,
                      optional_classes: Set[str]

@@ -163,12 +163,6 @@ class TimeBuckets:
             setattr(buckets, name, float(data[name]))
         return buckets
 
-    def fractions(self) -> Dict[str, float]:
-        tot = self.total
-        if tot <= 0:
-            return {name: 0.0 for name in BUCKETS}
-        return {name: getattr(self, name) / tot for name in BUCKETS}
-
     @staticmethod
     def average(buckets: List["TimeBuckets"]) -> "TimeBuckets":
         """Mean breakdown across processes (as Figure 3 averages)."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..hw.config import MachineConfig
 from .diffs import DiffShape
@@ -169,19 +169,19 @@ class HomePage:
 
 
 class NodePageTable:
-    """Per-node page table: access state, dirty shapes, needed versions.
+    """Per-node page table: access state and dirty shapes.
 
     A 256-node Base run holds tens of thousands of (node, page) states,
-    so the table keeps only what the protocol sets, in three maps:
+    so the table keeps only what the protocol sets, in two maps:
 
     * ``_access`` — the pages that are not INVALID; a missing page is
       INVALID, and an invalidation pops it;
     * ``dirty_pages`` — pages written in the current interval, with
       their accumulated write shape; a page is twinned exactly when it
-      is in this map;
-    * ``_needed`` — versions this node must see at the home before a
-      fetch of the page is valid, one immutable tuple ``(writer,
-      interval, writer, interval, ...)`` sorted by writer.
+      is in this map.
+
+    A fault's needed versions come from the interval log and the node's
+    clock (:meth:`repro.svm.timestamps.IntervalLog.needed`).
     """
 
     def __init__(self, node: int, config: MachineConfig):
@@ -190,7 +190,6 @@ class NodePageTable:
         self._access: Dict[int, PageAccess] = {}
         #: pages dirtied in the node's current interval.
         self.dirty_pages: Dict[int, DiffShape] = {}
-        self._needed: Dict[int, Tuple[int, ...]] = {}
         #: optional hook(node, gid, old, new, why) observing protection
         #: changes — installed by the analysis invariant checker.
         self.on_transition = None
@@ -252,27 +251,11 @@ class NodePageTable:
 
     # -- invalidations -----------------------------------------------------------
 
-    def invalidate(self, gid: int, writer: int, interval: int,
-                   is_home: bool = False) -> bool:
+    def invalidate(self, gid: int, is_home: bool = False) -> bool:
         """Apply one write notice.  Returns True if protection changed
-        (i.e. an mprotect is actually needed for this page).
-
-        At the page's home node the copy is kept current by incoming
-        diffs, so the home records the needed version (it must wait for
-        the diff before reading) but never loses access — HLRC homes do
-        not invalidate their own pages.
+        (i.e. an mprotect is actually needed for this page).  HLRC homes
+        never lose access: incoming diffs keep their copy current.
         """
-        needed = self._needed.get(gid, ())
-        n = len(needed)
-        i = 0
-        while i < n and needed[i] < writer:
-            i += 2
-        if i < n and needed[i] == writer:
-            if needed[i + 1] < interval:
-                self._needed[gid] = (needed[:i + 1] + (interval,)
-                                     + needed[i + 2:])
-        elif interval > 0:  # an absent writer stands at interval 0
-            self._needed[gid] = needed[:i] + (writer, interval) + needed[i:]
         self.invalidations += 1
         if is_home:
             return False
@@ -281,8 +264,3 @@ class NodePageTable:
             return False
         self._transition(gid, old, PageAccess.INVALID, "invalidate")
         return True
-
-    def needed_versions(self, gid: int) -> Dict[int, int]:
-        """A fresh dict: the protocol parks it with home waiters."""
-        needed = self._needed.get(gid, ())
-        return dict(zip(needed[::2], needed[1::2]))

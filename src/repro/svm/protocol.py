@@ -286,11 +286,13 @@ class HLRCProtocol:
                 return
             inflight[key] = None
             try:
-                # needed and the clock snapshot are read back-to-back
-                # (no yield between them): together they name the page
-                # version this fault is obliged to observe, which the
-                # sanitizer replays against the happens-before graph.
-                needed = table.needed_versions(gid)
+                # The clock as it stands here (the snapshot the trace
+                # row records) names the write notices the node has
+                # applied, hence the page version this fault must
+                # observe, which the sanitizer replays against the
+                # happens-before graph.
+                needed = self.interval_log.needed(
+                    gid, self.node_clock[node_id], node_id)
                 if self.tracer is not None:
                     # Guarded at the call site: the sorted tuples below
                     # are per-fault allocations no one consumes on an
@@ -750,10 +752,8 @@ class HLRCProtocol:
         for writer, interval in self.interval_log.windows(have, want):
             if writer == node_id:
                 continue
-            index = interval.index
             for page in interval.pages:
-                if invalidate(page, writer, index,
-                              is_home=home_of(page) == node_id):
+                if invalidate(page, is_home=home_of(page) == node_id):
                     to_protect.append(page)
         self.node_clock[node_id].merge(want)
         self._trace("clock.advance", node=node_id,

@@ -11,8 +11,9 @@ to the merged clock before touching shared data.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 __all__ = ["VectorClock", "Interval", "IntervalLog"]
 
@@ -85,16 +86,21 @@ class Interval:
 
 
 class IntervalLog:
-    """Per-node history of closed intervals.
+    """Per-node history of closed intervals: the one record of write
+    notices.
 
     Used to answer "which write notices does a process at clock ``have``
     lack, up to clock ``want``?" — the set a Base-protocol lock grant
-    must carry, or that a barrier exchange distributes.
+    must carry, or that a barrier exchange distributes — and which page
+    versions the notices a node has applied oblige it to see
+    (:meth:`needed`).
     """
 
     def __init__(self, nodes: int):
         self.nodes = nodes
         self._log: List[List[Interval]] = [[] for _ in range(nodes)]
+        #: gid -> writer -> the writer's intervals that wrote it.
+        self._writes: Dict[int, Dict[int, List[int]]] = {}
 
     def append(self, interval: Interval) -> None:
         log = self._log[interval.node]
@@ -104,6 +110,9 @@ class IntervalLog:
                 f"node {interval.node}: interval {interval.index} "
                 f"appended out of order (expected {expected})")
         log.append(interval)
+        for gid in interval.pages:
+            self._writes.setdefault(gid, {}).setdefault(
+                interval.node, []).append(interval.index)
 
     def current_index(self, node: int) -> int:
         """Index of the last closed interval of ``node`` (0 if none)."""
@@ -127,6 +136,19 @@ class IntervalLog:
                     f"node {node}: interval {upto} not closed yet")
             for interval in log[have_v[node]:upto]:
                 yield node, interval
+
+    def needed(self, gid: int, clock: VectorClock,
+               node: int) -> Dict[int, int]:
+        """The versions of ``gid`` a fault of ``node`` at ``clock`` must
+        see at the home: per writer other than ``node``, ascending, the
+        latest of its intervals up to ``clock[writer]`` that wrote the
+        page.  A fresh dict: the protocol parks it with home waiters."""
+        needed = {}
+        for writer, indices in sorted(self._writes.get(gid, {}).items()):
+            at = bisect_right(indices, clock._v[writer])
+            if at and writer != node:
+                needed[writer] = indices[at - 1]
+        return needed
 
     def count_between(self, have: VectorClock, want: VectorClock) -> int:
         """Number of write notices (pages, counted per interval) in the

@@ -25,6 +25,12 @@ class GuardedEmitter:
         # TRC002: clock.advance is not variadic, "want" undeclared
         self._trace("clock.advance", node=0, clock=1.0, want=2.0)
 
+    def misspelled_field(self):
+        # TRC002: "dts" for required "dst" is both missing and undeclared
+        if self.tracer is not None:
+            self.tracer.append(self.sim.now, "retx.ack",
+                               {"node": 0, "msg": 1, "dts": 2})
+
     def variadic_ok(self):
         self._trace("span.begin", sid=1, name="x", custom="fine")
 

@@ -12,4 +12,5 @@ FAMILIES = (
     family("span.begin", fields=("sid", "name", "extra"),
            required=("sid", "name"), variadic=True),
     family("clock.advance", fields=("node", "clock")),
+    family("retx.ack", fields=("node", "msg", "dst")),
 )

@@ -114,11 +114,6 @@ def test_buckets_reject_negative_charge():
         b.charge("compute", -1.0)
 
 
-def test_buckets_fractions_empty():
-    b = TimeBuckets()
-    assert all(v == 0.0 for v in b.fractions().values())
-
-
 def test_buckets_average_empty_list():
     avg = TimeBuckets.average([])
     assert avg.total == 0.0

@@ -89,12 +89,6 @@ def test_time_buckets_average_of_empty_list_is_zero():
         assert getattr(avg, name) == 0.0
 
 
-def test_time_buckets_fractions_zero_total():
-    fracs = TimeBuckets().fractions()
-    assert set(fracs) == set(BUCKETS)
-    assert all(v == 0.0 for v in fracs.values())
-
-
 # -------------------------------------------------------- MetricsRegistry
 
 def test_registry_counter_gauge_stat_snapshot():

@@ -63,8 +63,20 @@ def test_trc_fixture_findings():
         ("TRC001", "GuardedEmitter.unknown_category"),
         ("TRC002", "GuardedEmitter.extra_field"),
         ("TRC002", "GuardedEmitter.missing_field"),
+        ("TRC002", "GuardedEmitter.misspelled_field"),
         ("TRC003", "GuardedEmitter.unguarded"),
     ]
+
+
+def test_trc_names_a_misspelled_required_field():
+    """A typo of a required field on a non-variadic family is one
+    finding naming the missing field, the undeclared one and the near
+    match between them."""
+    (hit,) = [v for v in findings("trcpkg")
+              if v.symbol == "GuardedEmitter.misspelled_field"]
+    assert "missing required field(s) dst" in hit.message
+    assert "undeclared field(s) dts" in hit.message
+    assert "'dts' looks like a misspelling of 'dst'" in hit.message
 
 
 def test_trc_guard_and_mandatory_are_clean():

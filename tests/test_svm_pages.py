@@ -1,14 +1,14 @@
 """Unit tests for regions, the page directory, page tables, mprotect."""
 
 import random
-from typing import Dict, Optional
+from typing import Optional
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from repro.hw import MachineConfig
-from repro.svm import (DiffShape, HomePage, NodePageTable, PageAccess,
-                       PageDirectory)
+from repro.svm import (DiffShape, HomePage, Interval, IntervalLog,
+                       NodePageTable, PageAccess, PageDirectory, VectorClock)
 from repro.svm.mprotect import MprotectModel
 
 
@@ -204,57 +204,146 @@ def test_take_dirty_resets_and_downgrades():
     assert t.record_write(1, DiffShape(runs=1, bytes_modified=32)) is True
 
 
+def _notice(log, clock, gid, writer, interval):
+    """Close ``writer``'s intervals up to ``interval``, the last one
+    writing ``gid``, and advance ``clock`` over them: one write notice
+    of ``gid`` applied."""
+    for index in range(log.current_index(writer) + 1, interval):
+        log.append(Interval(writer, index, ()))
+    log.append(Interval(writer, interval, (gid,)))
+    clock[writer] = interval
+
+
 def test_invalidate_updates_needed_and_state():
     t = make_table()
+    log, clock = IntervalLog(CFG.nodes), VectorClock(CFG.nodes)
     t.mark_valid(7)
-    changed = t.invalidate(7, writer=2, interval=4)
+    _notice(log, clock, 7, writer=2, interval=4)
+    changed = t.invalidate(7)
     assert changed is True
     assert t.access(7) is PageAccess.INVALID
-    assert t.needed_versions(7) == {2: 4}
+    assert log.needed(7, clock, t.node) == {2: 4}
 
 
 def test_invalidate_already_invalid_needs_no_mprotect():
     t = make_table()
-    assert t.invalidate(7, writer=1, interval=1) is False
-    assert t.needed_versions(7) == {1: 1}
+    log, clock = IntervalLog(CFG.nodes), VectorClock(CFG.nodes)
+    _notice(log, clock, 7, writer=1, interval=1)
+    assert t.invalidate(7) is False
+    assert log.needed(7, clock, t.node) == {1: 1}
 
 
 def test_invalidate_at_home_keeps_access():
     t = make_table()
+    log, clock = IntervalLog(CFG.nodes), VectorClock(CFG.nodes)
     t.mark_valid(7)
-    changed = t.invalidate(7, writer=2, interval=1, is_home=True)
+    _notice(log, clock, 7, writer=2, interval=1)
+    changed = t.invalidate(7, is_home=True)
     assert changed is False
     assert t.access(7) is PageAccess.READ
-    assert t.needed_versions(7) == {2: 1}
+    assert log.needed(7, clock, t.node) == {2: 1}
 
 
 def test_needed_versions_keep_maximum():
-    t = make_table()
-    t.invalidate(7, writer=1, interval=5)
-    t.invalidate(7, writer=1, interval=3)
-    assert t.needed_versions(7) == {1: 5}
+    # Writer 1's intervals 3 and 5 both wrote page 7: a clock past both
+    # needs the later one.
+    log, clock = IntervalLog(CFG.nodes), VectorClock(CFG.nodes)
+    _notice(log, clock, 7, writer=1, interval=3)
+    _notice(log, clock, 7, writer=1, interval=5)
+    assert log.needed(7, clock, 0) == {1: 5}
 
 
 def test_needed_versions_returns_a_copy():
     # The protocol parks these dicts in its home waiters across yields.
-    t = make_table()
-    t.invalidate(7, writer=1, interval=2)
-    needed = t.needed_versions(7)
+    log, clock = IntervalLog(CFG.nodes), VectorClock(CFG.nodes)
+    _notice(log, clock, 7, writer=1, interval=2)
+    needed = log.needed(7, clock, 0)
     needed[1] = 9
     needed[3] = 1
-    assert t.needed_versions(7) == {1: 2}
-    t.needed_versions(8)[0] = 1
-    assert t.needed_versions(8) == {}
+    assert log.needed(7, clock, 0) == {1: 2}
+    log.needed(8, clock, 0)[0] = 1
+    assert log.needed(8, clock, 0) == {}
+
+
+class NeededReference:
+    """Per-node needed versions, merged one write notice at a time.
+
+    The reference that :meth:`IntervalLog.needed` must agree with: each
+    node keeps, per page, the highest interval of every writer whose
+    write notice it applied, home or not.
+    """
+
+    def __init__(self, nodes):
+        self._needed = [{} for _ in range(nodes)]
+
+    def apply(self, node, gid, writer, interval):
+        needed = self._needed[node].setdefault(gid, {})
+        if needed.get(writer, 0) < interval:
+            needed[writer] = interval
+
+    def needed_versions(self, node, gid):
+        return dict(self._needed[node].get(gid, {}))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_interval_log_needed_matches_per_node_merge(seed):
+    rng = random.Random(seed)
+    nodes, pages = 4, range(6)
+    log = IntervalLog(nodes)
+    clocks = [VectorClock(nodes) for _ in range(nodes)]
+    reference = NeededReference(nodes)
+    written = {}  # (gid, writer) -> the writer's intervals that wrote gid
+    seen = set()
+    for _step in range(400):
+        node = rng.randrange(nodes)
+        if rng.random() < 0.4:
+            # Close an interval; the node's own writes are never needed.
+            index = log.current_index(node) + 1
+            interval = Interval(node, index, tuple(sorted(
+                rng.sample(pages, rng.randint(0, 3)))))
+            log.append(interval)
+            for gid in interval.pages:
+                written.setdefault((gid, node), []).append(index)
+            clocks[node][node] = index
+        else:
+            # Acquire from another node, or a barrier to the newest
+            # intervals: apply every notice in (have, want] as the
+            # protocol's notice loop does, home pages included.
+            if rng.random() < 0.8:
+                want = clocks[node].merged(clocks[rng.randrange(nodes)])
+            else:
+                want = VectorClock(values=[log.current_index(n)
+                                           for n in range(nodes)])
+            for writer, interval in log.windows(clocks[node], want):
+                if writer == node:
+                    continue
+                for gid in interval.pages:
+                    if gid % nodes == node:
+                        seen.add("home")
+                    reference.apply(node, gid, writer, interval.index)
+            clocks[node].merge(want)
+        for n in range(nodes):
+            for gid in pages:
+                got = log.needed(gid, clocks[n], n)
+                assert got == reference.needed_versions(n, gid), (n, gid)
+                assert list(got) == sorted(got)
+                if (gid, n) in written:
+                    seen.add("own")
+                if len(got) > 1:
+                    seen.add("interleaved")
+                if any(w != n and written[gid, w][0] > clocks[n][w]
+                       for w in range(nodes) if (gid, w) in written):
+                    seen.add("beyond clock")
+    assert seen == {"own", "home", "interleaved", "beyond clock"}
 
 
 class _PageEntry:
     """One (node, page) state of the reference table."""
 
-    __slots__ = ("access", "needed", "twinned", "dirty")
+    __slots__ = ("access", "twinned", "dirty")
 
     def __init__(self):
         self.access = PageAccess.INVALID
-        self.needed: Dict[int, int] = {}
         self.twinned = False
         self.dirty: Optional[DiffShape] = None
 
@@ -262,7 +351,7 @@ class _PageEntry:
 class EntryPageTable:
     """Page table with one entry object per touched (node, page).
 
-    The reference that ``NodePageTable``'s three maps must agree with:
+    The reference that ``NodePageTable``'s two maps must agree with:
     every public method gives the same result and the same
     ``on_transition`` calls, in the same order.
     """
@@ -320,10 +409,8 @@ class EntryPageTable:
                                  "close")
         return dirty
 
-    def invalidate(self, gid, writer, interval, is_home=False):
+    def invalidate(self, gid, is_home=False):
         e = self.entry(gid)
-        if e.needed.get(writer, 0) < interval:
-            e.needed[writer] = interval
         self.invalidations += 1
         if is_home or e.access is PageAccess.INVALID:
             return False
@@ -331,9 +418,6 @@ class EntryPageTable:
         e.access = PageAccess.INVALID
         self._transition(gid, old, PageAccess.INVALID, "invalidate")
         return True
-
-    def needed_versions(self, gid):
-        return dict(self.entry(gid).needed)
 
 
 PAGES = range(10)
@@ -354,9 +438,7 @@ def _random_op(rng):
                                          (4, 8, 64))))
     if kind == "take_dirty":
         return kind, ()
-    # Intervals arrive out of order, and interval 0 is never needed.
-    return kind, (gid, rng.randint(0, 6), rng.randint(0, 9),
-                  rng.random() < 0.25)
+    return kind, (gid, rng.random() < 0.25)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -376,8 +458,6 @@ def test_page_table_matches_entry_reference(seed):
         assert table.dirty_pages == reference.dirty_pages
         for gid in PAGES:
             assert table.access(gid) is reference.access(gid)
-            assert (table.needed_versions(gid)
-                    == reference.needed_versions(gid))
     assert table.invalidations == reference.invalidations > 0
     assert {name for _n, _g, _o, _new, name in calls[reference]} == {
         "fault", "migrate", "write", "close", "invalidate"}

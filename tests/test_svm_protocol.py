@@ -167,7 +167,7 @@ def test_release_acquire_invalidates_and_refetches(feats):
     # The reader's node invalidated its copy at the acquire and had to
     # refetch: at least 2 fetches from node 1 plus the version check.
     gid = region.gid(0)
-    needed = proto.tables[1].needed_versions(gid)
+    needed = proto.interval_log.needed(gid, proto.node_clock[1], 1)
     assert needed.get(0, 0) >= 1  # saw writer's interval
     hp = proto._homes[gid]
     assert hp.applied.get(0, 0) >= 1  # diff reached the home

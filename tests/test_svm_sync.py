@@ -194,7 +194,8 @@ def test_flag_carries_consistency():
     run_all(machine, [producer(), consumer()])
     gid = region.gid(1)
     assert proto._homes[gid].applied.get(0, 0) >= 1
-    assert proto.tables[2].needed_versions(gid).get(0, 0) >= 1
+    assert proto.interval_log.needed(
+        gid, proto.node_clock[2], 2).get(0, 0) >= 1
 
 
 # ------------------------------------------------------------------ barriers
