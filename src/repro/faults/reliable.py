@@ -24,6 +24,11 @@ here, as retransmission of the lock-op control messages):
   :class:`~repro.sim.SimulationError` — a total-loss link fails fast
   with a diagnostic instead of hanging the simulation.
 
+Both sides keep their dedup state on the message itself
+(``Message.retx_sends``, ``Message.retx_recvs``): every copy of a
+packet names its message, so a late copy still finds it, and the state
+is freed with the message's last copy instead of growing with the run.
+
 Retransmitted packets are re-injected from NI memory (the send buffer
 is retained until the ack, so no host DMA is repeated) and pay the
 normal LANai + link costs.  Ack packets (kind ``"retx_ack"``) are
@@ -38,7 +43,7 @@ the *packets* until the fabric delivers them.
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple, Union
+from typing import Dict, Set, Tuple
 
 from ..hw.config import FaultConfig
 from ..hw.packet import Message, Packet
@@ -84,17 +89,16 @@ class _RecvState:
 
 
 class _Finished:
-    """Table entry of a finished message: acked on the sender side,
-    complete on the receiver side.
+    """Per-message entry of a finished (message, node): acked on the
+    sender side, complete on the receiver side.
 
-    It holds nothing, so the message, its delivery callbacks and its
-    packet set are freed; only the table key stays, so a late
-    retransmitted copy is not tracked again and a late duplicate is
-    still discarded and, for data, re-acked.
+    It holds nothing, so the send state and the packet set are freed;
+    while a copy of the message lives, a late retransmitted copy is
+    not tracked again and a late duplicate is still discarded and, for
+    data, re-acked.
     """
 
     __slots__ = ()
-    acked = True
 
 
 #: The one entry every finished message shares.
@@ -118,17 +122,14 @@ class ReliabilityLayer:
         #: dense trace names for messages, shared with the injector so
         #: the sanitizer can join fault.* and retx.* streams.
         self.msg_ids = msg_ids if msg_ids is not None else MsgIds()
-        #: sender side: (src_node, msg_id, dst) -> _SendState, or
-        #: _FINISHED once acked.
-        self._sends: Dict[Tuple[int, int, int],
-                          Union[_SendState, _Finished]] = {}
+        #: unacked sends, for the ack to find: (src_node, msg_id,
+        #: dst) -> _SendState.  The message's ``retx_sends`` maps dst
+        #: to the same state, or to _FINISHED once acked; its
+        #: ``retx_recvs`` maps the receiving node to a _RecvState, or
+        #: to _FINISHED once complete.
+        self._sends: Dict[Tuple[int, int, int], _SendState] = {}
         #: per-channel message ordinals: (src, dst) -> next seq.
         self._channel_seq: Dict[Tuple[int, int], int] = {}
-        #: receiver side: (recv_node, src, msg_id) -> _RecvState, or
-        #: _FINISHED once every packet is processed (data) or seen
-        #: (acks).
-        self._recvs: Dict[Tuple[int, int, int],
-                          Union[_RecvState, _Finished]] = {}
         for nic in machine.nics:
             nic.reliability = self
             nic.fw_handlers[ACK_KIND] = self._fw_ack
@@ -146,16 +147,20 @@ class ReliabilityLayer:
         if pkt.kind == ACK_KIND:
             return
         msg = pkt.message
-        key = (nic.node_id, msg.msg_id, pkt.dst)
-        state = self._sends.get(key)
+        dst = pkt.dst
+        sends = msg.retx_sends
+        if sends is None:
+            sends = msg.retx_sends = {}
+        state = sends.get(dst)
         if state is None:
-            channel = (nic.node_id, pkt.dst)
+            channel = (nic.node_id, dst)
             seq = self._channel_seq.get(channel, 0)
             self._channel_seq[channel] = seq + 1
-            state = _SendState(msg, pkt.dst, seq,
+            state = _SendState(msg, dst, seq,
                                self.config.packets_for(msg.size),
                                self.sim.event())
-            self._sends[key] = state
+            sends[dst] = state
+            self._sends[nic.node_id, msg.msg_id, dst] = state
             self.sim.process(self._watchdog(nic, state),
                              name=f"retx.{nic.node_id}.{msg.msg_id}")
         elif state is _FINISHED:
@@ -231,13 +236,13 @@ class ReliabilityLayer:
             self.tracer.append(self.sim.now, "retx.ack", {
                 "node": pkt.dst, "msg": self.msg_ids.map(acked_msg),
                 "dst": acker})
-        key = (pkt.dst, acked_msg, acker)
-        state = self._sends.get(key)
-        if state is not None and not state.acked:
+        state = self._sends.pop((pkt.dst, acked_msg, acker), None)
+        if state is not None:
             state.acked = True
-            # The watchdog holds the state until it wakes; the table
-            # forgets the message now.
-            self._sends[key] = _FINISHED
+            # The watchdog holds the state until it wakes; the message
+            # forgets it now, which also breaks the message <-> state
+            # cycle.
+            state.msg.retx_sends[state.dst] = _FINISHED
             state.acked_event.succeed()
 
     # ----------------------------------------------------------- receiver
@@ -249,39 +254,42 @@ class ReliabilityLayer:
         recv loop discards it without touching the host); re-acks the
         message if the sender evidently missed the first ack.
         """
-        key = (nic.node_id, pkt.src, pkt.message.msg_id)
-        recvs = self._recvs
-        state = recvs.get(key)
+        msg = pkt.message
+        recvs = msg.retx_recvs
+        if recvs is None:
+            recvs = msg.retx_recvs = {}
+        node = nic.node_id
+        state = recvs.get(node)
         if state is _FINISHED or (state is not None
                                   and pkt.index in state.seen):
             self.dup_discards += 1
             if self.tracer is not None:
                 self.tracer.append(self.sim.now, "retx.dup_discard", {
                     "node": nic.node_id, "src": pkt.src,
-                    "msg": self.msg_ids.map(pkt.message.msg_id),
+                    "msg": self.msg_ids.map(msg.msg_id),
                     "idx": pkt.index, "kind": pkt.kind})
             if pkt.kind != ACK_KIND and state is _FINISHED:
                 self._send_ack(nic, pkt)
             return False
         if state is None:
-            state = _RecvState(self.config.packets_for(pkt.message.size))
-            recvs[key] = state
+            state = recvs[node] = _RecvState(
+                self.config.packets_for(msg.size))
         state.seen.add(pkt.index)
         if pkt.kind == ACK_KIND and len(state.seen) == state.expected:
             # Acks are firmware-consumed, never processed: an ack is
             # complete once all its packets are seen.
-            recvs[key] = _FINISHED
+            recvs[node] = _FINISHED
         return True
 
     def packet_done(self, nic, pkt: Packet) -> None:
         """Called by the NIC once a packet is fully processed here."""
         if pkt.kind == ACK_KIND:
             return
-        key = (nic.node_id, pkt.src, pkt.message.msg_id)
-        state = self._recvs[key]
+        recvs = pkt.message.retx_recvs
+        state = recvs[nic.node_id]
         state.processed += 1
         if state.processed == state.expected:
-            self._recvs[key] = _FINISHED
+            recvs[nic.node_id] = _FINISHED
             self._send_ack(nic, pkt)
 
     def _send_ack(self, nic, pkt: Packet) -> None:
@@ -297,9 +305,8 @@ class ReliabilityLayer:
         """Unacked send states per source node, in one pass over the
         sender table (the ``retx.outstanding`` probe)."""
         out = [0] * self.config.nodes
-        for (src, _msg, _dst), state in self._sends.items():
-            if not state.acked:
-                out[src] += 1
+        for src, _msg, _dst in self._sends:
+            out[src] += 1
         return out
 
     #: the counters, exported as ``retx.<name>`` gauges and as

@@ -69,6 +69,14 @@ class Message:
     span_flow: Optional[int] = None
     msg_id: int = field(default_factory=lambda: next(_seq))
     packets_remaining: int = 0
+    #: Reliable-transport book-keeping (repro.faults.reliable), set on
+    #: first use: destination -> send state, and receiving node ->
+    #: receive state.  Kept on the message so it is freed with the
+    #: message's last copy.
+    retx_sends: Optional[dict] = field(default=None, init=False,
+                                       repr=False, compare=False)
+    retx_recvs: Optional[dict] = field(default=None, init=False,
+                                       repr=False, compare=False)
 
     def __post_init__(self):
         if self.size < 0:

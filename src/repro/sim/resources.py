@@ -4,12 +4,16 @@ These model the contended stations in the simulated hardware: FIFO
 resources (a CPU, a DMA engine, the LANai processor), bounded stores
 (the NI post queue, packet queues) and byte-rate servers (a bus or a
 link that transfers ``size`` bytes at ``bandwidth``).
+
+A 1024-node machine builds thousands of stations, most of which rarely
+queue anyone: each is slotted and keeps its waiters in a plain list,
+which stays a few pointers long and costs 56 bytes when empty.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque, List, Optional
 
 from .engine import _INF, Event, Simulator, SimulationError, _granted
 
@@ -34,6 +38,10 @@ class Resource:
             resource.release()
     """
 
+    __slots__ = ("sim", "capacity", "name", "_in_use", "_waiters",
+                 "total_requests", "total_wait_time", "busy_time",
+                 "_last_change")
+
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
         if not isinstance(capacity, int) or capacity < 1:
             raise ValueError(
@@ -42,7 +50,7 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._waiters: Deque[Event] = deque()
+        self._waiters: List[_ReqEvent] = []
         # Cumulative stats for utilization / queueing analysis.
         self.total_requests = 0
         self.total_wait_time = 0.0
@@ -76,7 +84,7 @@ class Resource:
         if self._in_use <= 0:
             raise SimulationError(f"release of idle resource {self.name!r}")
         if self._waiters:
-            ev = self._waiters.popleft()
+            ev = self._waiters.pop(0)
             self.total_wait_time += self.sim.now - ev._req_time
             ev.succeed()
         else:
@@ -105,6 +113,10 @@ class Store:
     first-order effect in the paper's Barnes-spatial result.
     """
 
+    __slots__ = ("sim", "capacity", "name", "_items", "_getters",
+                 "_putters", "total_puts", "total_put_stall_time",
+                 "max_occupancy")
+
     def __init__(self, sim: Simulator, capacity: Optional[int] = None,
                  name: str = ""):
         if capacity is not None and (not isinstance(capacity, int)
@@ -115,8 +127,8 @@ class Store:
         self.capacity = capacity
         self.name = name
         self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[Event] = deque()  # events carrying .item
+        self._getters: List[Event] = []
+        self._putters: List[_ReqEvent] = []  # events carrying ._item
         self.total_puts = 0
         self.total_put_stall_time = 0.0
         self.max_occupancy = 0
@@ -153,7 +165,7 @@ class Store:
             raise SimulationError(f"put_nowait on full store {self.name!r}")
         self.total_puts += 1
         if self._getters:
-            self._getters.popleft().succeed(item)
+            self._getters.pop(0).succeed(item)
             return
         items.append(item)
         if len(items) > self.max_occupancy:
@@ -172,7 +184,7 @@ class Store:
 
     def _admit_waiting_putter(self) -> None:
         if not self.is_full:
-            pev = self._putters.popleft()
+            pev = self._putters.pop(0)
             self._items.append(pev._item)
             self.max_occupancy = max(self.max_occupancy, len(self._items))
             self.total_put_stall_time += (
@@ -191,6 +203,9 @@ class RateServer:
     requests :attr:`station`, holds it for that time, releases it and
     adds ``size`` to :attr:`total_bytes`.
     """
+
+    __slots__ = ("sim", "bandwidth", "overhead", "name", "station",
+                 "total_bytes")
 
     def __init__(self, sim: Simulator, bandwidth_mbps: float,
                  overhead_us: float = 0.0, name: str = ""):

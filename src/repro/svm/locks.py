@@ -17,8 +17,7 @@ within the node.
 from __future__ import annotations
 
 import weakref
-from collections import deque
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..sim.spans import node_track, rank_track
 
@@ -39,7 +38,7 @@ class _NodeToken:
         self.present = False
         self.holder = None            # rank currently inside the lock
         #: chain successors whose forwards reached this node (FIFO).
-        self.pending: deque = deque()
+        self.pending: List[int] = []
         #: a release-triggered grant handler is queued/running.
         self.busy = False
 
@@ -58,7 +57,7 @@ class InterruptLockManager:
         self._home_fn = lambda lock_id: lock_id % nodes
         self._tail: Dict[int, int] = {}
         self._tokens = [dict() for _ in range(nodes)]
-        self._host_waiters: Dict[Tuple[int, int], deque] = {}
+        self._host_waiters: Dict[Tuple[int, int], list] = {}
         # Statistics.
         self.acquires = 0
         self.local_fast_acquires = 0
@@ -76,7 +75,11 @@ class InterruptLockManager:
         return self._home_fn(lock_id)
 
     def _token(self, node: int, lock_id: int) -> _NodeToken:
-        return self._tokens[node].setdefault(lock_id, _NodeToken())
+        tokens = self._tokens[node]
+        tok = tokens.get(lock_id)
+        if tok is None:
+            tok = tokens[lock_id] = _NodeToken()
+        return tok
 
     def _init_lock(self, lock_id: int) -> None:
         home = self.home_of(lock_id)
@@ -107,8 +110,10 @@ class InterruptLockManager:
             yield self.sim.timeout(cfg.protocol_op_us)
             return None
         ev = self.sim.event()
-        self._host_waiters.setdefault((node_id, lock_id),
-                                      deque()).append((rank, ev))
+        waiters = self._host_waiters.get((node_id, lock_id))
+        if waiters is None:
+            waiters = self._host_waiters[node_id, lock_id] = []
+        waiters.append((rank, ev))
         home = self.home_of(lock_id)
         sp = self.proto.spans
         fid = sp.flow(rank_track(rank), "lock_req", "lock",
@@ -225,7 +230,7 @@ class InterruptLockManager:
                 if sp is not None else None
             if tok.pending and tok.present and tok.holder is None:
                 queue = tuple(tok.pending)
-                req_node = tok.pending.popleft()
+                req_node = tok.pending.pop(0)
                 yield from self._grant(node_id, lock_id, req_node,
                                        queue=queue)
             else:
@@ -320,7 +325,7 @@ class InterruptLockManager:
         if not waiters:
             raise AssertionError(
                 f"grant of lock {lock_id} at node {node_id} with no waiter")
-        rank, ev = waiters.popleft()
+        rank, ev = waiters.pop(0)
         tok.holder = rank
         self._trace("svmlock.granted", node=node_id, lock=lock_id,
                     rank=rank)

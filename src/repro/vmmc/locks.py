@@ -14,8 +14,7 @@ operations on this timestamp").
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..hw import Message
 from ..hw.packet import Packet
@@ -58,7 +57,7 @@ class _Token:
         self.ts: Any = None          # opaque protocol timestamp
         #: chain successors whose forwards have reached this NI; FIFO
         #: (forwards all come from the home, in order).
-        self.pending: deque = deque()
+        self.pending: List[int] = []
 
 
 class NILockManager:
@@ -85,7 +84,7 @@ class NILockManager:
         # Per-NI token state: tokens[node][lock].
         self._tokens = [dict() for _ in range(nodes)]
         # Host-side waiters per (node, lock): FIFO of pending events.
-        self._host_waiters: Dict[tuple, deque] = {}
+        self._host_waiters: Dict[tuple, list] = {}
         for nic in self.machine.nics:
             nic.fw_handlers["lock_op"] = self._fw_lock_op
         # Statistics.
@@ -106,7 +105,11 @@ class NILockManager:
         return home
 
     def _token(self, node: int, lock_id: int) -> _Token:
-        return self._tokens[node].setdefault(lock_id, _Token())
+        tokens = self._tokens[node]
+        tok = tokens.get(lock_id)
+        if tok is None:
+            tok = tokens[lock_id] = _Token()
+        return tok
 
     def pending_waiter_node(self, node: int, lock_id: int):
         """Node recorded as next-in-line at ``node``'s NI, or None.
@@ -147,8 +150,10 @@ class NILockManager:
         cfg = self.config
         ev = self.sim.event()
         wtrack = track if self.spans is not None else None
-        self._host_waiters.setdefault((node, lock_id),
-                                      deque()).append((ev, wtrack))
+        waiters = self._host_waiters.get((node, lock_id))
+        if waiters is None:
+            waiters = self._host_waiters[node, lock_id] = []
+        waiters.append((ev, wtrack))
         # Doorbell the request into our own NI; the *firmware* decides
         # atomically between a local re-grant ("the last owner keeps
         # the lock until another processor needs it") and the home
@@ -280,7 +285,7 @@ class NILockManager:
                     queue=tuple(tok.pending))
         if tok.pending:
             queue = tuple(tok.pending)
-            self._grant(node, lock_id, tok.pending.popleft(), queue=queue,
+            self._grant(node, lock_id, tok.pending.pop(0), queue=queue,
                         src_track=track)
 
     def _grant(self, owner: int, lock_id: int, requester: int,
@@ -324,7 +329,7 @@ class NILockManager:
         if not waiters:
             raise AssertionError(
                 f"grant of lock {lock_id} at node {node} with no waiter")
-        ev, wtrack = waiters.popleft()
+        ev, wtrack = waiters.pop(0)
         if self.spans is not None:
             self.spans.wake(fid, wtrack, lock=lock_id)
         ev.succeed(ts)

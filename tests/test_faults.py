@@ -363,7 +363,6 @@ def test_run_leaves_no_cyclic_garbage(monkeypatch, app, faults):
 
 def test_finished_sends_keep_no_message():
     from repro.apps import APP_REGISTRY
-    from repro.hw.packet import Message
     from repro.runtime import SVMBackend, run_on_backend
     from repro.svm import BASE
     backend = SVMBackend(_lossy_kvstore_config(), BASE)
@@ -371,11 +370,32 @@ def test_finished_sends_keep_no_message():
     rel = backend.machine.reliability
     assert rel.retransmits > 0
     assert rel.outstanding_by_node() == [0] * backend.machine.config.nodes
-    assert rel._sends
-    for entry in rel._sends.values():
-        assert entry.acked
-        assert not [r for r in gc.get_referents(entry)
-                    if isinstance(r, Message)]
+    assert rel._sends == {}
+
+
+@pytest.mark.parametrize("protocol", ["Base", "GeNIMA"])
+def test_drained_transport_holds_no_per_message_state(protocol):
+    """Dedup state lives on the messages, so once a run with loss,
+    duplication and reordering drains, the only table the transport
+    still holds is the per-channel ordinal: its size is bounded by the
+    channels, not by how many messages the run sent."""
+    from repro.apps import APP_REGISTRY
+    from repro.runtime import SVMBackend, run_on_backend
+    from repro.svm import BASE, GENIMA
+    features = {"Base": BASE, "GeNIMA": GENIMA}[protocol]
+    backend = SVMBackend(_lossy_kvstore_config(), features)
+    run_on_backend(APP_REGISTRY["KVStore"](), backend, system=protocol)
+    machine = backend.machine
+    rel = machine.reliability
+    injector = machine.fault_injector
+    assert rel.retransmits > 0 and rel.dup_discards > 0
+    assert injector.packets_duplicated > 0
+    assert injector.packets_reordered > 0
+    assert rel._sends == {}
+    assert rel.outstanding_by_node() == [0] * machine.config.nodes
+    tables = [name for name, value in vars(rel).items()
+              if isinstance(value, dict) and value]
+    assert tables == ["_channel_seq"]
 
 
 @pytest.mark.parametrize("faults,counter", [

@@ -155,6 +155,24 @@ def test_large_machine_constructs_quickly():
     assert elapsed < 1.0, f"1024-node construction took {elapsed:.2f}s"
 
 
+def test_large_machine_holds_little_before_it_runs():
+    """Stations are slotted and queue nobody yet: a 256-node fat-tree
+    machine held 3.9 MB live after construction with unslotted
+    stations and a deque per wait queue, and ~2.0 MB now."""
+    import gc
+    import tracemalloc
+    cfg = MachineConfig(nodes=256, procs_per_node=1, topology="fat-tree")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        machine = Machine(cfg)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(machine.nodes) == 256
+    assert live <= 2.5e6, f"{live / 1e6:.2f} MB"
+
+
 def test_machine_metrics_registration_is_deferred():
     machine = Machine(MachineConfig(nodes=4))
     # no instrument materialized yet: construction queued one thunk.

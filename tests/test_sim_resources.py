@@ -62,6 +62,33 @@ def test_resource_fifo_grant_order():
     assert order == ["a", "b", "c"]
 
 
+def test_resource_grants_many_waiters_in_arrival_order():
+    """Four requesters queue behind one holder and are granted in
+    the order they arrived, each waiting for all before it."""
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    grants = []
+    depth = []
+
+    def worker(tag, arrive):
+        yield sim.timeout(arrive)
+        yield res.request()
+        depth.append(res.queue_len)
+        grants.append((tag, sim.now))
+        yield sim.timeout(10.0)
+        res.release()
+
+    for i, tag in enumerate("abcde"):
+        sim.process(worker(tag, float(i)))
+    sim.run()
+    assert grants == [("a", 0.0), ("b", 10.0), ("c", 20.0), ("d", 30.0),
+                      ("e", 40.0)]
+    assert depth == [0, 3, 2, 1, 0]
+    # b..e arrive at 1..4 and are granted at 10..40.
+    assert res.total_wait_time == pytest.approx(9 + 18 + 27 + 36)
+    assert res.busy_time == pytest.approx(50.0)
+
+
 def test_release_idle_resource_raises():
     sim = Simulator()
     res = Resource(sim)
@@ -189,6 +216,59 @@ def test_store_fifo_ordering_preserved():
     sim.process(consumer())
     sim.run()
     assert got == list(range(8))
+
+
+def test_store_admits_blocked_putters_in_arrival_order():
+    """Three producers block on a full store; each get admits the
+    oldest of them, so items leave in the order they were offered."""
+    sim = Simulator()
+    store = Store(sim, capacity=1)
+    admitted = []
+    got = []
+
+    def producer(item, arrive):
+        yield sim.timeout(arrive)
+        yield store.put(item)
+        admitted.append((item, sim.now))
+
+    def consumer():
+        yield sim.timeout(10.0)
+        for _ in range(4):
+            got.append((yield store.get()))
+            yield sim.timeout(5.0)
+
+    for i, item in enumerate("wxyz"):
+        sim.process(producer(item, float(i)))
+    sim.process(consumer())
+    sim.run()
+    assert got == ["w", "x", "y", "z"]
+    assert admitted == [("w", 0.0), ("x", 10.0), ("y", 15.0),
+                        ("z", 20.0)]
+    # x, y, z were offered at 1, 2, 3.
+    assert store.total_put_stall_time == pytest.approx(9 + 13 + 17)
+    assert store.max_occupancy == 1
+
+
+def test_store_serves_waiting_getters_in_arrival_order():
+    sim = Simulator()
+    store = Store(sim)
+    got = []
+
+    def consumer(tag, arrive):
+        yield sim.timeout(arrive)
+        got.append((tag, (yield store.get())))
+
+    def producer():
+        yield sim.timeout(10.0)
+        for item in range(3):
+            yield store.put(item)
+
+    for i, tag in enumerate("abc"):
+        sim.process(consumer(tag, float(i)))
+    sim.process(producer())
+    sim.run()
+    assert got == [("a", 0), ("b", 1), ("c", 2)]
+    assert len(store) == 0 and store.max_occupancy == 0
 
 
 def test_store_handoff_to_waiting_getter_bypasses_buffer():
