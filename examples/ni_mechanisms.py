@@ -17,7 +17,7 @@ def main():
     machine = Machine(MachineConfig())
     vmmc = VMMC(machine)
     monitor = PerfMonitor(machine)
-    locks = NILockManager(vmmc, num_locks=16)
+    locks = NILockManager(vmmc)
     sim = machine.sim
     log = []
 

@@ -14,8 +14,9 @@ any app) and checks the properties the paper's argument rests on:
 * **lock-queue** — the distributed lock queue invariant: grants only
   from the node holding a released token, always to the queue head,
   exactly one grant per acquire (no double grants, no orphaned
-  waiters).  Applies to both NI-firmware locks (``nilock.*``) and the
-  interrupt-driven Base locks (``svmlock.*``).
+  waiters).  One queue (``repro.vmmc.lockqueue``) runs in two
+  placements, each tracing its own family: NI firmware (``nilock.*``)
+  and the Base protocol's interrupt handlers (``svmlock.*``).
 * **fetch-race** — a page fetch that accepted a version snapshot not
   satisfying its needed versions (a diff application raced with the
   fetch and the timestamp-check retry loop failed), or claiming a

@@ -105,7 +105,8 @@ FINGERPRINT_MODULES = (
     "svm/__init__.py", "svm/barriers.py", "svm/diffs.py", "svm/features.py",
     "svm/locks.py", "svm/mprotect.py", "svm/pages.py", "svm/protocol.py",
     "svm/timestamps.py",
-    "vmmc/__init__.py", "vmmc/api.py", "vmmc/locks.py", "vmmc/monitor.py",
+    "vmmc/__init__.py", "vmmc/api.py", "vmmc/lockqueue.py", "vmmc/locks.py",
+    "vmmc/monitor.py",
 )
 
 

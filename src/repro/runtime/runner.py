@@ -124,11 +124,8 @@ def _stats_snapshot(backend) -> dict:
         "wn_messages": protocol.wn_messages,
         "messages": protocol.vmmc.messages_sent,
         "bytes": protocol.vmmc.bytes_sent,
+        "lock_acquires": protocol.locks.acquires,
     }
-    if protocol.ni_locks is not None:
-        snap["lock_acquires"] = protocol.ni_locks.acquires
-    elif protocol.svm_locks is not None:
-        snap["lock_acquires"] = protocol.svm_locks.acquires
     machine = protocol.machine
     for layer in (machine.fault_injector, machine.reliability):
         if layer is not None:

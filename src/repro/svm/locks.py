@@ -17,9 +17,10 @@ within the node.
 from __future__ import annotations
 
 import weakref
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from ..sim.spans import node_track, rank_track
+from ..vmmc.lockqueue import LockQueue, Token
 
 __all__ = ["InterruptLockManager"]
 
@@ -29,78 +30,35 @@ GRANT_BASE_BYTES = 64
 GRANT_PER_WN_BYTES = 8
 
 
-class _NodeToken:
-    """Lock token state in one node's host memory."""
-
-    __slots__ = ("present", "holder", "pending", "busy")
-
-    def __init__(self):
-        self.present = False
-        self.holder = None            # rank currently inside the lock
-        #: chain successors whose forwards reached this node (FIFO).
-        self.pending: List[int] = []
-        #: a release-triggered grant handler is queued/running.
-        self.busy = False
-
-
-class InterruptLockManager:
-    """Home + last-owner forwarding with host interrupts."""
+class InterruptLockManager(LockQueue):
+    """The lock queue's steps in interrupted host handlers."""
 
     def __init__(self, protocol):
+        super().__init__(protocol.config, protocol.sim,
+                         tracer=protocol.tracer, spans=protocol.spans)
         #: the owning protocol, which holds this manager: a proxy, so
         #: the two do not name each other in a reference cycle.
         self.proto = weakref.proxy(protocol)
         self.machine = protocol.machine
-        self.sim = protocol.sim
-        self.config = protocol.config
-        nodes = self.config.nodes
-        self._home_fn = lambda lock_id: lock_id % nodes
-        self._tail: Dict[int, int] = {}
-        self._tokens = [dict() for _ in range(nodes)]
-        self._host_waiters: Dict[Tuple[int, int], list] = {}
-        # Statistics.
-        self.acquires = 0
         self.local_fast_acquires = 0
-        self.remote_grants = 0
-        self.local_grants = 0
 
-    # -------------------------------------------------------------- helpers
-
-    def _trace(self, category: str, **fields) -> None:
-        tracer = self.proto.tracer
-        if tracer is not None:
-            tracer.append(self.sim.now, category, fields)
-
-    def home_of(self, lock_id: int) -> int:
-        return self._home_fn(lock_id)
-
-    def _token(self, node: int, lock_id: int) -> _NodeToken:
-        tokens = self._tokens[node]
-        tok = tokens.get(lock_id)
-        if tok is None:
-            tok = tokens[lock_id] = _NodeToken()
-        return tok
-
-    def _init_lock(self, lock_id: int) -> None:
-        home = self.home_of(lock_id)
-        self._token(home, lock_id).present = True
-        self._tail[lock_id] = home
+    def _granted(self, tok: Token, node: int, lock_id: int,
+                 ts: Any) -> None:
+        self._trace("svmlock.granted", node=node, lock=lock_id,
+                    rank=tok.holder)
 
     # ------------------------------------------------------------ host side
 
     def acquire(self, rank: int, lock_id: int):
         """Generator: returns the releaser's vector clock (or None for a
         transfer that stayed on this node)."""
-        if lock_id not in self._tail:
-            self._init_lock(lock_id)
-        self.acquires += 1
+        self._enter(lock_id)
         cfg = self.config
         node_id = cfg.node_of(rank)
         tok = self._token(node_id, lock_id)
         self._trace("svmlock.acquire", node=node_id, lock=lock_id,
                     rank=rank)
-        if tok.present and tok.holder is None and not tok.pending \
-                and not tok.busy:
+        if tok.free():
             # The last owner keeps the lock: same-node re-acquisition
             # through the node's hardware coherence, no messages.
             self.local_fast_acquires += 1
@@ -109,14 +67,11 @@ class InterruptLockManager:
                         rank=rank)
             yield self.sim.timeout(cfg.protocol_op_us)
             return None
-        ev = self.sim.event()
-        waiters = self._host_waiters.get((node_id, lock_id))
-        if waiters is None:
-            waiters = self._host_waiters[node_id, lock_id] = []
-        waiters.append((rank, ev))
+        sp = self.spans
+        track = rank_track(rank) if sp is not None else None
+        ev = self._wait(node_id, lock_id, rank, track)
         home = self.home_of(lock_id)
-        sp = self.proto.spans
-        fid = sp.flow(rank_track(rank), "lock_req", "lock",
+        fid = sp.flow(track, "lock_req", "lock",
                       lock=lock_id) if sp is not None else None
         if home == node_id:
             # In-node request to the protocol process: no interrupt,
@@ -143,18 +98,13 @@ class InterruptLockManager:
         """Generator: mark the lock free; a queued transfer (if any) is
         handed to the node's protocol process."""
         node_id = self.config.node_of(rank)
-        tok = self._token(node_id, lock_id)
-        if tok.holder != rank:
-            raise AssertionError(
-                f"rank {rank} releasing lock {lock_id} held by "
-                f"{tok.holder}")
-        tok.holder = None
+        tok = self._release(node_id, lock_id, rank)
         self._trace("svmlock.release", node=node_id, lock=lock_id,
                     rank=rank, queue=tuple(tok.pending))
         yield self.sim.timeout(self.config.protocol_op_us)
         if tok.pending and not tok.busy:
             tok.busy = True
-            sp = self.proto.spans
+            sp = self.spans
             fid = sp.flow(rank_track(rank), "lock_handoff", "lock",
                           lock=lock_id) if sp is not None else None
             self.sim.process(self._release_grant_handler(node_id, lock_id,
@@ -168,7 +118,7 @@ class InterruptLockManager:
         """Home-side handler: maintain the distributed list, forward."""
         home = self.home_of(lock_id)
         node = self.machine.nodes[home]
-        sp = self.proto.spans
+        sp = self.spans
         htrack = node_track(home)
 
         def body():
@@ -176,8 +126,7 @@ class InterruptLockManager:
                            link=link, lock=lock_id) \
                 if sp is not None else None
             yield self.sim.timeout(self.config.protocol_op_us)
-            prev = self._tail[lock_id]
-            self._tail[lock_id] = req_node
+            prev = self._chain(lock_id, req_node)
             if prev == home:
                 # The chain ends here: run the owner logic in the same
                 # handler activation.
@@ -204,7 +153,7 @@ class InterruptLockManager:
                        link: Optional[int] = None):
         """Owner-side interrupt handler for a forwarded request."""
         node = self.machine.nodes[owner_node]
-        sp = self.proto.spans
+        sp = self.spans
 
         def body():
             sid = sp.begin("lock.owner", node_track(owner_node),
@@ -221,36 +170,33 @@ class InterruptLockManager:
                                link: Optional[int] = None):
         """Dispatched by a release with a queued waiter: do the transfer."""
         node = self.machine.nodes[node_id]
-        tok = self._token(node_id, lock_id)
-        sp = self.proto.spans
+        sp = self.spans
 
         def body():
             sid = sp.begin("lock.transfer", node_track(node_id),
                            bucket="lock", link=link, lock=lock_id) \
                 if sp is not None else None
-            if tok.pending and tok.present and tok.holder is None:
-                queue = tuple(tok.pending)
-                req_node = tok.pending.pop(0)
+            head = self._handoff(node_id, lock_id)
+            if head is not None:
+                req_node, queue = head
                 yield from self._grant(node_id, lock_id, req_node,
                                        queue=queue)
             else:
                 # nothing to transfer after all: drop the guard the
                 # release set when it scheduled us.
-                tok.busy = False
+                self._token(node_id, lock_id).busy = False
             if sp is not None:
                 sp.end(sid)
 
         yield from node.handler(body(), entry_delay=False)
 
     def _owner_logic(self, owner_node: int, lock_id: int, req_node: int):
-        tok = self._token(owner_node, lock_id)
-        if tok.present and tok.holder is None and not tok.pending \
-                and not tok.busy:
+        queue = self._grant_or_enqueue(owner_node, lock_id, req_node)
+        if queue is None:
             yield from self._grant(owner_node, lock_id, req_node)
         else:
-            tok.pending.append(req_node)
             self._trace("svmlock.wait", node=owner_node, lock=lock_id,
-                        requester=req_node, queue=tuple(tok.pending))
+                        requester=req_node, queue=queue)
 
     def _grant(self, owner_node: int, lock_id: int, req_node: int,
                queue: Tuple[int, ...] = ()):
@@ -277,14 +223,13 @@ class InterruptLockManager:
 
     def _grant_body(self, owner_node: int, lock_id: int, req_node: int):
         proto = self.proto
-        sp = proto.spans
+        sp = self.spans
         otrack = node_track(owner_node)
         if req_node == owner_node:
-            self.local_grants += 1
             yield self.sim.timeout(self.config.protocol_op_us)
             fid = sp.flow(otrack, "lock_grant", "lock", lock=lock_id) \
                 if sp is not None else None
-            self._grant_arrived(req_node, lock_id, None, fid=fid)
+            self._grant_local(req_node, lock_id, None, fid=fid)
             return
         # Close + flush on the owner's (interrupted) host processor.
         interval = yield from proto.close_interval_timed(owner_node)
@@ -304,32 +249,13 @@ class InterruptLockManager:
         else:
             have = proto.node_clock[req_node]
             wn_count = proto.interval_log.count_between(have, ts)
-        tok = self._token(owner_node, lock_id)
-        tok.present = False
-        self.remote_grants += 1
+        self._grant_remote(owner_node, lock_id)
         fid = sp.flow(otrack, "lock_grant", "lock", lock=lock_id) \
             if sp is not None else None
         yield from proto.vmmc.send(
             owner_node, req_node,
             GRANT_BASE_BYTES + GRANT_PER_WN_BYTES * wn_count,
             kind="lock_grant",
-            on_delivered=lambda _m: self._grant_arrived(
+            on_delivered=lambda _m: self._arrive(
                 req_node, lock_id, ts, fid=fid))
 
-    def _grant_arrived(self, node_id: int, lock_id: int,
-                       ts: Optional[Any],
-                       fid: Optional[int] = None) -> None:
-        tok = self._token(node_id, lock_id)
-        tok.present = True
-        waiters = self._host_waiters.get((node_id, lock_id))
-        if not waiters:
-            raise AssertionError(
-                f"grant of lock {lock_id} at node {node_id} with no waiter")
-        rank, ev = waiters.pop(0)
-        tok.holder = rank
-        self._trace("svmlock.granted", node=node_id, lock=lock_id,
-                    rank=rank)
-        sp = self.proto.spans
-        if sp is not None:
-            sp.wake(fid, rank_track(rank), lock=lock_id)
-        ev.succeed(ts)

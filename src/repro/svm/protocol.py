@@ -30,7 +30,7 @@ from ..hw import Machine
 from ..sim import SimulationError, TimeBuckets
 from ..sim.spans import nic_track, node_track, rank_track
 from ..vmmc import NILockManager, VMMC
-from ..vmmc.locks import wait_depths
+from ..vmmc.lockqueue import LockQueue
 from .barriers import BarrierManager
 from .diffs import DiffShape
 from .features import ProtocolFeatures
@@ -53,8 +53,7 @@ class HLRCProtocol:
     """Home-based LRC for SMP clusters, with optional NI mechanisms."""
 
     def __init__(self, machine: Machine, features: ProtocolFeatures,
-                 vmmc: Optional[VMMC] = None, num_locks: int = 1 << 16,
-                 tracer=None, spans=None):
+                 vmmc: Optional[VMMC] = None, tracer=None, spans=None):
         self.machine = machine
         #: optional repro.sim.Tracer receiving protocol events.
         self.tracer = tracer
@@ -95,14 +94,10 @@ class HLRCProtocol:
         #: faults that joined it wait on.
         self._inflight_fetch: Dict[Tuple[int, int], object] = {}
 
-        # Synchronization managers.
-        if features.ni_locks:
-            self.ni_locks = NILockManager(self.vmmc, num_locks=num_locks,
-                                          tracer=tracer, spans=spans)
-            self.svm_locks = None
-        else:
-            self.ni_locks = None
-            self.svm_locks = InterruptLockManager(self)
+        # Synchronization managers: one lock queue, in NI firmware or
+        # in interrupted host handlers.
+        self.locks = (NILockManager(self.vmmc, tracer=tracer, spans=spans)
+                      if features.ni_locks else InterruptLockManager(self))
         self.barriers = BarrierManager(self)
 
         # Per-rank accounting.
@@ -139,10 +134,8 @@ class HLRCProtocol:
         metrics.register_probe(
             "svm.invalidations", "counter", self,
             lambda p: [t.invalidations for t in p.tables])
-        metrics.register_probe(
-            "lock.wait_depth", "gauge",
-            self.ni_locks if self.ni_locks is not None else self.svm_locks,
-            wait_depths)
+        metrics.register_probe("lock.wait_depth", "gauge", self.locks,
+                               LockQueue.wait_depths)
 
     def _trace(self, category: str, **fields) -> None:
         if self.tracer is not None:
@@ -778,12 +771,11 @@ class HLRCProtocol:
                        lock=lock_id) if sp is not None else None
         self._trace("lock.acquire", rank=rank, lock=lock_id)
         if self.features.ni_locks:
-            ts = yield from self.ni_locks.acquire(node_id, lock_id,
-                                                  track=track)
-            yield from self.apply_incoming(rank, ts)
+            ts = yield from self.locks.acquire(node_id, lock_id,
+                                               track=track)
         else:
-            ts = yield from self.svm_locks.acquire(rank, lock_id)
-            yield from self.apply_incoming(rank, ts)
+            ts = yield from self.locks.acquire(rank, lock_id)
+        yield from self.apply_incoming(rank, ts)
         if sp is not None:
             sp.end(sid)
         self.buckets[rank].charge(bucket, self.sim.now - t0)
@@ -801,7 +793,7 @@ class HLRCProtocol:
         if feats.ni_locks:
             # Hybrid diff policy: skip the flush when the next waiter
             # recorded at our NI is on this same node.
-            next_node = self.ni_locks.pending_waiter_node(node_id, lock_id)
+            next_node = self.locks.pending_waiter_node(node_id, lock_id)
             if next_node != node_id:
                 interval = yield from self.close_interval_timed(node_id)
                 if interval is not None and feats.direct_writes:
@@ -816,8 +808,8 @@ class HLRCProtocol:
                 yield from self.flush_pending(node_id, track=track)
             else:
                 ts = self.node_clock[node_id].copy()
-            yield from self.ni_locks.release(node_id, lock_id, ts,
-                                             track=track)
+            yield from self.locks.release(node_id, lock_id, ts,
+                                          track=track)
         else:
             if feats.direct_writes:
                 # Eager write-notice propagation at the release.
@@ -828,7 +820,7 @@ class HLRCProtocol:
                     if feats.direct_diffs:
                         yield from self.flush_pending(node_id,
                                                       track=track)
-            yield from self.svm_locks.release(rank, lock_id)
+            yield from self.locks.release(rank, lock_id)
         if sp is not None:
             sp.end(sid)
         self.buckets[rank].charge(bucket, self.sim.now - t0)

@@ -445,7 +445,7 @@ def test_base_local_reacquire_is_fast():
 
     run_workers(machine, [worker()])
     assert t[0] < 10.0
-    assert proto.svm_locks.local_fast_acquires >= 1
+    assert proto.locks.local_fast_acquires >= 1
 
 
 def test_flag_sync_charges_acqrel_bucket():

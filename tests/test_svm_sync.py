@@ -1,9 +1,12 @@
 """Deeper tests of SVM synchronization: interrupt locks, NI locks under
 randomized schedules (hypothesis), barriers, flags."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.sanitizer import Sanitizer
 from repro.hw import Machine, MachineConfig
+from repro.sim import Tracer
 from repro.svm import BASE, GENIMA, HLRCProtocol
 from repro.vmmc import NILockManager, VMMC
 
@@ -76,11 +79,12 @@ def test_ni_locks_mutual_exclusion_random(schedule):
     assert all(v == 1 for v in worst.values())
 
 
+@pytest.mark.parametrize("feats", [GENIMA, BASE], ids=lambda f: f.name)
 @settings(max_examples=15, deadline=None)
-@given(schedules)
-def test_locks_never_starve_random(schedule):
+@given(schedule=schedules)
+def test_locks_never_starve_random(feats, schedule):
     """Every acquire eventually succeeds (run_all asserts completion)."""
-    machine, proto = make(GENIMA)
+    machine, proto = make(feats)
 
     def worker(rank, lock_id, start, hold):
         yield machine.sim.timeout(float(start))
@@ -94,12 +98,41 @@ def test_locks_never_starve_random(schedule):
     run_all(machine, [worker(*item) for item in schedule])
 
 
+#: the same schedules, crowded onto two locks in a short window so that
+#: requests queue behind an owner and releases hand off to a queue head.
+contended = st.lists(
+    st.tuples(st.integers(0, 15), st.integers(0, 1), st.integers(0, 100),
+              st.integers(1, 80)),
+    min_size=2, max_size=24)
+
+
+@pytest.mark.parametrize("feats", [GENIMA, BASE], ids=lambda f: f.name)
+@settings(max_examples=25, deadline=None)
+@given(schedule=contended)
+def test_lock_queue_invariant_random(feats, schedule):
+    """Both placements of the lock queue grant only from the token's
+    node, always to the queue head, one grant per acquire: the
+    sanitizer's lock-queue check finds nothing in their traces."""
+    tracer = Tracer(capacity=None)
+    machine = Machine(MachineConfig())
+    proto = HLRCProtocol(machine, feats, tracer=tracer)
+
+    def worker(rank, lock_id, start, hold):
+        yield machine.sim.timeout(float(start))
+        yield from proto.lock(rank, lock_id)
+        yield machine.sim.timeout(float(hold))
+        yield from proto.unlock(rank, lock_id)
+
+    run_all(machine, [worker(*item) for item in schedule])
+    assert Sanitizer(["lock-queue"]).run(iter(tracer)) == []
+
+
 # --------------------------------------------------------- NI lock details
 
 def test_ni_lock_grant_carries_latest_release_ts():
     machine = Machine(MachineConfig())
     vmmc = VMMC(machine)
-    lm = NILockManager(vmmc, num_locks=4)
+    lm = NILockManager(vmmc)
     sim = machine.sim
     seen = []
 
@@ -122,7 +155,7 @@ def test_ni_lock_grant_carries_latest_release_ts():
 def test_ni_lock_local_regrant_skips_network():
     machine = Machine(MachineConfig())
     vmmc = VMMC(machine)
-    lm = NILockManager(vmmc, num_locks=4)
+    lm = NILockManager(vmmc)
     sim = machine.sim
 
     def worker():

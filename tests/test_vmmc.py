@@ -230,7 +230,7 @@ def test_fetch_does_not_touch_remote_host_delivery_path():
 
 def test_ni_lock_uncontended_acquire_release():
     machine, vmmc = make_stack()
-    lm = NILockManager(vmmc, num_locks=4)
+    lm = NILockManager(vmmc)
     sim = machine.sim
     log = []
 
@@ -250,7 +250,7 @@ def test_ni_lock_uncontended_acquire_release():
 
 def test_ni_lock_timestamp_travels_with_grant():
     machine, vmmc = make_stack()
-    lm = NILockManager(vmmc, num_locks=4)
+    lm = NILockManager(vmmc)
     sim = machine.sim
     got = []
 
@@ -273,7 +273,7 @@ def test_ni_lock_timestamp_travels_with_grant():
 
 def test_ni_lock_mutual_exclusion():
     machine, vmmc = make_stack()
-    lm = NILockManager(vmmc, num_locks=1)
+    lm = NILockManager(vmmc)
     sim = machine.sim
     active = [0]
     max_active = [0]
@@ -298,7 +298,7 @@ def test_ni_lock_mutual_exclusion():
 
 def test_ni_lock_fifo_through_home_chain():
     machine, vmmc = make_stack()
-    lm = NILockManager(vmmc, num_locks=8)
+    lm = NILockManager(vmmc)
     sim = machine.sim
     order = []
 
@@ -318,7 +318,7 @@ def test_ni_lock_fifo_through_home_chain():
 
 def test_ni_lock_same_node_handoff_is_local():
     machine, vmmc = make_stack()
-    lm = NILockManager(vmmc, num_locks=4)
+    lm = NILockManager(vmmc)
     sim = machine.sim
     t_released = []
     t_acquired = []
@@ -346,7 +346,7 @@ def test_ni_lock_same_node_handoff_is_local():
 
 def test_ni_lock_messages_bypass_host_delivery():
     machine, vmmc = make_stack()
-    lm = NILockManager(vmmc, num_locks=4)
+    lm = NILockManager(vmmc)
     sim = machine.sim
     delivered = []
     for nic in machine.nics:
@@ -368,7 +368,7 @@ def test_ni_lock_messages_bypass_host_delivery():
 
 def test_ni_lock_double_release_asserts():
     machine, vmmc = make_stack()
-    lm = NILockManager(vmmc, num_locks=1)
+    lm = NILockManager(vmmc)
     sim = machine.sim
 
     def proc():
