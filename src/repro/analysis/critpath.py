@@ -1,9 +1,13 @@
 """Critical-path extraction from causal span traces.
 
-Operates offline on the ``span.*`` records a spanned run leaves in its
-trace (:mod:`repro.sim.spans`), read once in trace order: the index
-the walk needs is built as the rows stream by, so the caller can hand
-over ``iter(tracer)`` instead of a row list.  The extractor walks
+Folds the ``span.*`` records of a spanned run (:mod:`repro.sim.spans`)
+into an index as they arrive, in trace order.  :class:`CriticalPathFold`
+is a trace sink: ``collect_critpath`` passes it to the run as its
+tracer, so the index grows while the run records spans and no span row
+is stored.  :func:`extract_critical_path` feeds the same fold from rows
+already recorded (``iter(tracer)``, a list).  The index keeps, per
+track, only the open spans, one mark per begin or end and the resume
+points, in flat columns, and the flows by id.  The walk goes
 *backwards* from the end of the last-finishing rank's ``run`` span to
 the start of the timed section, alternating two moves:
 
@@ -17,17 +21,18 @@ the start of the timed section, alternating two moves:
   the sending track; the edge's width (send to delivery) is wire and
   queueing time, charged to the flow's bucket.
 
-Both moves strictly decrease the ``(t, seq)`` cursor, so the walk
-terminates; because each segment and edge spans exactly the gap between
-consecutive cursors, the step durations telescope: their sum equals the
-time from the terminal rank's ``run`` begin to the final ``run`` end
-*exactly*.  The remaining gap — ranks leave the initialization barrier
-at slightly different instants, and the chain bottoms out at one of
-them — is reported as ``start_skew_us`` and charged to a synthetic
-``skew`` bucket, so ``total_us`` must reconcile with the wall time
-(last end minus first begin) to within ``TIME_TOLERANCE_US``.  That
-reconciliation is the extractor's self-check: the ``critical-path``
-sanitizer pass and ``repro critpath`` both fail on any residual.
+The fold numbers span rows in arrival order, and both moves strictly
+decrease that cursor, so the walk terminates; because each segment and
+edge spans exactly the gap between consecutive cursors, the step
+durations telescope: their sum equals the time from the terminal rank's
+``run`` begin to the final ``run`` end *exactly*.  The remaining gap —
+ranks leave the initialization barrier at slightly different instants,
+and the chain bottoms out at one of them — is reported as
+``start_skew_us`` and charged to a synthetic ``skew`` bucket, so
+``total_us`` must reconcile with the wall time (last end minus first
+begin) to within ``TIME_TOLERANCE_US``.  That reconciliation is the
+extractor's self-check: the ``critical-path`` sanitizer pass and
+``repro critpath`` both fail on any residual.
 
 Caveat: host-handler tracks (``h<node>``) are shared by interleaved
 activations, so "latest resume point" can occasionally attribute a
@@ -39,13 +44,15 @@ from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..sim import BUCKETS, TIME_TOLERANCE_US
-from ..sim.trace import TraceEvent
+from ..sim.trace import TraceEvent, Tracer
 
-__all__ = ["CriticalPath", "PathStep", "extract_critical_path",
+__all__ = ["CriticalPath", "CriticalPathFold", "PathStep",
+           "extract_critical_path",
            "render_path", "render_ladder_diff", "bucket_shares",
            "CRITPATH_SCHEMA"]
 
@@ -131,229 +138,291 @@ class CriticalPath:
                    buckets=dict(data.get("buckets", {})))
 
 
-# -------------------------------------------------------------- parsing
+# ----------------------------------------------------------------- fold
 
-#: a record's position in the trace: ``(t, seq)``.
-_Key = Tuple[float, int]
-#: one innermost-span coverage piece: ``(k0, k1, bucket, name)``.
-_Piece = Tuple[_Key, _Key, str, str]
+#: the (bucket, name) of a span, shared by every mark it labels.
+_Label = Tuple[str, str]
 
 
-class _Cover:
-    """One track's coverage sweep, fed begin/end marks in trace order.
+class _Lane:
+    """One track's share of the index, appended to in record order.
 
-    Between two consecutive marks the track's time belongs to its
-    innermost open span: the last-begun one still open.  ``stack``
-    holds begun spans in begin order and ``open`` maps each open sid to
-    its begin key, so a closed (or re-begun) entry is skipped lazily
-    when it reaches the top; a non-LIFO close costs nothing until then.
+    ``stack`` holds the track's open spans as ``(sid, label)``,
+    innermost last; an end removes its own entry wherever it sits, so a
+    non-LIFO close on an ``h<node>`` track leaves nothing behind.  Each
+    begin or end is a *mark*: its ordinal, its time and the label of the
+    innermost span open after it (``None`` when the track goes idle).
+    The time between two consecutive marks belongs to the first one's
+    label.  Resume points (wakes and linked begins) are an ordinal, a
+    time and the flow id that made the track runnable.
     """
 
-    __slots__ = ("open", "stack", "prev", "pieces", "keys")
+    __slots__ = ("track", "stack", "mark_at", "mark_t", "mark_label",
+                 "resume_at", "resume_t", "resume_fid")
 
-    def __init__(self) -> None:
-        self.open: Dict[int, _Key] = {}
-        self.stack: List[Tuple[_Key, int, str, str]] = []
-        self.prev: Optional[_Key] = None
-        self.pieces: List[_Piece] = []   #: in key order
-        self.keys: List[_Key] = []       #: each piece's start key
+    def __init__(self, track: str) -> None:
+        self.track = track
+        self.stack: List[Tuple[int, _Label]] = []
+        self.mark_at = array("q")
+        self.mark_t = array("d")
+        self.mark_label: List[Optional[_Label]] = []
+        self.resume_at = array("q")
+        self.resume_t = array("d")
+        self.resume_fid = array("q")
 
-    def mark(self, key: _Key) -> None:
-        """Close the piece that ends at ``key`` (a begin or an end)."""
-        prev = self.prev
-        if self.open and prev is not None:
-            stack, open_ = self.stack, self.open
-            while open_.get(stack[-1][1]) != stack[-1][0]:
-                stack.pop()
-            _, _, bucket, name = stack[-1]
-            self.pieces.append((prev, key, bucket, name))
-            self.keys.append(prev)
-        self.prev = key
+    def mark(self, at: int, t: float) -> None:
+        self.mark_at.append(at)
+        self.mark_t.append(t)
+        stack = self.stack
+        self.mark_label.append(stack[-1][1] if stack else None)
 
+    def resume(self, at: int, t: float, fid: int) -> None:
+        self.resume_at.append(at)
+        self.resume_t.append(t)
+        self.resume_fid.append(fid)
 
-class _Trace:
-    """Span records indexed for the backward walk, built in one pass.
+    def latest_resume(self, at: int) -> Optional[Tuple[int, float, int]]:
+        """Latest resume point strictly before ordinal ``at``."""
+        i = bisect.bisect_left(self.resume_at, at)
+        if not i:
+            return None
+        i -= 1
+        return self.resume_at[i], self.resume_t[i], self.resume_fid[i]
 
-    Rows must arrive in trace order, as :class:`~repro.sim.Tracer` and
-    :meth:`~repro.analysis.hb.HBGraph.rows` yield them: every index is
-    then appended to in key order, so nothing is sorted or rebuilt
-    afterwards.  ``rows`` counts every row read.
-    """
-
-    def __init__(self, events: Iterable[TraceEvent]):
-        #: fid -> (key, t, track, kind, bucket)
-        self.flows: Dict[int, Tuple[_Key, float, str, str, str]] = {}
-        #: track -> resume points (wakes and linked begins), as
-        #: [(key, t, fid)] and, for bisection, their keys.
-        self.resumes: Dict[str, List[Tuple[_Key, float, int]]] = {}
-        self.resume_keys: Dict[str, List[_Key]] = {}
-        #: track -> innermost-span coverage sweep.
-        self.cover: Dict[str, _Cover] = {}
-        #: run spans: track -> (begin_key, begin_t); and ends.
-        self.run_begin: Dict[str, Tuple[_Key, float]] = {}
-        run_end: Dict[str, Tuple[_Key, float]] = {}
-        #: sid -> (track, its sweep, span name)
-        sid_info: Dict[int, Tuple[str, _Cover, str]] = {}
-        cover = self.cover
-        last: _Key = (-math.inf, 0)
-        rows = 0
-        for t, category, f, seq in events:
-            rows += 1
-            if not category.startswith("span."):
+    def attribute(self, a0: int, t0: float, a1: int,
+                  t1: float) -> Tuple[Dict[str, float], str]:
+        """Bucket attribution of [a0, a1) by innermost span coverage;
+        uncovered time goes to ``other``.  Also returns the name of the
+        longest covering piece (for display)."""
+        at, ts, labels = self.mark_at, self.mark_t, self.mark_label
+        out: Dict[str, float] = {}
+        longest, name = 0.0, ""
+        covered = 0.0
+        for j in range(max(bisect.bisect_right(at, a0) - 1, 0),
+                       len(at) - 1):
+            if at[j] >= a1:
+                break
+            label = labels[j]
+            if label is None:
                 continue
+            lo = max(ts[j], t0)
+            hi = min(ts[j + 1], t1)
+            if hi <= lo:
+                continue
+            bucket = label[0]
+            out[bucket] = out.get(bucket, 0.0) + (hi - lo)
+            covered += hi - lo
+            if hi - lo > longest:
+                longest, name = hi - lo, label[1]
+        gap = (t1 - t0) - covered
+        if gap > 0.0:
+            out["other"] = out.get("other", 0.0) + gap
+        return out, name
+
+
+class CriticalPathFold:
+    """The critical-path index of a spanned run, folded row by row.
+
+    A trace sink: :meth:`append`, :meth:`record` and :meth:`emit` take
+    what emitters hand a :class:`~repro.sim.Tracer`, so the fold can
+    be the run's tracer and index ``span.*`` rows as they are recorded,
+    without a row being stored.  Rows of other families are skipped.
+    When ``tracer`` is given, every row is also forwarded to it.
+    :meth:`path` walks the index.
+
+    Rows are numbered by the fold itself, in arrival order, so the
+    index and the path do not depend on which families a tracer
+    numbers.
+    """
+
+    def __init__(self, tracer: Optional[Tracer] = None) -> None:
+        #: the sink every row is forwarded to (None: fold only).
+        self.tracer = tracer
+        self._at = 0                       # span rows folded
+        self._last_t = -math.inf
+        self._lanes: Dict[str, _Lane] = {}
+        #: open spans: sid -> (its stack entry, its lane)
+        self._open: Dict[int, Tuple[Tuple[int, _Label], _Lane]] = {}
+        self._labels: Dict[_Label, _Label] = {}
+        #: fid -> (ordinal, t, track, kind, bucket) of its source
+        self._flows: Dict[int, Tuple[int, float, str, str, str]] = {}
+        #: run spans: track -> (ordinal, t) of its begin; and ends.
+        self._run_begin: Dict[str, Tuple[int, float]] = {}
+        self._run_end: Dict[str, Tuple[int, float]] = {}
+
+    # ------------------------------------------------------------- sink
+
+    def append(self, t: float, category: str,
+               fields: Dict[str, Any]) -> None:
+        """Fold one row (the :meth:`Tracer.append` surface)."""
+        if self.tracer is not None:
+            self.tracer.append(t, category, fields)
+        fold = _FOLDS.get(category)
+        if fold is None:
+            return
+        if t < self._last_t:
+            raise ValueError(
+                f"span row {category} at t={t} arrives after "
+                f"t={self._last_t}: pass the rows in trace order")
+        self._last_t = t
+        self._at += 1
+        fold(self, self._at, t, fields)
+
+    def record(self, t: float, category: str, **fields: Any) -> None:
+        self.append(t, category, fields)
+
+    emit = record
+
+    def _lane(self, track: str) -> _Lane:
+        lane = self._lanes.get(track)
+        if lane is None:
+            lane = self._lanes[track] = _Lane(track)
+        return lane
+
+    def _begin(self, at: int, t: float, f: Dict[str, Any]) -> None:
+        track = f["track"]
+        name = f.get("name", "")
+        label = (f.get("bucket", "other"), name)
+        label = self._labels.setdefault(label, label)
+        lane = self._lane(track)
+        entry = (f["sid"], label)
+        lane.stack.append(entry)
+        lane.mark(at, t)
+        self._open[entry[0]] = (entry, lane)
+        link = f.get("link")
+        if link is not None:
+            lane.resume(at, t, link)
+        if name == "run":
+            self._run_begin[track] = (at, t)
+
+    def _end(self, at: int, t: float, f: Dict[str, Any]) -> None:
+        opened = self._open.pop(f["sid"], None)
+        if opened is None:
+            return
+        entry, lane = opened
+        stack = lane.stack
+        if stack[-1] is entry:
+            stack.pop()
+        else:
+            stack.remove(entry)
+        lane.mark(at, t)
+        if entry[1][1] == "run":
+            self._run_end[lane.track] = (at, t)
+
+    def _flow(self, at: int, t: float, f: Dict[str, Any]) -> None:
+        self._flows[f["fid"]] = (at, t, f["track"], f.get("kind", "flow"),
+                                 f.get("bucket", "other"))
+
+    def _wake(self, at: int, t: float, f: Dict[str, Any]) -> None:
+        self._lane(f["track"]).resume(at, t, f["fid"])
+
+    # ------------------------------------------------------------- walk
+
+    def path(self) -> CriticalPath:
+        """Walk the index back from the last ``run`` end.
+
+        Raises :class:`ValueError` when no ``run`` span both began and
+        ended (the run was not recorded with ``spans=True``).
+        """
+        runs = [(at, t, track) for track, (at, t) in self._run_end.items()
+                if track in self._run_begin]
+        if not runs:
+            raise ValueError(
+                "no completed 'run' spans in trace: record the run with "
+                "spans=True (repro.runtime.run_svm) to extract a critical "
+                "path")
+        start_t = min(t for _, t in self._run_begin.values())
+        cursor_at, cursor_t, track = max(runs)
+        end_t = cursor_t
+
+        steps: List[PathStep] = []
+        complete = False
+        terminal_track = track
+        terminal_t = cursor_t
+        # Each iteration strictly decreases the cursor's ordinal, so
+        # this bound is never hit.
+        for _ in range(self._at + 1):
+            lane = self._lane(track)
+            floor = self._run_begin.get(track)
+            rp = lane.latest_resume(cursor_at)
+            if floor is not None and (rp is None or rp[0] <= floor[0]):
+                buckets, label = lane.attribute(floor[0], floor[1],
+                                                cursor_at, cursor_t)
+                steps.append(PathStep("seg", track, floor[1], cursor_t,
+                                      buckets, label))
+                complete = True
+                terminal_track, terminal_t = track, floor[1]
+                break
+            if rp is None:
+                terminal_track, terminal_t = track, cursor_t
+                break
+            r_at, rt, fid = rp
+            buckets, label = lane.attribute(r_at, rt, cursor_at, cursor_t)
+            steps.append(PathStep("seg", track, rt, cursor_t, buckets,
+                                  label))
+            flow = self._flows.get(fid)
+            if flow is None:
+                terminal_track, terminal_t = track, rt
+                break
+            f_at, ft, ftrack, fkind, fbucket = flow
+            steps.append(PathStep("edge", ftrack, ft, rt,
+                                  {fbucket: rt - ft}, fkind,
+                                  to_track=track))
+            track, cursor_at, cursor_t = ftrack, f_at, ft
+
+        steps.reverse()
+        skew = terminal_t - start_t if complete else 0.0
+        totals: Dict[str, float] = {}
+        for s in steps:
+            for b, us in s.buckets.items():
+                totals[b] = totals.get(b, 0.0) + us
+        if skew != 0.0:
+            totals["skew"] = totals.get("skew", 0.0) + skew
+        total = math.fsum(s.dur_us for s in steps) + skew
+        return CriticalPath(steps=steps, total_us=total,
+                            wall_us=end_t - start_t, start_skew_us=skew,
+                            terminal_track=terminal_track,
+                            complete=complete, buckets=totals)
+
+
+#: category -> the fold step for its rows; other families are skipped.
+_FOLDS = {"span.begin": CriticalPathFold._begin,
+          "span.end": CriticalPathFold._end,
+          "span.flow": CriticalPathFold._flow,
+          "span.wake": CriticalPathFold._wake}
+
+
+# ------------------------------------------------------------ extraction
+
+
+def extract_critical_path(
+        events: Union[Iterable[TraceEvent], CriticalPathFold]
+) -> CriticalPath:
+    """Extract the critical path of a spanned run.
+
+    ``events`` is the :class:`CriticalPathFold` the run recorded into,
+    or any iterable of rows in trace order (a list, a
+    :class:`~repro.sim.Tracer` or ``iter(tracer)``), which is read once
+    into a fresh fold; rows of other families are skipped.  Raises
+    :class:`ValueError` when the trace carries no completed ``run``
+    spans (the run was not executed with ``spans=True``) or when span
+    rows arrive out of ``(t, seq)`` order.
+    """
+    if isinstance(events, CriticalPathFold):
+        return events.path()
+    fold = CriticalPathFold()
+    append = fold.append
+    last = (-math.inf, 0)
+    for t, category, f, seq in events:
+        if category in _FOLDS:
             key = (t, seq)
             if key <= last:
                 raise ValueError(
                     f"span row seq {seq} at t={t} arrives out of "
                     f"(t, seq) order: pass the rows in trace order")
             last = key
-            if category == "span.begin":
-                sid, track = f["sid"], f["track"]
-                name = f.get("name", "")
-                sweep = cover.get(track)
-                if sweep is None:
-                    sweep = cover[track] = _Cover()
-                sweep.mark(key)
-                sweep.open[sid] = key
-                sweep.stack.append((key, sid, f.get("bucket", "other"),
-                                    name))
-                sid_info[sid] = (track, sweep, name)
-                link = f.get("link")
-                if link is not None:
-                    self._resume(track, key, t, link)
-                if name == "run":
-                    self.run_begin[track] = (key, t)
-            elif category == "span.end":
-                sid = f["sid"]
-                info = sid_info.get(sid)
-                if info is None:
-                    continue
-                track, sweep, name = info
-                sweep.mark(key)
-                sweep.open.pop(sid, None)
-                if name == "run":
-                    run_end[track] = (key, t)
-            elif category == "span.flow":
-                self.flows[f["fid"]] = (key, t, f["track"],
-                                        f.get("kind", "flow"),
-                                        f.get("bucket", "other"))
-            elif category == "span.wake":
-                self._resume(f["track"], key, t, f["fid"])
-        self.rows = rows
-        #: run spans that both began and ended, as (end_key, end_t, track)
-        self.runs = [(k, t, tr) for tr, (k, t) in run_end.items()
-                     if tr in self.run_begin]
-
-    def _resume(self, track: str, key: _Key, t: float, fid: int) -> None:
-        self.resumes.setdefault(track, []).append((key, t, fid))
-        self.resume_keys.setdefault(track, []).append(key)
-
-    def latest_resume(self, track: str,
-                      key: _Key) -> Optional[Tuple[_Key, float, int]]:
-        """Latest resume point on ``track`` strictly before ``key``."""
-        keys = self.resume_keys.get(track)
-        if not keys:
-            return None
-        i = bisect.bisect_left(keys, key)
-        return self.resumes[track][i - 1] if i else None
-
-    def attribute(self, track: str, k0: _Key,
-                  k1: _Key) -> Tuple[Dict[str, float], str]:
-        """Bucket attribution of [k0, k1) on ``track`` by innermost
-        span coverage; uncovered time goes to ``other``.  Also returns
-        the name of the longest covering span (for display)."""
-        sweep = self.cover.get(track)
-        pieces = sweep.pieces if sweep is not None else []
-        keys = sweep.keys if sweep is not None else []
-        out: Dict[str, float] = {}
-        longest, label = 0.0, ""
-        i = max(bisect.bisect_right(keys, k0) - 1, 0)
-        covered = 0.0
-        for j in range(i, len(pieces)):
-            p0, p1, bucket, name = pieces[j]
-            if p0 >= k1:
-                break
-            lo = max(p0[0], k0[0])
-            hi = min(p1[0], k1[0])
-            if hi <= lo:
-                continue
-            out[bucket] = out.get(bucket, 0.0) + (hi - lo)
-            covered += hi - lo
-            if hi - lo > longest:
-                longest, label = hi - lo, name
-        gap = (k1[0] - k0[0]) - covered
-        if gap > 0.0:
-            out["other"] = out.get("other", 0.0) + gap
-        return out, label
-
-
-# ------------------------------------------------------------ extraction
-
-
-def extract_critical_path(events: Iterable[TraceEvent]) -> CriticalPath:
-    """Extract the critical path from a spanned run's trace events.
-
-    ``events`` is any iterable of rows in trace order (a list, a
-    :class:`~repro.sim.Tracer` or ``iter(tracer)``); it is read once,
-    and rows of other families are skipped.  Raises
-    :class:`ValueError` when the trace carries no completed ``run``
-    spans (the run was not executed with ``spans=True``) or when span
-    rows arrive out of order.
-    """
-    tr = _Trace(events)
-    if not tr.runs:
-        raise ValueError(
-            "no completed 'run' spans in trace: record the run with "
-            "spans=True (repro.runtime.run_svm) to extract a critical "
-            "path")
-    start_t = min(t for _, t in tr.run_begin.values())
-    end_key, end_t, track = max(tr.runs)
-    cursor_key, cursor_t = end_key, end_t
-
-    steps: List[PathStep] = []
-    complete = False
-    terminal_track = track
-    terminal_t = cursor_t
-    # Each iteration strictly decreases cursor_key; the trace is
-    # finite, so this bound is never hit on a well-formed trace.
-    for _ in range(tr.rows + 1):
-        floor = tr.run_begin.get(track)
-        rp = tr.latest_resume(track, cursor_key)
-        if floor is not None and (rp is None or rp[0] <= floor[0]):
-            buckets, label = tr.attribute(track, floor[0], cursor_key)
-            steps.append(PathStep("seg", track, floor[1], cursor_t,
-                                  buckets, label))
-            complete = True
-            terminal_track, terminal_t = track, floor[1]
-            break
-        if rp is None:
-            terminal_track, terminal_t = track, cursor_t
-            break
-        rkey, rt, fid = rp
-        buckets, label = tr.attribute(track, rkey, cursor_key)
-        steps.append(PathStep("seg", track, rt, cursor_t, buckets, label))
-        flow = tr.flows.get(fid)
-        if flow is None:
-            terminal_track, terminal_t = track, rt
-            break
-        fkey, ft, ftrack, fkind, fbucket = flow
-        steps.append(PathStep("edge", ftrack, ft, rt,
-                              {fbucket: rt - ft}, fkind, to_track=track))
-        track, cursor_key, cursor_t = ftrack, fkey, ft
-
-    steps.reverse()
-    skew = terminal_t - start_t if complete else 0.0
-    totals: Dict[str, float] = {}
-    for s in steps:
-        for b, us in s.buckets.items():
-            totals[b] = totals.get(b, 0.0) + us
-    if skew != 0.0:
-        totals["skew"] = totals.get("skew", 0.0) + skew
-    total = math.fsum(s.dur_us for s in steps) + skew
-    return CriticalPath(steps=steps, total_us=total,
-                        wall_us=end_t - start_t, start_skew_us=skew,
-                        terminal_track=terminal_track,
-                        complete=complete, buckets=totals)
+            append(t, category, f)
+    return fold.path()
 
 
 def bucket_shares(path: CriticalPath) -> Dict[str, float]:

@@ -10,9 +10,12 @@ offline from any :class:`~repro.sim.trace.Tracer` event stream —
 ThreadSanitizer-style, but for SVM protocol actions instead of loads
 and stores.
 
-The graph reads the trace once: its constructor indexes every row by
-category, and :meth:`HBGraph.rows` hands each sanitizer check only the
-categories it reads, merged back into trace order.
+The graph reads the trace once and keeps only the rows of the
+categories it is told its readers read (``reads``: exact names, or
+``family.*`` for a whole family), plus its own.  :meth:`HBGraph.rows`
+hands each sanitizer check just those categories, merged back into
+trace order, and raises for a category nobody declared, so a check
+cannot silently read an empty list.
 
 The sanitizer (:mod:`repro.analysis.sanitizer`) also asks two
 questions of this module:
@@ -25,8 +28,13 @@ questions of this module:
 from __future__ import annotations
 
 import bisect
-from itertools import chain
-from typing import Dict, Iterable, List, Optional, Tuple
+import copy
+import heapq
+from array import array
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import (Any, Dict, FrozenSet, Iterable, Iterator, List,
+                    Optional, Set, Tuple)
 
 from ..sim.trace import TraceEvent
 
@@ -81,26 +89,65 @@ class ClockHistory:
         return self._clocks[node][i - 1]
 
 
-class HBGraph:
-    """The happens-before structure of one traced run."""
+#: a row's ``seq``: the merge key of :meth:`HBGraph.rows`.
+_seq = itemgetter(3)
+#: ``_new_row(TraceEvent, (t, category, fields, seq))`` builds one row.
+_new_row: Any = tuple.__new__
+#: one category's kept rows: times, seqs and field dicts.
+_Columns = Tuple[array, array, List[dict]]
 
-    def __init__(self, events: Iterable[TraceEvent]):
-        self.events = events = list(events)
-        #: category -> positions of its rows in ``events``
-        self._index: Dict[str, List[int]] = {}
-        by_category = self._index
-        for i, ev in enumerate(events):
-            at = by_category.get(ev[1])
-            if at is None:
-                by_category[ev[1]] = [i]
-            else:
-                at.append(i)
+
+def _split(reads: Iterable[str]) -> Tuple[FrozenSet[str], FrozenSet[str]]:
+    """Declared reads as (exact names, families)."""
+    exact: Set[str] = set()
+    families: Set[str] = set()
+    for name in reads:
+        if name.endswith(".*"):
+            families.add(name[:-2])
+        else:
+            exact.add(name)
+    return frozenset(exact), frozenset(families)
+
+
+class HBGraph:
+    """The happens-before structure of one traced run.
+
+    ``events`` is any iterable of rows in trace order, read once; the
+    graph keeps the rows of ``reads`` and of its own :attr:`reads`.
+    """
+
+    #: what the graph itself reads: closed intervals and clock
+    #: snapshots, for :meth:`writes_to` and the clock history.
+    reads = ("interval.close", "clock.advance")
+
+    def __init__(self, events: Iterable[TraceEvent],
+                 reads: Iterable[str] = ()):
+        self._exact, self._families = _split(
+            chain(reads, HBGraph.reads))
+        #: category -> its kept rows as columns (times, seqs, field
+        #: dicts), in trace order; :meth:`rows` rebuilds the rows.
+        self._rows: Dict[str, _Columns] = {}
+        by_category = self._rows
+        keep: Dict[str, bool] = {}
+        declares = self._declares
+        for t, category, fields, seq in events:
+            kept = keep.get(category)
+            if kept is None:
+                kept = keep[category] = declares(category)
+            if kept:
+                columns = by_category.get(category)
+                if columns is None:
+                    columns = by_category[category] = (
+                        array("d"), array("q"), [])
+                columns[0].append(t)
+                columns[1].append(seq)
+                columns[2].append(fields)
         self.clocks = ClockHistory()
         #: (node, index) -> IntervalInfo
         self.intervals: Dict[Tuple[int, int], IntervalInfo] = {}
         #: page gid -> [IntervalInfo] in trace order
         self._writes: Dict[int, List[IntervalInfo]] = {}
-        for ev in self.rows("interval.close", "clock.advance"):
+        for ev in self.rows(*HBGraph.reads):
             _, category, f, seq = ev
             if category == "interval.close":
                 node = f["node"]
@@ -116,29 +163,51 @@ class HBGraph:
             else:
                 self.clocks.add(f["node"], seq, tuple(f["clock"]))
 
+    def _declares(self, category: str) -> bool:
+        return (category in self._exact
+                or category.split(".", 1)[0] in self._families)
+
+    def restricted(self, reads: Iterable[str]) -> "HBGraph":
+        """This graph, answering :meth:`rows` for ``reads`` only: the
+        view one sanitizer check gets."""
+        view = copy.copy(self)
+        view._exact, view._families = _split(reads)
+        return view
+
     # ------------------------------------------------------------- queries
 
-    def rows(self, *categories: str) -> List[TraceEvent]:
-        """The rows of ``categories``, in trace order.
+    def rows(self, *categories: str) -> Iterator[TraceEvent]:
+        """The rows of ``categories``, once, in trace order.
 
         A name ending in ``.*`` stands for its whole family:
         ``rows("nilock.*")`` is every ``nilock.<op>`` row.  Rows of
-        several categories are merged by their position in the trace,
-        not concatenated.
+        several categories are merged by their ``seq``, not
+        concatenated.  Each row is built as it is yielded, so a reader
+        holds only the rows it keeps.  A category outside the declared
+        reads raises :class:`ValueError` at the call.
         """
-        index = self._index
+        stored = self._rows
         names: List[str] = []
         for category in categories:
             if category.endswith(".*"):
+                declared = category[:-2] in self._families
                 prefix = category[:-1]
-                names.extend(n for n in index if n.startswith(prefix))
-            elif category in index:
-                names.append(category)
-        if len(names) == 1:
-            at = index[names[0]]
-        else:
-            at = sorted(chain.from_iterable(index[n] for n in names))
-        return list(map(self.events.__getitem__, at))
+                names.extend(n for n in stored if n.startswith(prefix))
+            else:
+                declared = self._declares(category)
+                if category in stored:
+                    names.append(category)
+            if not declared:
+                raise ValueError(
+                    f"category {category!r} is not among the declared "
+                    f"reads: add it to the reading check's reads")
+        streams = [map(_new_row, repeat(TraceEvent),
+                       zip(stored[n][0], repeat(n), stored[n][2],
+                           stored[n][1]))
+                   for n in names]
+        if len(streams) == 1:
+            return streams[0]
+        return heapq.merge(*streams, key=_seq)
 
     def writes_to(self, gid: int) -> List[IntervalInfo]:
         """Closed intervals that dirtied page ``gid``, in trace order."""

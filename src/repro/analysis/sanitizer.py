@@ -35,8 +35,10 @@ any app) and checks the properties the paper's argument rests on:
   timed-section wall time.
 
 Every check is defined in this module, so ``SANITIZER_CHECKS`` is
-complete however it was imported.  Every finding carries the offending
-trace slice for debugging.
+complete however it was imported.  Each check declares the categories
+it ``reads``; :func:`sanitize_run` records only those, and the
+happens-before graph keeps only those.  Every finding carries the
+offending trace slice for debugging.
 """
 
 from __future__ import annotations
@@ -70,16 +72,18 @@ class Finding:
 class SanitizerCheck:
     """Base class: one pass over the trace yielding findings.
 
-    ``hb.rows(...)`` gives a check just the categories it reads, in
-    trace order, from the index :class:`HBGraph` built in its one pass
-    over ``events``.
+    ``reads`` declares the categories the check reads: exact names
+    (``"fault.fetch"``) or whole families (``"nilock.*"``).  The
+    sanitizer records and keeps only what its checks declare, and
+    ``hb.rows(...)`` gives a check those categories, in trace order;
+    asking for an undeclared one raises.
     """
 
     name = "abstract"
     description = ""
+    reads: Tuple[str, ...] = ()
 
-    def run(self, events: Sequence[TraceEvent],
-            hb: HBGraph) -> Iterator[Finding]:
+    def run(self, hb: HBGraph) -> Iterator[Finding]:
         raise NotImplementedError
 
 
@@ -105,9 +109,9 @@ class WriteNoticeCheck(SanitizerCheck):
     name = "lost-write-notice"
     description = ("a fault's needed versions must cover every write "
                    "its vector clock has seen for that page")
+    reads = ("fault.fetch", "interval.close")
 
-    def run(self, events: Sequence[TraceEvent],
-            hb: HBGraph) -> Iterator[Finding]:
+    def run(self, hb: HBGraph) -> Iterator[Finding]:
         for ev in hb.rows("fault.fetch"):
             _, _, f, seq = ev
             node = f["node"]
@@ -136,9 +140,9 @@ class ClockMonotonicityCheck(SanitizerCheck):
 
     name = "clock-regression"
     description = "per-node vector clocks must be pointwise non-decreasing"
+    reads = ("interval.close", "clock.advance")
 
-    def run(self, events: Sequence[TraceEvent],
-            hb: HBGraph) -> Iterator[Finding]:
+    def run(self, hb: HBGraph) -> Iterator[Finding]:
         last: Dict[int, Tuple[Tuple[int, ...], TraceEvent]] = {}
         for ev in hb.rows("interval.close", "clock.advance"):
             _, category, f, _ = ev
@@ -175,15 +179,13 @@ class LockQueueCheck(SanitizerCheck):
     name = "lock-queue"
     description = ("grants come only from the token holder, go to the "
                    "queue head, and match acquires one-to-one")
+    reads = ("nilock.*", "svmlock.*")
 
-    prefixes = ("nilock", "svmlock")
+    def run(self, hb: HBGraph) -> Iterator[Finding]:
+        for family in self.reads:
+            yield from self._check_family(hb.rows(family))
 
-    def run(self, events: Sequence[TraceEvent],
-            hb: HBGraph) -> Iterator[Finding]:
-        for prefix in self.prefixes:
-            yield from self._check_family(hb.rows(prefix + ".*"))
-
-    def _check_family(self, rows: Sequence[TraceEvent]
+    def _check_family(self, rows: Iterable[TraceEvent]
                       ) -> Iterator[Finding]:
         #: lock -> ("at", node) or ("flight", dst); unknown until the
         #: first grant (the token starts at the lock's home).
@@ -263,9 +265,9 @@ class FetchRaceCheck(SanitizerCheck):
     name = "fetch-race"
     description = ("an accepted page fetch must satisfy the needed "
                    "versions and only claim diffs actually applied")
+    reads = ("home.apply", "fetch.ok")
 
-    def run(self, events: Sequence[TraceEvent],
-            hb: HBGraph) -> Iterator[Finding]:
+    def run(self, hb: HBGraph) -> Iterator[Finding]:
         applied: Dict[Tuple[int, int], Tuple[int, TraceEvent]] = {}
         for ev in hb.rows("home.apply", "fetch.ok"):
             _, category, f, _ = ev
@@ -321,9 +323,9 @@ class BarrierEpochCheck(SanitizerCheck):
 
     name = "barrier-epoch"
     description = "barrier exits must follow all same-epoch entries"
+    reads = ("barrier.enter", "barrier.exit")
 
-    def run(self, events: Sequence[TraceEvent],
-            hb: HBGraph) -> Iterator[Finding]:
+    def run(self, hb: HBGraph) -> Iterator[Finding]:
         enters: Dict[int, List[TraceEvent]] = {}
         exits: Dict[int, List[TraceEvent]] = {}
         for ev in hb.rows("barrier.enter"):
@@ -352,9 +354,9 @@ class FaultRecoveryCheck(SanitizerCheck):
     name = "fault-recovery"
     description = ("every dropped packet's message must eventually be "
                    "acked by the drop-tolerant transport")
+    reads = ("retx.ack", "fault.drop")
 
-    def run(self, events: Sequence[TraceEvent],
-            hb: HBGraph) -> Iterator[Finding]:
+    def run(self, hb: HBGraph) -> Iterator[Finding]:
         #: (msg_id, destination) pairs the sender saw acked.
         acked = {(f["msg"], f["dst"])
                  for _, _, f, _ in hb.rows("retx.ack")}
@@ -386,9 +388,9 @@ class TimeAccountingCheck(SanitizerCheck):
     name = "time-accounting"
     description = ("per-rank bucket sums must equal timed-section wall "
                    "time (prof.rank records)")
+    reads = ("prof.rank",)
 
-    def run(self, events: Sequence[TraceEvent],
-            hb: HBGraph) -> Iterator[Finding]:
+    def run(self, hb: HBGraph) -> Iterator[Finding]:
         for ev in hb.rows("prof.rank"):
             f = ev[2]
             residual = f.get("residual_us", 0.0)
@@ -408,9 +410,9 @@ class CriticalPathCheck(SanitizerCheck):
     name = "critical-path"
     description = ("the critical path extracted from span records must "
                    "equal the timed-section wall time")
+    reads = ("span.*",)
 
-    def run(self, events: Sequence[TraceEvent],
-            hb: HBGraph) -> Iterator[Finding]:
+    def run(self, hb: HBGraph) -> Iterator[Finding]:
         if not any(f.get("name") == "run"
                    for _, _, f, _ in hb.rows("span.begin")):
             return  # not a spanned run: nothing to reconcile
@@ -451,29 +453,42 @@ class Sanitizer:
             raise ValueError(f"unknown sanitizer checks: {unknown}")
         self.checks: List[SanitizerCheck] = [
             SANITIZER_CHECKS[n]() for n in names]
+        #: every category the checks and the graph read.
+        self.reads = sorted(set(HBGraph.reads).union(
+            *(check.reads for check in self.checks)))
+
+    def categories(self) -> List[str]:
+        """The reads as :class:`~repro.sim.Tracer` categories: a
+        ``family.*`` read records the family, an exact one itself."""
+        return [name[:-2] if name.endswith(".*") else name
+                for name in self.reads]
 
     def run(self, events: Iterable[TraceEvent]) -> List[Finding]:
-        """Check ``events``, any iterable of trace rows; the
-        happens-before graph's row list is the only copy made."""
-        hb = HBGraph(events)
+        """Check ``events``, any iterable of trace rows, read once;
+        the happens-before graph keeps the rows of the declared reads
+        only, and each check sees just its own."""
+        hb = HBGraph(events, self.reads)
         findings: List[Finding] = []
         for check in self.checks:
-            findings.extend(check.run(hb.events, hb))
+            findings.extend(check.run(hb.restricted(check.reads)))
         return findings
 
 
 def sanitize_run(app: object, features: object, config: object = None,
                  check_invariants: bool = True
                  ) -> Tuple[object, List[Finding]]:
-    """Run ``app`` under ``features`` with full tracing and sanitize.
+    """Run ``app`` under ``features`` traced, and sanitize the trace.
 
-    Returns ``(RunResult, findings)``.  Also installs the runtime
-    invariant checker unless ``check_invariants`` is False.
+    The run records only the categories the checks read, so the
+    ``seq`` of a finding's rows counts those rows alone.  Returns
+    ``(RunResult, findings)``.  Also installs the runtime invariant
+    checker unless ``check_invariants`` is False.
     """
     # Imported lazily: repro.runtime imports repro.analysis for --check.
     from ..runtime import run_svm
     from ..sim import Tracer
-    tracer = Tracer(capacity=None)
+    sanitizer = Sanitizer()
+    tracer = Tracer(categories=sanitizer.categories(), capacity=None)
     result = run_svm(app, features, config=config, tracer=tracer,
                      check=check_invariants)
-    return result, Sanitizer().run(iter(tracer))
+    return result, sanitizer.run(iter(tracer))

@@ -1,17 +1,17 @@
 """The ``repro critpath`` experiment: spanned runs -> critical paths.
 
 One :func:`collect_critpath` call runs an application under one
-protocol variant with causal span recording armed (``spans=True``),
-extracts the critical path offline
-(:func:`repro.analysis.extract_critical_path`) and returns the run,
-the path and the tracer; :func:`collect_critpaths_grid` sweeps a list
-of variants through the run cache (pass Base first so the ladder diff
-normalizes the way the paper does).
+protocol variant with causal span recording armed (``spans=True``)
+and returns the run and its critical path;
+:func:`collect_critpaths_grid` sweeps a list of variants through the
+run cache (pass Base first so the ladder diff normalizes the way the
+paper does).
 
-The extractor reads only ``span.*`` rows, so by default the tracer
-keeps only those.  A caller that reads more of the trace (Perfetto's
+The run's tracer is a :class:`~repro.analysis.critpath.CriticalPathFold`,
+which indexes each ``span.*`` row as the run records it, so by default
+no row is stored.  A caller that reads more of the trace (Perfetto's
 instant events, the sanitizer's protocol checks) passes its own
-unfiltered tracer.
+tracer; the fold forwards every row to it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..analysis import extract_critical_path
+from ..analysis.critpath import CriticalPathFold, extract_critical_path
 from ..hw import MachineConfig
 from ..runtime import run_svm
 from ..sim import Tracer
@@ -31,15 +31,17 @@ __all__ = ["CritpathRun", "collect_critpath", "collect_critpaths_grid"]
 class CritpathRun:
     """One spanned run: its result, critical path and trace.
 
-    ``tracer`` is ``None`` when the run was decoded from the persistent
-    store: the span stream is not persisted, only the extracted path,
-    so Perfetto export and the offline sanitizer need a live run.
+    ``tracer`` is the caller's tracer, or ``None`` when the caller
+    passed none (no row was stored) or the run was decoded from the
+    persistent store, which keeps only the path and the result.
+    Perfetto export and the offline sanitizer need a live run recorded
+    into a tracer.
     """
 
     variant: str   #: protocol variant name ("Base", "GeNIMA", ...)
     result: object     #: the :class:`~repro.runtime.results.RunResult`
     path: object       #: the :class:`~repro.analysis.CriticalPath`
-    tracer: Optional[Tracer]  #: the run's trace (None for cached runs)
+    tracer: Optional[Tracer]  #: the caller's trace, or None
 
 
 def collect_critpath(app, features,
@@ -49,17 +51,15 @@ def collect_critpath(app, features,
     """Run ``app`` under ``features`` with spans; extract the path.
 
     ``check`` additionally installs the runtime invariant checker.
-    ``tracer`` defaults to an unbounded span-only one: extraction needs
-    the whole span stream, not a ring-buffer suffix, and nothing else.
-    The extractor reads the rows once, as ``iter(tracer)`` yields them.
+    The run records into a :class:`CriticalPathFold`, which indexes
+    each span row as it is recorded; with a ``tracer`` it also
+    forwards every row there, so the path is the same either way.
     """
-    if tracer is None:
-        tracer = Tracer(categories={"span"}, capacity=None)
-    result = run_svm(app, features, config=config, tracer=tracer,
+    fold = CriticalPathFold(tracer)
+    result = run_svm(app, features, config=config, tracer=fold,
                      check=check, spans=True)
-    path = extract_critical_path(iter(tracer))
     return CritpathRun(variant=features.name, result=result,
-                       path=path, tracer=tracer)
+                       path=extract_critical_path(fold), tracer=tracer)
 
 
 def collect_critpaths_grid(app_name: str, variants: Sequence, cache,

@@ -13,11 +13,14 @@ which stays a few pointers long and costs 56 bytes when empty.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Optional
+from typing import Any, Deque, List, Optional, Tuple, Union
 
 from .engine import _INF, Event, Simulator, SimulationError, _granted
 
 __all__ = ["Resource", "Store", "RateServer"]
+
+#: the items of a store that has never buffered one: no deque yet.
+_NO_ITEMS: Tuple[()] = ()
 
 
 class _ReqEvent(Event):
@@ -126,7 +129,9 @@ class Store:
         self.sim = sim
         self.capacity = capacity
         self.name = name
-        self._items: Deque[Any] = deque()
+        #: buffered items; the shared empty tuple until the first item
+        #: is buffered (a store whose getters always wait builds none).
+        self._items: Union[Deque[Any], Tuple[()]] = _NO_ITEMS
         self._getters: List[Event] = []
         self._putters: List[_ReqEvent] = []  # events carrying ._item
         self.total_puts = 0
@@ -167,6 +172,8 @@ class Store:
         if self._getters:
             self._getters.pop(0).succeed(item)
             return
+        if items is _NO_ITEMS:
+            items = self._items = deque()
         items.append(item)
         if len(items) > self.max_occupancy:
             self.max_occupancy = len(items)

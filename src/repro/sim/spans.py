@@ -80,6 +80,7 @@ class SpanTracer:
         self._next_sid = 0
         self._next_fid = 0
         self._stacks: Dict[str, List[int]] = {}
+        #: open span -> its track; an end drops the entry.
         self._span_track: Dict[int, str] = {}
 
     # ------------------------------------------------------------- spans
@@ -117,8 +118,8 @@ class SpanTracer:
         if track is None:
             # The extractor skips a row it cannot place on a track, so
             # an unknown sid would silently drop out of the path.
-            raise ValueError(f"span {sid!r} was never begun on this "
-                             f"SpanTracer")
+            raise ValueError(f"span {sid!r} is not open on this "
+                             f"SpanTracer: never begun, or already ended")
         return track
 
     def end(self, sid: Optional[int], **fields) -> None:
@@ -126,12 +127,13 @@ class SpanTracer:
 
         Tolerates non-LIFO closing: handler activations on the same
         track may interleave, so the sid is removed wherever it sits
-        in the track's stack.  A sid this tracer never began raises
-        :class:`ValueError`.
+        in the track's stack.  A sid that is not open here (never
+        begun, or already ended) raises :class:`ValueError`.
         """
         if sid is None:
             return
         track = self._track_of(sid)
+        del self._span_track[sid]
         stack = self._stacks[track]
         if sid in stack:
             stack.remove(sid)
@@ -161,7 +163,7 @@ class SpanTracer:
     def flow_from(self, sid: int, kind: str, bucket: str = "other",
                   **fields) -> int:
         """Record a flow whose source is span ``sid`` explicitly (a
-        sid this tracer never began raises :class:`ValueError`)."""
+        sid that is not open here raises :class:`ValueError`)."""
         track = self._track_of(sid)
         fid = self._next_fid
         self._next_fid += 1

@@ -97,10 +97,12 @@ class TraceEvent(namedtuple("_TraceRow", "t category fields seq")):
 class Tracer:
     """Bounded, filterable event recorder (columnar storage).
 
-    ``categories`` filters at record time on the *prefix* before the
-    first dot (``"fetch"`` admits ``"fetch.retry"``); None records
-    everything.  ``capacity`` bounds memory (oldest events drop);
-    counts are kept for all admitted events regardless.
+    ``categories`` filters at record time: an entry admits its exact
+    category (``"fetch.retry"``) and, as a family, every category
+    whose prefix before the first dot it names (``"fetch"`` admits
+    ``"fetch.retry"``); None records everything.  ``capacity`` bounds
+    memory (oldest events drop); counts are kept for all admitted
+    events regardless.
     """
 
     def __init__(self, categories: Optional[Iterable[str]] = None,
@@ -144,11 +146,13 @@ class Tracer:
     # ------------------------------------------------------------- record
 
     def wants(self, category: str) -> bool:
-        if self.categories is None:
+        categories = self.categories
+        if categories is None:
             return True
         admit = self._admit.get(category)
         if admit is None:
-            admit = category.split(".", 1)[0] in self.categories
+            admit = (category in categories
+                     or category.split(".", 1)[0] in categories)
             self._admit[category] = admit
         return admit
 
@@ -172,12 +176,10 @@ class Tracer:
         # the rejection one dict probe.  An admitted record is three
         # appends and an intern probe; counts and TraceEvent rows are
         # deferred to query time.
-        categories = self.categories
-        if categories is not None:
+        if self.categories is not None:
             admit = self._admit.get(category)
             if admit is None:
-                admit = category.split(".", 1)[0] in categories
-                self._admit[category] = admit
+                admit = self.wants(category)
             if not admit:
                 return
         cid = self._cid.get(category)

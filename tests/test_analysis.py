@@ -279,10 +279,67 @@ def test_checks_read_their_categories_in_trace_order():
     assert [(f.check, [e.seq for e in f.events]) for f in found] \
         == [("fetch-race", [6])], "\n".join(str(f) for f in found)
     assert "no such diff" in found[0].message
-    hb = HBGraph(events)
+    hb = HBGraph(events, Sanitizer().reads)
     assert [e.seq for e in hb.rows("nilock.*")] == [1, 2, 4, 5, 7, 9]
     assert [e.seq for e in hb.rows("home.apply", "fetch.ok")] == [6, 8]
-    assert hb.rows("svmlock.*") == [] and hb.rows("no.such") == []
+    assert list(hb.rows("svmlock.*")) == []
+    with pytest.raises(ValueError, match="declared reads"):
+        hb.rows("no.such")
+
+
+def test_hbgraph_keeps_and_answers_only_declared_reads():
+    events = [
+        ev(1, "fault.fetch", node=0, gid=7, needed=(), clock=(0, 0)),
+        ev(2, "fault.read", node=0, gid=7),
+        ev(3, "nilock.acquire", node=1, lock=0),
+        ev(4, "diff.flush", node=0, gid=7),
+    ]
+    hb = HBGraph(events, ("fault.fetch", "nilock.*"))
+    assert set(hb._rows) == {"fault.fetch", "nilock.acquire"}
+    assert [e.seq for e in hb.rows("fault.fetch", "nilock.acquire")] \
+        == [1, 3]
+    assert list(hb.rows("interval.close")) == []   # the graph's own
+    for undeclared in ("fault.read", "fault.*", "diff.flush", "x.*"):
+        with pytest.raises(ValueError, match="declared reads"):
+            hb.rows(undeclared)
+    view = hb.restricted(("nilock.*",))
+    assert [e.seq for e in view.rows("nilock.*")] == [3]
+    with pytest.raises(ValueError, match="declared reads"):
+        view.rows("fault.fetch")
+
+
+def test_a_check_reading_an_undeclared_category_fails_loudly(monkeypatch):
+    from repro.analysis.sanitizer import BarrierEpochCheck
+    events = [ev(1, "barrier.enter", rank=0, epoch=0),
+              ev(2, "barrier.exit", rank=0, epoch=0)]
+    assert findings_of("barrier-epoch", events) == []
+    monkeypatch.setattr(BarrierEpochCheck, "reads", ("barrier.enter",))
+    with pytest.raises(ValueError, match="'barrier.exit'"):
+        findings_of("barrier-epoch", events)
+    # another check's declaration does not cover it either
+    with pytest.raises(ValueError, match="'barrier.exit'"):
+        Sanitizer().run(events)
+
+
+def test_sanitize_run_records_only_what_its_checks_read(monkeypatch):
+    import repro.runtime as runtime
+    tracers = []
+    real = runtime.run_svm
+
+    def run_svm(*args, tracer=None, **kwargs):
+        tracers.append(tracer)
+        return real(*args, tracer=tracer, **kwargs)
+
+    monkeypatch.setattr(runtime, "run_svm", run_svm)
+    result, findings = sanitize_run(APP_REGISTRY["Barnes-spatial"](),
+                                    PROTOCOL_LADDER[0])
+    assert findings == []
+    counts = tracers[0].counts()
+    assert counts["fault.fetch"] > 0 and counts["interval.close"] > 0
+    assert not {"fault.read", "fault.done", "diff.flush"} & set(counts)
+    reads = Sanitizer().reads
+    assert all(c in reads or c.split(".", 1)[0] + ".*" in reads
+               for c in counts)
 
 
 def test_unknown_check_rejected():

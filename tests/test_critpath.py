@@ -50,8 +50,11 @@ def test_path_structure(ladder_runs):
 
 
 def test_sanitizer_critical_path_check(ladder_runs):
+    traced = collect_critpath(BarnesSpatial(), PROTOCOL_LADDER[0],
+                              tracer=Tracer(capacity=None))
+    assert traced.path.to_dict() == ladder_runs[0].path.to_dict()
     findings = Sanitizer(checks=["critical-path"]).run(
-        ladder_runs[0].tracer.events)
+        traced.tracer.events)
     assert findings == []
 
 
@@ -81,8 +84,10 @@ def test_collect_critpath_single():
     run = collect_critpath(BarnesSpatial(), GENIMA)
     assert run.variant == "GeNIMA"
     assert run.path.ok()
-    # the tracer keeps the span stream for Perfetto export
-    assert run.tracer.count_prefix("span") > 0
+    # a caller's tracer keeps the span stream for Perfetto export
+    traced = collect_critpath(BarnesSpatial(), GENIMA,
+                              tracer=Tracer(capacity=None))
+    assert traced.tracer.count_prefix("span") > 0
 
 
 def test_cli_critpath(tmp_path, capsys):
@@ -129,6 +134,41 @@ def test_span_only_path_matches_reference_on_full_trace(app, rung):
     reference = reference_critical_path(full.events)
     assert run.path.to_dict() == reference.to_dict()
     assert run.path.ok()
+
+
+#: cells whose online fold must match extraction from a full trace:
+#: (app, rung, nodes, packet loss).
+FOLD_CELLS = [("FFT", "Base", 4, None),
+              ("Barnes-spatial", "GeNIMA", 4, None),
+              ("Barnes-spatial", "DW+RF+DD", 4, None),
+              ("KVStore", "GeNIMA", 8, 0.02)]
+
+
+@pytest.mark.parametrize("app,rung,nodes,loss", FOLD_CELLS,
+                         ids=[f"{a}/{r}/{n}/{loss or 'off'}"
+                              for a, r, n, loss in FOLD_CELLS])
+def test_online_fold_matches_extraction_from_a_full_trace(app, rung,
+                                                          nodes, loss):
+    from repro.apps import APP_REGISTRY
+    from repro.hw import FaultConfig, MachineConfig
+
+    feats = {f.name: f for f in PROTOCOL_LADDER}[rung]
+
+    def config():
+        faults = None if loss is None else FaultConfig(loss=loss, seed=3)
+        return MachineConfig(nodes=nodes, faults=faults)
+
+    online = collect_critpath(APP_REGISTRY[app](), feats, config=config(),
+                              check=True)
+    assert online.tracer is None
+    full = Tracer(capacity=None)
+    run_svm(APP_REGISTRY[app](), feats, config=config(), tracer=full,
+            spans=True)
+    if loss is not None:
+        assert full.count("fault.drop") > 0
+    offline = extract_critical_path(iter(full))
+    assert online.path.to_dict() == offline.to_dict()
+    assert online.path.ok()
 
 
 def _rows(*records):
@@ -178,6 +218,30 @@ def test_non_lifo_closes_on_a_handler_track():
                            "A")]
 
 
+def test_fold_fed_row_by_row_matches_extraction():
+    from repro.analysis.critpath import CriticalPathFold
+
+    forward = Tracer(capacity=None)
+    fold = CriticalPathFold(forward)
+    for t, category, fields, _ in NON_LIFO:
+        fold.record(t, category, **fields)
+    assert fold.path().to_dict() == \
+        extract_critical_path(NON_LIFO).to_dict()
+    # every row, of any family, reaches the forwarding target
+    assert forward.events == list(NON_LIFO)
+
+
+def test_fold_rejects_time_running_backwards():
+    from repro.analysis.critpath import CriticalPathFold
+
+    fold = CriticalPathFold()
+    fold.append(5.0, "span.begin", {"sid": 0, "track": "r0",
+                                    "name": "run"})
+    fold.append(1.0, "fetch.ok", {})          # not folded: no check
+    with pytest.raises(ValueError, match="trace order"):
+        fold.append(4.0, "span.end", {"sid": 0})
+
+
 def test_extractor_reads_a_one_shot_iterator():
     want = extract_critical_path(NON_LIFO).to_dict()
     assert extract_critical_path(iter(NON_LIFO)).to_dict() == want
@@ -196,10 +260,9 @@ def test_extractor_rejects_span_rows_out_of_order():
         extract_critical_path(rows)
 
 
-def test_collect_critpath_keeps_only_the_span_stream(ladder_runs):
-    for run in ladder_runs:
-        counts = run.tracer.counts()
-        assert counts and all(c.startswith("span.") for c in counts)
+def test_collect_critpath_stores_no_rows(ladder_runs):
+    # the fold indexes span rows as they are recorded: no tracer
+    assert all(run.tracer is None for run in ladder_runs)
     # a caller's own tracer records every family
     full = collect_critpath(BarnesSpatial(), GENIMA,
                             tracer=Tracer(capacity=None))

@@ -1,5 +1,7 @@
 """Unit tests for queueing primitives (Resource, Store, RateServer)."""
 
+from collections import deque
+
 import pytest
 
 from repro.sim import Resource, SimulationError, Simulator, Store
@@ -326,6 +328,29 @@ def test_store_put_nowait_raises_on_full_bounded_store():
     with pytest.raises(SimulationError, match="full store 'q'"):
         store.put_nowait("b")
     assert (len(store), store.total_puts) == (1, 1)
+
+
+def test_store_builds_its_buffer_on_the_first_buffered_item():
+    sim = Simulator()
+    store = Store(sim, capacity=2)
+    assert not isinstance(store._items, deque)
+    assert (len(store), store.is_full) == (0, False)
+    got = []
+
+    def getter():
+        got.append((yield store.get()))
+
+    sim.process(getter())
+    sim.run()
+    store.put_nowait("a")          # handed to the waiting getter
+    sim.run()
+    assert got == ["a"] and not isinstance(store._items, deque)
+    store.put_nowait("b")
+    store.put_nowait("c")
+    assert isinstance(store._items, deque)
+    assert (len(store), store.is_full, store.max_occupancy) == (2, True, 2)
+    ev = store.get()
+    assert (ev.value, len(store), store.is_full) == ("b", 1, False)
 
 
 def test_granted_requests_combine_under_any_of_and_all_of():

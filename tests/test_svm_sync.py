@@ -38,72 +38,67 @@ schedules = st.lists(
               st.integers(1, 80)),       # hold time (us)
     min_size=1, max_size=24)
 
-
-@settings(max_examples=25, deadline=None)
-@given(schedules)
-def test_interrupt_locks_mutual_exclusion_random(schedule):
-    machine, proto = make(BASE)
-    inside = {}
-    worst = {}
-
-    def worker(rank, lock_id, start, hold):
-        yield machine.sim.timeout(float(start))
-        yield from proto.lock(rank, lock_id)
-        inside[lock_id] = inside.get(lock_id, 0) + 1
-        worst[lock_id] = max(worst.get(lock_id, 0), inside[lock_id])
-        yield machine.sim.timeout(float(hold))
-        inside[lock_id] -= 1
-        yield from proto.unlock(rank, lock_id)
-
-    run_all(machine, [worker(*item) for item in schedule])
-    assert all(v == 1 for v in worst.values())
-
-
-@settings(max_examples=25, deadline=None)
-@given(schedules)
-def test_ni_locks_mutual_exclusion_random(schedule):
-    machine, proto = make(GENIMA)
-    inside = {}
-    worst = {}
-
-    def worker(rank, lock_id, start, hold):
-        yield machine.sim.timeout(float(start))
-        yield from proto.lock(rank, lock_id)
-        inside[lock_id] = inside.get(lock_id, 0) + 1
-        worst[lock_id] = max(worst.get(lock_id, 0), inside[lock_id])
-        yield machine.sim.timeout(float(hold))
-        inside[lock_id] -= 1
-        yield from proto.unlock(rank, lock_id)
-
-    run_all(machine, [worker(*item) for item in schedule])
-    assert all(v == 1 for v in worst.values())
-
-
-@pytest.mark.parametrize("feats", [GENIMA, BASE], ids=lambda f: f.name)
-@settings(max_examples=15, deadline=None)
-@given(schedule=schedules)
-def test_locks_never_starve_random(feats, schedule):
-    """Every acquire eventually succeeds (run_all asserts completion)."""
-    machine, proto = make(feats)
-
-    def worker(rank, lock_id, start, hold):
-        yield machine.sim.timeout(float(start))
-        yield from proto.lock(rank, lock_id)
-        yield machine.sim.timeout(float(hold))
-        yield from proto.unlock(rank, lock_id)
-        # and a second round through the same lock
-        yield from proto.lock(rank, lock_id)
-        yield from proto.unlock(rank, lock_id)
-
-    run_all(machine, [worker(*item) for item in schedule])
-
-
 #: the same schedules, crowded onto two locks in a short window so that
 #: requests queue behind an owner and releases hand off to a queue head.
 contended = st.lists(
     st.tuples(st.integers(0, 15), st.integers(0, 1), st.integers(0, 100),
               st.integers(1, 80)),
     min_size=2, max_size=24)
+
+
+def assert_mutual_exclusion(feats, schedule):
+    machine, proto = make(feats)
+    inside = {}
+    worst = {}
+
+    def worker(rank, lock_id, start, hold):
+        yield machine.sim.timeout(float(start))
+        yield from proto.lock(rank, lock_id)
+        inside[lock_id] = inside.get(lock_id, 0) + 1
+        worst[lock_id] = max(worst.get(lock_id, 0), inside[lock_id])
+        yield machine.sim.timeout(float(hold))
+        inside[lock_id] -= 1
+        yield from proto.unlock(rank, lock_id)
+
+    run_all(machine, [worker(*item) for item in schedule])
+    assert all(v == 1 for v in worst.values())
+
+
+# Spread schedules rarely put two requesters behind one owner, so each
+# example also runs a crowded schedule, which nearly always does.
+
+@settings(max_examples=25, deadline=None)
+@given(schedules, contended)
+def test_interrupt_locks_mutual_exclusion_random(spread, crowded):
+    for schedule in (spread, crowded):
+        assert_mutual_exclusion(BASE, schedule)
+
+
+@settings(max_examples=25, deadline=None)
+@given(schedules, contended)
+def test_ni_locks_mutual_exclusion_random(spread, crowded):
+    for schedule in (spread, crowded):
+        assert_mutual_exclusion(GENIMA, schedule)
+
+
+@pytest.mark.parametrize("feats", [GENIMA, BASE], ids=lambda f: f.name)
+@settings(max_examples=15, deadline=None)
+@given(spread=schedules, crowded=contended)
+def test_locks_never_starve_random(feats, spread, crowded):
+    """Every acquire eventually succeeds (run_all asserts completion)."""
+    for schedule in (spread, crowded):
+        machine, proto = make(feats)
+
+        def worker(rank, lock_id, start, hold):
+            yield machine.sim.timeout(float(start))
+            yield from proto.lock(rank, lock_id)
+            yield machine.sim.timeout(float(hold))
+            yield from proto.unlock(rank, lock_id)
+            # and a second round through the same lock
+            yield from proto.lock(rank, lock_id)
+            yield from proto.unlock(rank, lock_id)
+
+        run_all(machine, [worker(*item) for item in schedule])
 
 
 @pytest.mark.parametrize("feats", [GENIMA, BASE], ids=lambda f: f.name)

@@ -45,6 +45,19 @@ def test_category_filter_by_prefix():
     assert len(tr.events) == 1
 
 
+def test_category_filter_admits_exact_names_and_families():
+    exact = Tracer(categories={"fault.fetch"})
+    family = Tracer(categories={"fault"})
+    for tr in (exact, family):
+        tr.record(1.0, "fault.fetch", gid=1)
+        tr.record(2.0, "fault.read", gid=1)
+        tr.record(3.0, "fetch.ok", gid=1)
+    assert exact.counts() == {"fault.fetch": 1}
+    assert family.counts() == {"fault.fetch": 1, "fault.read": 1}
+    assert exact.wants("fault.fetch") and not exact.wants("fault.read")
+    assert not exact.wants("fault")
+
+
 def test_record_fast_path_rejects_without_side_effects():
     tr = Tracer(categories=())
     for i in range(100):
@@ -191,6 +204,23 @@ def test_span_tracer_rejects_a_sid_it_never_began():
     sp.flow_from(sid, "page_req")
     sp.end(sid)
     assert other == sid and len(tr.events) == 3
+
+
+def test_span_tracer_forgets_ended_spans():
+    import pytest
+    tr = Tracer()
+    sp = SpanTracer(tr, Simulator())
+    run = sp.begin("run", "r0")
+    sid = sp.begin("page.fault", "r0")
+    sp.end(sid)
+    assert list(sp._span_track) == [run]
+    # A second end used to append a second span.end row for the sid.
+    with pytest.raises(ValueError, match=f"span {sid} is not open"):
+        sp.end(sid)
+    with pytest.raises(ValueError, match="already ended"):
+        sp.flow_from(sid, "page_req")
+    assert [e.category for e in tr.events] == ["span.begin",
+                                               "span.begin", "span.end"]
 
 
 def test_span_tracer_nested_parent_on_same_track():
