@@ -223,10 +223,10 @@ class _Lane:
 class CriticalPathFold:
     """The critical-path index of a spanned run, folded row by row.
 
-    A trace sink: :meth:`append`, :meth:`record` and :meth:`emit` take
-    what emitters hand a :class:`~repro.sim.Tracer`, so the fold can
-    be the run's tracer and index ``span.*`` rows as they are recorded,
-    without a row being stored.  Rows of other families are skipped.
+    A trace sink: :meth:`append` and :meth:`record` take what emitters
+    hand a :class:`~repro.sim.Tracer`, so the fold can be the run's
+    tracer and index ``span.*`` rows as they are recorded, without a
+    row being stored.  Rows of other families are skipped.
     When ``tracer`` is given, every row is also forwarded to it.
     :meth:`path` walks the index.
 
@@ -270,8 +270,6 @@ class CriticalPathFold:
 
     def record(self, t: float, category: str, **fields: Any) -> None:
         self.append(t, category, fields)
-
-    emit = record
 
     def _lane(self, track: str) -> _Lane:
         lane = self._lanes.get(track)

@@ -488,7 +488,7 @@ def sanitize_run(app: object, features: object, config: object = None,
     from ..runtime import run_svm
     from ..sim import Tracer
     sanitizer = Sanitizer()
-    tracer = Tracer(categories=sanitizer.categories(), capacity=None)
+    tracer = Tracer(categories=sanitizer.categories())
     result = run_svm(app, features, config=config, tracer=tracer,
                      check=check_invariants)
     return result, sanitizer.run(iter(tracer))

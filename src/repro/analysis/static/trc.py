@@ -17,8 +17,7 @@ emit site is checked against it:
   ``tracer.append(t, category, fields)`` takes its fields from a dict
   literal, or from the literal a local name was assigned (plus its
   constant-key stores; an ``update`` call counts as a splat).
-* **TRC003** — a *direct* ``tracer.record(...)`` / ``tracer.emit`` /
-  ``tracer.append``
+* **TRC003** — a *direct* ``tracer.record(...)`` / ``tracer.append``
   call on an attribute whose owning class can hold ``tracer = None``,
   outside any ``if ... is not None`` guard: an AttributeError on the
   hot path of exactly the runs where tracing is off.
@@ -138,7 +137,7 @@ def _emit_sites(project: ProjectModel) -> Iterator[EmitSite]:
             # method wrapper: self._trace("cat", **fields)
             yield _site(info, node, node.args[0], direct=False,
                         owner=None)
-        elif func.attr in ("record", "emit", "append"):
+        elif func.attr in ("record", "append"):
             owner = dotted_name(func.value)
             if owner is None or owner.split(".")[-1] != "tracer":
                 continue

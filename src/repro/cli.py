@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .apps import APP_REGISTRY, PAPER_APPS
@@ -251,7 +252,7 @@ def _cmd_critpath(args) -> int:
             app = cls(**cls.paper_params) if args.paper_size else cls()
             runs.append(collect_critpath(app, PROTOCOLS[name],
                                          config=config, check=args.check,
-                                         tracer=Tracer(capacity=None)))
+                                         tracer=Tracer()))
     else:
         runs = collect_critpaths_grid(
             app_name, [PROTOCOLS[n] for n in variant_names],
@@ -336,7 +337,7 @@ def _make_telemetry_config(args) -> MachineConfig:
     overrides = {}
     if args.topology:
         overrides["topology"] = args.topology
-    if args.procs_per_node:
+    if args.procs_per_node is not None:
         overrides["procs_per_node"] = args.procs_per_node
     return config.scaled(**overrides) if overrides else config
 
@@ -558,6 +559,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and positive, got {text}")
+    return value
+
+
 def _grid_parent() -> argparse.ArgumentParser:
     """Shared options for every grid-driven subcommand."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -588,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--app", required=True, choices=sorted(APP_REGISTRY))
     run.add_argument("--protocol", default="GeNIMA",
                      choices=sorted(PROTOCOLS) + ["Origin"])
-    run.add_argument("--nodes", type=int, default=4,
+    run.add_argument("--nodes", type=_positive_int, default=4,
                      help="SMP nodes (4 procs each)")
     run.add_argument("--paper-size", action="store_true",
                      help="use the paper's problem size (slow)")
@@ -648,9 +657,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="protocol variant(s), case-insensitive; "
                            "repeatable (default: GeNIMA; pass Base "
                            "first for the paper's normalization)")
-    prof.add_argument("--nodes", type=int, default=4,
+    prof.add_argument("--nodes", type=_positive_int, default=4,
                       help="SMP nodes (4 procs each)")
-    prof.add_argument("--slice-us", type=float, default=1000.0,
+    prof.add_argument("--slice-us", type=_positive_float, default=1000.0,
                       help="phase-timeline slice width in microseconds")
     prof.add_argument("--out", default="profile.json",
                       help="JSON profile output path")
@@ -670,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="protocol variant(s), case-insensitive; "
                            "repeatable (default: the whole ladder, "
                            "Base first)")
-    crit.add_argument("--nodes", type=int, default=4,
+    crit.add_argument("--nodes", type=_positive_int, default=4,
                       help="SMP nodes (4 procs each)")
     crit.add_argument("--max-steps", type=int, default=30,
                       help="chain steps to print (longest kept)")
@@ -693,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
     scale.add_argument("--app", default="KVStore",
                        choices=["KVStore", "ParamServer", "OpenLoop"],
                        help="datacenter workload (default: KVStore)")
-    scale.add_argument("--nodes", type=int, action="append",
+    scale.add_argument("--nodes", type=_positive_int, action="append",
                        help="node count(s) to sweep (default: "
                             "4 16 64 256 1024)")
     scale.add_argument("--topology", action="append",
@@ -704,7 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=sorted(PROTOCOLS),
                        help="protocol rung(s) (default: Base and "
                             "GeNIMA)")
-    scale.add_argument("--procs-per-node", type=int, default=1,
+    scale.add_argument("--procs-per-node", type=_positive_int, default=1,
                        help="SMP width per node (default: 1 at scale)")
     scale.add_argument("--seed", type=int, default=0,
                        help="workload seed")
@@ -718,15 +727,15 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=sorted(APP_REGISTRY))
     tele.add_argument("--protocol", default="GeNIMA",
                       choices=sorted(PROTOCOLS))
-    tele.add_argument("--nodes", type=int, default=4,
+    tele.add_argument("--nodes", type=_positive_int, default=4,
                       help="node count (default: 4)")
     tele.add_argument("--topology", default=None,
                       choices=["crossbar", "fat-tree", "dragonfly"],
                       help="fabric model (default: machine default)")
-    tele.add_argument("--procs-per-node", type=int, default=None,
+    tele.add_argument("--procs-per-node", type=_positive_int, default=None,
                       help="SMP width per node (default: machine "
                            "default)")
-    tele.add_argument("--cadence-us", type=float, default=1000.0,
+    tele.add_argument("--cadence-us", type=_positive_float, default=1000.0,
                       help="sampling slice width in us of sim time, "
                            "dash phase overlay included (default: 1000)")
     tele.add_argument("--top-k", type=int, default=8,
@@ -755,7 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
         "dash", parents=[telemetry_parent],
         help="sampled run: ASCII/HTML telemetry dashboard with "
              "sparklines, hot-node tables and phase overlay")
-    dash.add_argument("--width", type=int, default=64,
+    dash.add_argument("--width", type=_positive_int, default=64,
                       help="sparkline width in columns (default: 64)")
     dash.add_argument("--html", metavar="PATH",
                       help="also write an HTML dashboard")
@@ -814,7 +823,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "run" and args.protocol == "Origin":
+        # The hardware DSM runs no SVM protocol and no lossy transport.
+        flags = [flag for flag, given in (("--check", args.check),
+                                          ("--faults", args.faults))
+                 if given]
+        if flags:
+            parser.error(f"{' and '.join(flags)}: not supported with "
+                         f"--protocol Origin")
     return args.fn(args)
 
 

@@ -216,7 +216,6 @@ class TimeSeriesSampler:
         self.sim = None
         self.machine = None
         self.protocol = None
-        self._flush: Optional[Callable[[], None]] = None
         self._hook = None
         self._attached = False
         self._stride = 1
@@ -267,13 +266,7 @@ class TimeSeriesSampler:
         self._t_attach = self.sim.now
         for metric, kind, read in self.machine.metrics.probes():
             self.probe(metric, kind, read)
-        protocol = self.protocol = getattr(backend, "protocol", None)
-        if protocol is not None:
-            # Seal the run's trace once per slice: frozen segments
-            # instead of one ever-reallocating array.
-            tracer = getattr(protocol, "tracer", None)
-            if tracer is not None:
-                self._flush = tracer.flush
+        self.protocol = getattr(backend, "protocol", None)
         for timeline in self._timelines.values():
             timeline.base = timeline.last = list(timeline.fn())
         self._hook = self.sim.add_slice_hook(self.cadence_us,
@@ -304,8 +297,6 @@ class TimeSeriesSampler:
     def _sample(self, t: float, force: bool = False) -> None:
         keep = force or (self._tick % self._stride == 0)
         self._tick += 1
-        if self._flush is not None:
-            self._flush()
         if keep:
             self.times.append(t)
         if self._timelines:

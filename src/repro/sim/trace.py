@@ -10,10 +10,10 @@ tests without threading counters everywhere.
     proto = HLRCProtocol(machine, GENIMA, tracer=tracer)
     ...
     print(tracer.to_text(limit=50))
-    # count() matches one exact category; count_prefix() aggregates a
-    # dotted family the way filter() does:
+    # count() matches one exact category; filter() takes a dotted
+    # family:
     assert tracer.count("fetch.retry") == 0
-    assert tracer.count_prefix("fetch") == len(tracer.filter("fetch"))
+    assert len(tracer.filter("fetch")) >= tracer.count("fetch")
 
 ``tracer.append(t, category, fields)`` records a field dict the caller
 hands over; ``record(t, category, **fields)`` is the keyword form of
@@ -21,36 +21,31 @@ it.  Instrumented components that build their dict anyway (the span
 tracer, the ``_trace`` helpers) call ``append``, so no record re-packs
 its fields.
 
-Storage is **columnar** by default: an admitted record appends a float
-timestamp to an ``array('d')``, an interned category id to an
-``array('H')`` and the field dict to a parallel list — no
-:class:`TraceEvent` row, no per-record counter update.  Sequence
-numbers are implicit (``seq = dropped + index + 1``), per-category
-counts are folded lazily from the id columns, and :class:`TraceEvent`
-rows (immutable ``(t, category, fields, seq)`` tuples) are materialized
-only on query, so ``to_jsonl()`` (and everything the sanitizer/critpath
-readers see) is byte-identical to a one-row-per-record sink; the tests
-keep such a sink as the oracle and compare the two bytewise on a full
-ladder cell.  ``iter(tracer)`` yields the retained rows once, in record
-order, without building the list ``events`` returns, so a reader that
-folds the stream as it goes never holds every row at once.
-
-``flush()`` seals the mutable tail into a frozen segment; the sampler
-calls it once per time slice so a long traced run grows a list of
-immutable column blocks instead of one ever-reallocating array.
+A tracer keeps every row it admits (a long run is bounded by choosing
+``categories``, not by dropping rows).  Storage is **columnar**: an
+admitted record appends a float timestamp to an ``array('d')``, an
+interned category id to an ``array('H')`` and the field dict to a
+parallel list — no :class:`TraceEvent` row, no per-record counter
+update.  Sequence numbers are implicit (``seq = index + 1``),
+per-category counts are folded lazily from the id column, and
+:class:`TraceEvent` rows (immutable ``(t, category, fields, seq)``
+tuples) are materialized only on query, so ``to_jsonl()`` (and
+everything the sanitizer/critpath readers see) is byte-identical to a
+one-row-per-record sink; the tests keep such a sink as the oracle and
+compare the two bytewise on a full ladder cell.  ``iter(tracer)``
+yields the rows once, in record order, without building the list
+``events`` returns, so a reader that folds the stream as it goes never
+holds every row at once.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import Counter, namedtuple
-from itertools import chain, count, repeat
+from itertools import count, repeat
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 __all__ = ["TraceEvent", "Tracer"]
-
-#: one sealed column block: (timestamps, category ids, field dicts)
-_Segment = Tuple[array, array, List[Dict[str, Any]]]
 
 #: ``_new_row(TraceEvent, (t, category, fields, seq))`` builds one row
 #: without running ``TraceEvent.__new__``'s defaulting.
@@ -95,53 +90,36 @@ class TraceEvent(namedtuple("_TraceRow", "t category fields seq")):
 
 
 class Tracer:
-    """Bounded, filterable event recorder (columnar storage).
+    """Filterable event recorder (columnar storage) that keeps every
+    row it admits.
 
     ``categories`` filters at record time: an entry admits its exact
     category (``"fetch.retry"``) and, as a family, every category
     whose prefix before the first dot it names (``"fetch"`` admits
-    ``"fetch.retry"``); None records everything.  ``capacity`` bounds
-    memory (oldest events drop); counts are kept for all admitted
-    events regardless.
+    ``"fetch.retry"``); None records everything.
     """
 
-    def __init__(self, categories: Optional[Iterable[str]] = None,
-                 capacity: Optional[int] = 100_000):
+    def __init__(self, categories: Optional[Iterable[str]] = None):
         if isinstance(categories, str):
             # set("fetch") would admit the prefixes f, e, t, c and h.
             raise ValueError(f"categories must be None or an iterable of "
                              f"category names, not the string "
                              f"{categories!r}")
-        if capacity is not None and (not isinstance(capacity, int)
-                                     or isinstance(capacity, bool)
-                                     or capacity < 0):
-            raise ValueError(f"capacity must be None or an integer >= 0, "
-                             f"got {capacity!r}")
         self.categories = set(categories) if categories is not None \
             else None
-        self.capacity = capacity
         #: category -> admission decision memo; ``wants`` is on the
         #: per-event hot path and the prefix split is pure overhead
-        #: after the first sighting of a category.  Depends only on
-        #: ``categories``, so it survives :meth:`clear`.
+        #: after the first sighting of a category.
         self._admit: dict = {}
         #: interned category table: id -> name and name -> id.  Ids are
-        #: append-ordered and survive :meth:`clear` (they never leak
-        #: into exported output, only into the id columns).
+        #: append-ordered (they never leak into exported output, only
+        #: into the id column).
         self._cats: List[str] = []
         self._cid: Dict[str, int] = {}
-        self._segs: List[_Segment] = []      # sealed column blocks
-        self._ts: array = array("d")         # active timestamps
-        self._cids: array = array("H")       # active category ids
-        self._fds: List[Dict[str, Any]] = []  # active field dicts
-        self._seq = 0                        # total admitted ever
-        self._dropped = 0                    # admitted but evicted
-        self._dropped_counts: Counter = Counter()
+        self._ts: array = array("d")         # timestamps
+        self._cids: array = array("H")       # category ids
+        self._fds: List[Dict[str, Any]] = []  # field dicts
         self._counts_memo: Optional[Tuple[int, Counter]] = None
-        # Eviction is amortized: the record path only checks the active
-        # block's length against this threshold; a query trims exactly.
-        self._trim_at = (max(2 * capacity, 1)
-                         if capacity is not None else float("inf"))
 
     # ------------------------------------------------------------- record
 
@@ -158,10 +136,6 @@ class Tracer:
 
     def record(self, t: float, category: str, **fields) -> None:
         self.append(t, category, fields)
-
-    #: hot-path alias: instrumented components may hold a bound
-    #: ``tracer.emit`` reference; it shares ``record``'s fast path.
-    emit = record
 
     def append(self, t: float, category: str,
                fields: Dict[str, Any]) -> None:
@@ -187,109 +161,40 @@ class Tracer:
             cid = len(self._cats)
             self._cats.append(category)
             self._cid[category] = cid
-        self._seq += 1
         self._ts.append(t)
         self._cids.append(cid)
-        fds = self._fds
-        fds.append(fields)
-        if len(fds) >= self._trim_at:
-            self._seal()
-            self._trim()
+        self._fds.append(fields)
 
     # ------------------------------------------------- columnar internals
 
-    def _seal(self) -> None:
-        """Freeze the active block into the segment list."""
-        if self._fds:
-            self._segs.append((self._ts, self._cids, self._fds))
-            self._ts = array("d")
-            self._cids = array("H")
-            self._fds = []
-
-    def _retained(self) -> int:
-        return (sum(len(s[2]) for s in self._segs) + len(self._fds))
-
-    def _trim(self) -> None:
-        """Evict oldest records until ``capacity`` holds.
-
-        Matches ``deque(maxlen=capacity)`` semantics exactly: the
-        retained window is always the last ``capacity`` admitted
-        records.  Evicted categories fold into ``_dropped_counts`` so
-        :meth:`count` keeps covering every admitted record.
-        """
-        cap = self.capacity
-        if cap is None:
-            return
-        excess = self._retained() - cap
-        if excess <= 0:
-            return
-        self._seal()
-        segs = self._segs
-        cats = self._cats
-        folded: Counter = Counter()
-        while excess > 0 and segs:
-            ts, cids, fds = segs[0]
-            n = len(fds)
-            if n <= excess:
-                folded.update(cids)
-                segs.pop(0)
-                excess -= n
-                self._dropped += n
-            else:
-                folded.update(cids[:excess])
-                segs[0] = (ts[excess:], cids[excess:], fds[excess:])
-                self._dropped += excess
-                excess = 0
-        for cid, n in folded.items():
-            self._dropped_counts[cats[cid]] += n
-        self._counts_memo = None
-
-    def flush(self) -> None:
-        """Seal the active block (called by the sampler per slice)."""
-        self._trim()
-        self._seal()
-
     def _rows(self) -> Iterator[TraceEvent]:
-        """The retained records as :class:`TraceEvent` rows, in order.
-
-        Each block zips its columns with the implicit sequence numbers,
-        so a row costs one ``tuple.__new__`` and no Python frame.
-        """
-        self._trim()
-        name = self._cats.__getitem__
-        blocks = []
-        seq = self._dropped + 1
-        for ts, cids, fds in (*self._segs, (self._ts, self._cids, self._fds)):
-            blocks.append(map(_new_row, repeat(TraceEvent), zip(
-                ts, map(name, cids), fds, count(seq))))
-            seq += len(fds)
-        return chain.from_iterable(blocks)
+        """The records as :class:`TraceEvent` rows, in order: the
+        columns zipped with the implicit sequence numbers, so a row
+        costs one ``tuple.__new__`` and no Python frame."""
+        return map(_new_row, repeat(TraceEvent), zip(
+            self._ts, map(self._cats.__getitem__, self._cids), self._fds,
+            count(1)))
 
     def _total_counts(self) -> Counter:
+        n = len(self._fds)
         memo = self._counts_memo
-        if memo is not None and memo[0] == self._seq:
+        if memo is not None and memo[0] == n:
             return memo[1]
-        by_cid: Counter = Counter()
-        for _ts, cids, _fds in self._segs:
-            by_cid.update(cids)
-        by_cid.update(self._cids)
         cats = self._cats
-        total: Counter = Counter()
-        for cid, n in by_cid.items():
-            total[cats[cid]] = n
-        total.update(self._dropped_counts)
-        self._counts_memo = (self._seq, total)
+        total = Counter({cats[cid]: k
+                         for cid, k in Counter(self._cids).items()})
+        self._counts_memo = (n, total)
         return total
 
     # -------------------------------------------------------------- query
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        """The retained records, once, as :class:`TraceEvent` rows."""
+        """The records, once, as :class:`TraceEvent` rows."""
         return self._rows()
 
     @property
     def events(self) -> List[TraceEvent]:
-        """Retained records, lazily materialized as :class:`TraceEvent`."""
+        """Every record, lazily materialized as :class:`TraceEvent`."""
         return list(self._rows())
 
     def filter(self, category: str) -> List[TraceEvent]:
@@ -299,28 +204,15 @@ class Tracer:
                 if e[1] == category or e[1].startswith(prefix)]
 
     def count(self, category: str) -> int:
-        """Total admitted events for an *exact* category.
+        """Recorded events of an *exact* category.
 
-        ``count("fetch")`` does **not** include ``fetch.retry``; use
-        :meth:`count_prefix` for family totals.
+        ``count("fetch")`` does **not** include ``fetch.retry``;
+        ``len(filter("fetch"))`` counts the whole family.
         """
         return self._total_counts()[category]
 
-    def count_prefix(self, category: str) -> int:
-        """Total admitted events whose category equals ``category`` or
-        is a dot-qualified refinement of it — the same match rule as
-        :meth:`filter`, but counting all admitted events (including
-        ones a bounded ``capacity`` has already dropped)."""
-        counts = self._total_counts()
-        prefix = category + "."
-        return counts[category] + sum(
-            n for c, n in counts.items() if c.startswith(prefix))
-
     def counts(self) -> Dict[str, int]:
         return dict(self._total_counts())
-
-    def between(self, t0: float, t1: float) -> List[TraceEvent]:
-        return [e for e in self._rows() if t0 <= e[0] <= t1]
 
     def to_text(self, limit: Optional[int] = None) -> str:
         events = self.events
@@ -328,20 +220,10 @@ class Tracer:
             events = events[-limit:]
         return "\n".join(str(e) for e in events)
 
-    def clear(self) -> None:
-        self._segs = []
-        self._ts = array("d")
-        self._cids = array("H")
-        self._fds = []
-        self._seq = 0
-        self._dropped = 0
-        self._dropped_counts = Counter()
-        self._counts_memo = None
-
     # ------------------------------------------------------------- export
 
     def to_jsonl(self) -> str:
-        """All retained events as canonical JSON lines.
+        """All events as canonical JSON lines.
 
         Two runs of the same deterministic simulation must produce
         byte-identical streams; the determinism regression tests (and

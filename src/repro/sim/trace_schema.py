@@ -1,6 +1,6 @@
 """The declared trace-record schema: one registry for every category.
 
-Every ``tracer.record``/``tracer.emit`` call in the simulator must use
+Every ``tracer.record``/``tracer.append`` call in the simulator must use
 a category family declared here with exactly the declared fields; the
 static analyzer (:mod:`repro.analysis.static.trc`) checks every call
 site against this registry, and the offline tooling (sanitizer,

@@ -1,15 +1,20 @@
 """The protocol parity matrix: KVStore and Water-spatial under Base and
 GeNIMA, with and without packet loss, on a crossbar and a fat-tree, at
-1, 3 and 8 nodes, each run with the runtime invariant checker on.
+1, 3 and 8 nodes, with and without the telemetry sampler, each run
+with the runtime invariant checker on.
 
 Every cell's :func:`repro.runtime.parallel.encode_result` is pinned by
 its sha256: a change meant to leave the simulation alone (a host-path
-optimisation) must reproduce every digest.  Rerun with spans into an
-unbounded tracer, a cell must reproduce the same digest (spans do not
-change the schedule), its critical path must telescope to the wall
-time and the sanitizer must find nothing.  ``tests/test_parity_matrix``
-runs a pairwise cover of the product; ``benchmarks/test_parity_matrix``
-runs all of it.
+optimisation) must reproduce every digest.  Sampling is
+schedule-neutral, so a sampled cell, its telemetry summary set aside,
+reproduces the pin of its unsampled twin.  Rerun with spans into a
+tracer, a cell must reproduce the same digest (spans do not change the
+schedule), its critical path must telescope to the wall time and the
+sanitizer must find nothing; a sampled cell records through a
+:class:`~repro.analysis.critpath.CriticalPathFold`, as
+:func:`repro.experiments.collect_critpath` does.
+``tests/test_parity_matrix`` runs a pairwise cover of the product;
+``benchmarks/test_parity_matrix`` runs all of it.
 """
 
 import hashlib
@@ -17,8 +22,10 @@ import itertools
 import json
 
 from repro.analysis import Sanitizer, extract_critical_path
+from repro.analysis.critpath import CriticalPathFold
 from repro.apps import APP_REGISTRY
 from repro.hw import FaultConfig, MachineConfig
+from repro.obs import TimeSeriesSampler
 from repro.runtime import run_svm
 from repro.runtime.parallel import encode_result
 from repro.sim import Tracer
@@ -29,10 +36,13 @@ PROTOCOLS = {"Base": BASE, "GeNIMA": GENIMA}
 FAULTS = {"off": None, "loss": FaultConfig(loss=0.02, seed=3)}
 TOPOLOGIES = ("crossbar", "fat-tree")
 NODES = (1, 3, 8)
-AXES = (APPS, tuple(PROTOCOLS), tuple(FAULTS), TOPOLOGIES, NODES)
+TELEMETRY = ("off", "on")
+AXES = (APPS, tuple(PROTOCOLS), tuple(FAULTS), TOPOLOGIES, NODES,
+        TELEMETRY)
 
 #: (app, protocol, faults, topology, nodes) -> sha256 of the
-#: sort_keys JSON of the cell's encoded result.
+#: sort_keys JSON of the cell's encoded result; both telemetry values
+#: share it.
 PINS = {
     ("KVStore", "Base", "off", "crossbar", 1):
         "0fb5a8b94f4fa130b073c5d6cd72cc188b092661c09ae94c5059b71f18b5b97e",
@@ -136,26 +146,45 @@ PINS = {
 FULL = tuple(itertools.product(*AXES))
 
 
+def cell_id(cell) -> str:
+    """Test id of a cell: its pinned axes, then ``sampled`` when the
+    telemetry sampler is on."""
+    return "/".join(map(str, cell[:5])) + (
+        "/sampled" if cell[5] == "on" else "")
+
+
 def run_digest(app: str, protocol: str, faults: str, topology: str,
-               nodes: int, tracer=None) -> str:
-    """Run one cell with invariant checks on; sha256 of its result.
+               nodes: int, telemetry: str, tracer=None) -> str:
+    """Run one cell with invariant checks on; sha256 of its result
+    with the telemetry summary set aside.
 
     With a ``tracer`` the run also records spans into it.
     """
     config = MachineConfig(nodes=nodes, topology=topology,
                            faults=FAULTS[faults])
+    sampler = TimeSeriesSampler(cadence_us=500) if telemetry == "on" \
+        else None
     result = run_svm(APP_REGISTRY[app](), PROTOCOLS[protocol],
                      config=config, check=True, tracer=tracer,
-                     spans=tracer is not None)
-    encoded = json.dumps(encode_result(result), sort_keys=True)
-    return hashlib.sha256(encoded.encode()).hexdigest()
+                     spans=tracer is not None, telemetry=sampler)
+    encoded = encode_result(result)
+    if sampler is not None:
+        assert encoded["telemetry"]["samples"] > 0
+        encoded["telemetry"] = None
+    digest = json.dumps(encoded, sort_keys=True)
+    return hashlib.sha256(digest.encode()).hexdigest()
 
 
 def check_spanned_cell(cell) -> None:
     """Rerun ``cell`` with spans: same pin, a critical path within
     ``TIME_TOLERANCE_US`` of the wall time, no sanitizer finding."""
-    tracer = Tracer(capacity=None)
-    assert run_digest(*cell, tracer=tracer) == PINS[cell]
-    path = extract_critical_path(tracer.events)
+    tracer = Tracer()
+    if cell[5] == "on":
+        fold = CriticalPathFold(tracer)
+        assert run_digest(*cell, tracer=fold) == PINS[cell[:5]]
+        path = extract_critical_path(fold)
+    else:
+        assert run_digest(*cell, tracer=tracer) == PINS[cell[:5]]
+        path = extract_critical_path(tracer.events)
     assert path.ok(), (path.complete, path.residual_us)
     assert Sanitizer().run(tracer.events) == []

@@ -374,9 +374,8 @@ def test_tracer_seq_monotone_and_in_text():
     first, second = tracer.events
     assert (first.seq, second.seq) == (1, 2)
     assert "#000001" in str(first)
-    tracer.clear()
     tracer.record(2.0, "a.d")
-    assert tracer.events[0].seq == 1
+    assert [e.seq for e in tracer] == [1, 2, 3]
 
 
 def test_trace_jsonl_is_canonical():
@@ -391,7 +390,7 @@ def test_determinism_byte_identical_traces():
     """Same app, same protocol, same seed => identical event streams."""
     streams = []
     for _ in range(2):
-        tracer = Tracer(capacity=None)
+        tracer = Tracer()
         app = APP_REGISTRY["Barnes-spatial"]()
         from repro.runtime import run_svm
         run_svm(app, PROTOCOL_LADDER[-1], tracer=tracer)

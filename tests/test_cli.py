@@ -167,3 +167,33 @@ def test_nodes_option_changes_processor_count(capsys):
                  "--nodes", "8"]) == 0
     out = capsys.readouterr().out
     assert "32 processors" in out
+
+
+BAD_FLAGS = [
+    (["run", "--app", "FFT", "--nodes", "0"], "--nodes"),
+    (["profile", "--app", "FFT", "--nodes", "0"], "--nodes"),
+    (["critpath", "--app", "FFT", "--nodes", "0"], "--nodes"),
+    (["scale", "--nodes", "0"], "--nodes"),
+    (["scale", "--procs-per-node", "0"], "--procs-per-node"),
+    (["metrics", "--app", "FFT", "--nodes", "0"], "--nodes"),
+    (["dash", "--app", "FFT", "--nodes", "0"], "--nodes"),
+    (["metrics", "--app", "FFT", "--procs-per-node", "0"],
+     "--procs-per-node"),
+    (["dash", "--app", "FFT", "--procs-per-node", "0"], "--procs-per-node"),
+    (["dash", "--app", "FFT", "--width", "0"], "--width"),
+    (["dash", "--app", "FFT", "--cadence-us", "inf"], "--cadence-us"),
+    (["profile", "--app", "FFT", "--slice-us", "0"], "--slice-us"),
+    (["run", "--app", "FFT", "--protocol", "Origin", "--check"], "--check"),
+    (["run", "--app", "FFT", "--protocol", "Origin",
+      "--faults", "loss=0.5"], "--faults"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", BAD_FLAGS,
+                         ids=[f"{argv[0]}{flag}" for argv, flag in BAD_FLAGS])
+def test_bad_flag_is_a_usage_error_naming_it(argv, flag, capsys):
+    """Rejected while parsing (exit 2), not mid-run or silently."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err

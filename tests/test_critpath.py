@@ -51,7 +51,7 @@ def test_path_structure(ladder_runs):
 
 def test_sanitizer_critical_path_check(ladder_runs):
     traced = collect_critpath(BarnesSpatial(), PROTOCOL_LADDER[0],
-                              tracer=Tracer(capacity=None))
+                              tracer=Tracer())
     assert traced.path.to_dict() == ladder_runs[0].path.to_dict()
     findings = Sanitizer(checks=["critical-path"]).run(
         traced.tracer.events)
@@ -59,13 +59,13 @@ def test_sanitizer_critical_path_check(ladder_runs):
 
 
 def test_sanitizer_skips_unspanned_traces():
-    tracer = Tracer(capacity=None)
+    tracer = Tracer()
     run_svm(BarnesSpatial(), GENIMA, tracer=tracer)  # spans off
     assert Sanitizer(checks=["critical-path"]).run(tracer.events) == []
 
 
 def test_extract_requires_spans():
-    tracer = Tracer(capacity=None)
+    tracer = Tracer()
     run_svm(BarnesSpatial(), GENIMA, tracer=tracer)  # spans off
     with pytest.raises(ValueError, match="spans=True"):
         extract_critical_path(tracer.events)
@@ -86,8 +86,8 @@ def test_collect_critpath_single():
     assert run.path.ok()
     # a caller's tracer keeps the span stream for Perfetto export
     traced = collect_critpath(BarnesSpatial(), GENIMA,
-                              tracer=Tracer(capacity=None))
-    assert traced.tracer.count_prefix("span") > 0
+                              tracer=Tracer())
+    assert len(traced.tracer.filter("span")) > 0
 
 
 def test_cli_critpath(tmp_path, capsys):
@@ -128,9 +128,9 @@ def test_span_only_path_matches_reference_on_full_trace(app, rung):
 
     feats = {f.name: f for f in PROTOCOL_LADDER}[rung]
     run = collect_critpath(APP_REGISTRY[app](), feats)
-    full = Tracer(capacity=None)
+    full = Tracer()
     run_svm(APP_REGISTRY[app](), feats, tracer=full, spans=True)
-    assert full.count_prefix("span") < sum(full.counts().values())
+    assert len(full.filter("span")) < sum(full.counts().values())
     reference = reference_critical_path(full.events)
     assert run.path.to_dict() == reference.to_dict()
     assert run.path.ok()
@@ -161,7 +161,7 @@ def test_online_fold_matches_extraction_from_a_full_trace(app, rung,
     online = collect_critpath(APP_REGISTRY[app](), feats, config=config(),
                               check=True)
     assert online.tracer is None
-    full = Tracer(capacity=None)
+    full = Tracer()
     run_svm(APP_REGISTRY[app](), feats, config=config(), tracer=full,
             spans=True)
     if loss is not None:
@@ -221,7 +221,7 @@ def test_non_lifo_closes_on_a_handler_track():
 def test_fold_fed_row_by_row_matches_extraction():
     from repro.analysis.critpath import CriticalPathFold
 
-    forward = Tracer(capacity=None)
+    forward = Tracer()
     fold = CriticalPathFold(forward)
     for t, category, fields, _ in NON_LIFO:
         fold.record(t, category, **fields)
@@ -246,7 +246,7 @@ def test_extractor_reads_a_one_shot_iterator():
     want = extract_critical_path(NON_LIFO).to_dict()
     assert extract_critical_path(iter(NON_LIFO)).to_dict() == want
     assert extract_critical_path(r for r in NON_LIFO).to_dict() == want
-    tracer = Tracer(capacity=None)
+    tracer = Tracer()
     for t, category, fields, _ in NON_LIFO:
         tracer.append(t, category, fields)
     assert extract_critical_path(iter(tracer)).to_dict() == want
@@ -265,8 +265,8 @@ def test_collect_critpath_stores_no_rows(ladder_runs):
     assert all(run.tracer is None for run in ladder_runs)
     # a caller's own tracer records every family
     full = collect_critpath(BarnesSpatial(), GENIMA,
-                            tracer=Tracer(capacity=None))
-    assert full.tracer.count_prefix("fetch") > 0
+                            tracer=Tracer())
+    assert len(full.tracer.filter("fetch")) > 0
     assert full.path.to_dict() == ladder_runs[-1].path.to_dict()
 
 

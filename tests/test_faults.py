@@ -196,7 +196,7 @@ def _trace_digest(seed):
     from repro.apps import APP_REGISTRY
     from repro.runtime import run_svm
     from repro.svm import GENIMA
-    tracer = Tracer(capacity=None)
+    tracer = Tracer()
     cfg = MachineConfig(
         faults=FaultConfig(loss=0.03, dup=0.01, jitter_us=3.0, seed=seed))
     run_svm(APP_REGISTRY["Water-spatial"](), GENIMA, config=cfg,
@@ -266,7 +266,7 @@ def _check_pinned_trace(monkeypatch, config, protocol, sha, events,
         return result
 
     monkeypatch.setattr(Simulator, "run", counting_run)
-    tracer = Tracer(capacity=None)
+    tracer = Tracer()
     result = run_svm(APP_REGISTRY["KVStore"](),
                      {"Base": BASE, "GeNIMA": GENIMA}[protocol],
                      config=config, tracer=tracer, spans=True)
@@ -433,7 +433,7 @@ def test_duplicate_after_completion_is_discarded_and_reacked():
     from repro.hw.packet import Packet
     machine, vmmc = make_stack(faults=FaultConfig(**LOSSY))
     rel = machine.reliability
-    tracer = Tracer(capacity=None)
+    tracer = Tracer()
     rel.tracer = tracer
     delivered = []
 
@@ -466,7 +466,7 @@ def test_duplicate_after_completion_is_discarded_and_reacked():
 
 def test_fault_recovery_check_flags_unacked_drop():
     from repro.analysis import Sanitizer
-    tracer = Tracer(capacity=None)
+    tracer = Tracer()
     tracer.record(1.0, "fault.drop", src=0, dst=1, kind="wn", msg=5,
                   idx=0, size=64)
     findings = Sanitizer(checks=["fault-recovery"]).run(tracer.events)
@@ -476,7 +476,7 @@ def test_fault_recovery_check_flags_unacked_drop():
 
 def test_fault_recovery_check_accepts_repaired_drop():
     from repro.analysis import Sanitizer
-    tracer = Tracer(capacity=None)
+    tracer = Tracer()
     tracer.record(1.0, "fault.drop", src=0, dst=1, kind="wn", msg=5,
                   idx=0, size=64)
     tracer.record(2.0, "retx.resend", node=0, msg=5, dst=1, idx=0,
@@ -504,7 +504,7 @@ def test_fetch_retry_exhaustion_raises():
     from repro.svm import DW_RF, HLRCProtocol
     cfg = MachineConfig(fetch_retry_max=3)
     machine = Machine(cfg)
-    tracer = Tracer(capacity=None)
+    tracer = Tracer()
     proto = HLRCProtocol(machine, DW_RF, tracer=tracer)
     region = proto.allocate("a", 1, home_policy="node:0")
     gid = region.gid(0)

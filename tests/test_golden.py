@@ -42,7 +42,7 @@ def test_sequential_times_are_stable():
 # ------------------------------------------------- span-trace determinism
 
 def _spanned_run(spans=True):
-    tracer = Tracer(capacity=None)
+    tracer = Tracer()
     result = run_svm(BarnesSpatial(), GENIMA, tracer=tracer, spans=spans)
     return tracer, result
 
@@ -70,7 +70,7 @@ GOLDEN_PINS = [
                          ids=["water-base", "barnes-genima"])
 def test_default_crossbar_traces_byte_identical_to_pre_topology(
         app_cls, features, sha, time_us):
-    tracer = Tracer(capacity=None)
+    tracer = Tracer()
     result = run_svm(app_cls(), features, tracer=tracer, spans=True)
     assert result.time_us == time_us
     digest = hashlib.sha256(tracer.to_jsonl().encode()).hexdigest()
@@ -198,7 +198,7 @@ def test_telemetry_sampling_does_not_perturb_the_schedule(
     sampled run's trace and completion time must still match the
     golden pins byte-for-byte."""
     from repro.obs import TimeSeriesSampler
-    tracer = Tracer(capacity=None)
+    tracer = Tracer()
     sampler = TimeSeriesSampler(cadence_us=500.0)
     result = run_svm(app_cls(), features, tracer=tracer, spans=True,
                      telemetry=sampler)
@@ -265,7 +265,7 @@ def _sampled_registry_digest(pin: str) -> str:
                            "stats": result.stats,
                            "telemetry": telemetry}, sort_keys=True)
     else:
-        tracer = Tracer(capacity=None)
+        tracer = Tracer()
         backend = SVMBackend(MachineConfig(), BASE, tracer=tracer)
         sampler = TimeSeriesSampler(cadence_us=500.0, tracer=tracer)
         result = run_on_backend(BarnesSpatial(), backend, system="Base",

@@ -410,7 +410,7 @@ def test_invariant_checker_on_run_complete_raises():
 def test_traced_profiled_run_leaves_prof_records_and_sanitizes_clean():
     from repro.analysis.sanitizer import Sanitizer
     from repro.sim import Tracer
-    tracer = Tracer(capacity=None)
+    tracer = Tracer()
     sampler = TimeSeriesSampler(cadence_us=500.0)
     probe_phases(sampler)
     result = run_svm(TinyApp(), GENIMA, config=TWO_NODES, tracer=tracer,
@@ -436,7 +436,7 @@ def test_sanitizer_time_accounting_flags_bad_records():
 
 def test_untraced_runs_leave_no_prof_records():
     from repro.sim import Tracer
-    tracer = Tracer(capacity=None)
+    tracer = Tracer()
     run_svm(TinyApp(), GENIMA, config=TWO_NODES, tracer=tracer)
     assert not any(e.category == "prof.rank" for e in tracer.events)
 

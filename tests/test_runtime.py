@@ -186,7 +186,7 @@ def _instrumented_run():
     from repro.apps import APP_REGISTRY
     from repro.obs import TimeSeriesSampler
     from repro.sim import Tracer
-    tracer = Tracer(capacity=None)
+    tracer = Tracer()
     sampler = TimeSeriesSampler()
     result = run_svm(APP_REGISTRY["Barnes-spatial"](), GENIMA,
                      tracer=tracer, spans=True, check=True,

@@ -108,7 +108,7 @@ def test_lock_queue_invariant_random(feats, schedule):
     """Both placements of the lock queue grant only from the token's
     node, always to the queue head, one grant per acquire: the
     sanitizer's lock-queue check finds nothing in their traces."""
-    tracer = Tracer(capacity=None)
+    tracer = Tracer()
     machine = Machine(MachineConfig())
     proto = HLRCProtocol(machine, feats, tracer=tracer)
 

@@ -141,7 +141,7 @@ def test_network_uses_topology_latency():
 
 
 def test_non_crossbar_run_traces_routes():
-    tracer = Tracer(capacity=None)
+    tracer = Tracer()
     run_svm(WaterSpatial(),
             GENIMA, config=MachineConfig(topology="fat-tree"),
             tracer=tracer)
@@ -153,7 +153,7 @@ def test_non_crossbar_run_traces_routes():
 
 
 def test_crossbar_run_traces_no_routes():
-    tracer = Tracer(capacity=None)
+    tracer = Tracer()
     run_svm(WaterSpatial(), GENIMA, tracer=tracer)
     assert not [e for e in tracer.events if e.category == "net.route"]
 

@@ -29,11 +29,11 @@ def test_count_prefix():
     tr.record(1.0, "fetch", gid=7)
     tr.record(2.0, "fetch.retry", gid=7)
     tr.record(3.0, "lock.acquire", rank=0)
-    # count() is exact-match; count_prefix() sums whole families.
+    # count() is exact-match; filter() takes whole families.
     assert tr.count("fetch") == 1
-    assert tr.count_prefix("fetch") == 2
-    assert tr.count_prefix("lock") == 1
-    assert tr.count_prefix("barrier") == 0
+    assert len(tr.filter("fetch")) == 2
+    assert len(tr.filter("lock")) == 1
+    assert len(tr.filter("barrier")) == 0
 
 
 def test_category_filter_by_prefix():
@@ -64,50 +64,27 @@ def test_record_fast_path_rejects_without_side_effects():
         tr.record(float(i), "fetch.ok", gid=i)
     assert tr.events == []
     assert tr.counts() == {}
-    assert tr._seq == 0  # rejected events never touch the sequence
+    # rejected events never touch the columns or the category table
+    assert not (tr._ts or tr._cids or tr._fds or tr._cats)
 
 
-def test_admission_memo_survives_clear_and_stays_correct():
+def test_admission_memo_stays_correct():
     tr = Tracer(categories={"lock"})
     tr.record(1.0, "lock.acquire")
     tr.record(2.0, "fetch.retry")
     assert tr._admit == {"lock.acquire": True, "fetch.retry": False}
-    tr.clear()
     tr.record(3.0, "lock.acquire")
-    assert tr.count("lock.acquire") == 1
+    assert tr.count("lock.acquire") == 2
     assert tr.wants("lock.acquire") and not tr.wants("fetch.retry")
 
 
-def test_emit_is_record():
-    assert Tracer.emit is Tracer.record
-    tr = Tracer()
-    tr.emit(1.0, "x", n=1)
-    assert tr.count("x") == 1
-
-
-def test_capacity_bounds_events_not_counts():
-    tr = Tracer(capacity=3)
-    for i in range(10):
-        tr.record(float(i), "x", i=i)
-    assert len(tr.events) == 3
-    assert tr.events[0].fields["i"] == 7  # oldest dropped
-    assert tr.count("x") == 10
-
-
-def test_between_and_to_text():
+def test_to_text_keeps_the_last_rows():
     tr = Tracer()
     for i in range(5):
         tr.record(float(i * 10), "tick", n=i)
-    assert [e.fields["n"] for e in tr.between(15.0, 35.0)] == [2, 3]
     text = tr.to_text(limit=2)
     assert "n=4" in text and "n=0" not in text
-
-
-def test_clear():
-    tr = Tracer()
-    tr.record(1.0, "a")
-    tr.clear()
-    assert tr.events == [] and tr.counts() == {}
+    assert tr.to_text().count("\n") == 4
 
 
 def test_event_str():
@@ -332,17 +309,15 @@ def test_trace_event_ordering_is_chronological():
 # -- columnar vs the tuple-sink oracle -------------------------------------
 
 
-def test_capacity_validated_and_sink_arg_gone():
+def test_capacity_and_sink_args_gone():
     import pytest
     with pytest.raises(TypeError):
         Tracer(sink="tuples")
-    # Both sinks reject a capacity that is not None or a count: -5 kept
-    # nothing, NaN never bounded and 2.5 failed late at the first trim.
+    # A tracer keeps every row it admits: there is no bound to set.
     for sink in SINKS.values():
-        for capacity in (-5, float("nan"), 2.5, True):
-            with pytest.raises(ValueError, match="capacity"):
+        for capacity in (None, 100_000):
+            with pytest.raises(TypeError):
                 sink(capacity=capacity)
-        assert sink(capacity=0).capacity == 0
 
 
 def _fill(tr, n=500):
@@ -352,68 +327,21 @@ def _fill(tr, n=500):
 
 
 def test_columnar_jsonl_matches_tuple_sink_bytewise():
-    col = _fill(Tracer(capacity=None))
-    tup = _fill(TupleTracer(capacity=None))
+    col = _fill(Tracer())
+    tup = _fill(TupleTracer())
     assert col.to_jsonl() == tup.to_jsonl()
     assert col.counts() == tup.counts()
     assert col.events == tup.events
-
-
-def test_columnar_matches_tuple_sink_under_eviction():
-    col = _fill(Tracer(capacity=64), n=1000)
-    tup = _fill(TupleTracer(capacity=64), n=1000)
-    assert col.to_jsonl() == tup.to_jsonl()
-    assert col.counts() == tup.counts()          # counts cover dropped
-    assert [e.seq for e in col.events] == [e.seq for e in tup.events]
-    assert col.count_prefix("fam") == 1000
+    assert col.filter("fam.3") == tup.filter("fam.3")
+    assert len(col.filter("fam")) == 500
 
 
 def test_iter_yields_the_retained_rows_once():
-    col = _fill(Tracer(capacity=64), n=1000)
-    col.flush()
+    col = _fill(Tracer(), n=1000)
     rows = iter(col)
-    assert list(rows) == col.events == _fill(TupleTracer(capacity=64),
-                                             n=1000).events
+    assert list(rows) == col.events == _fill(TupleTracer(), n=1000).events
     assert list(rows) == []                     # one-shot
     assert list(col) == col.events              # a fresh pass each call
-
-
-def test_columnar_flush_is_transparent():
-    col = Tracer(capacity=None)
-    tup = TupleTracer(capacity=None)
-    for i in range(300):
-        col.record(float(i), "x", i=i)
-        tup.record(float(i), "x", i=i)
-        if i % 37 == 0:
-            col.flush()
-            tup.flush()
-    col.flush()
-    assert col.to_jsonl() == tup.to_jsonl()
-    assert col.between(10.0, 20.0) == tup.between(10.0, 20.0)
-    assert col.filter("x") == tup.filter("x")
-
-
-def test_columnar_flush_with_eviction_keeps_window_exact():
-    col = Tracer(capacity=100)
-    tup = TupleTracer(capacity=100)
-    for i in range(1000):
-        col.record(float(i), "y", i=i)
-        tup.record(float(i), "y", i=i)
-        if i % 23 == 0:
-            col.flush()
-    assert col.to_jsonl() == tup.to_jsonl()
-    assert col.counts() == tup.counts()
-
-
-def test_columnar_clear_resets_but_keeps_admission_memo():
-    col = Tracer(categories={"lock"})
-    col.record(1.0, "lock.a")
-    col.record(1.0, "fetch.b")
-    col.clear()
-    assert col.events == [] and col.counts() == {}
-    col.record(2.0, "lock.a")
-    assert col.count("lock.a") == 1
-    assert [e.seq for e in col.events] == [1]
 
 
 def test_sinks_equal_row_for_row_on_a_spanned_cell():
@@ -423,7 +351,7 @@ def test_sinks_equal_row_for_row_on_a_spanned_cell():
 
     rows = {}
     for sink, cls in SINKS.items():
-        tracer = cls(capacity=None)
+        tracer = cls()
         run_svm(APP_REGISTRY["Barnes-spatial"](), BASE,
                 config=MachineConfig(), tracer=tracer, spans=True)
         rows[sink] = tracer.events
@@ -441,7 +369,7 @@ def test_columnar_sink_full_ladder_cell_bytewise():
 
     outs = {}
     for sink, cls in SINKS.items():
-        tracer = cls(capacity=None)
+        tracer = cls()
         run_svm(APP_REGISTRY["FFT"](), GENIMA,
                 config=MachineConfig(), tracer=tracer)
         outs[sink] = tracer.to_jsonl()

@@ -1,26 +1,25 @@
 """The one-row-per-record trace sink: the columnar Tracer's oracle.
 
 :class:`TupleTracer` keeps every admitted record as one
-:class:`~repro.sim.TraceEvent` in a ``deque(maxlen=capacity)`` and
-counts categories as they arrive.  It is the plainest correct sink, so
-the golden tests assert that :class:`~repro.sim.Tracer`'s columnar
-storage yields the same rows, counts and ``to_jsonl()`` bytes.
+:class:`~repro.sim.TraceEvent` in a list and counts categories as they
+arrive.  It is the plainest correct sink, so the golden tests assert
+that :class:`~repro.sim.Tracer`'s columnar storage yields the same
+rows, counts and ``to_jsonl()`` bytes.
 """
 
-from collections import Counter, deque
+from collections import Counter
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.sim import TraceEvent, Tracer
 
 
 class TupleTracer(Tracer):
-    """One :class:`TraceEvent` per record in a deque (same arguments
+    """One :class:`TraceEvent` per record in a list (same arguments
     and validation as :class:`Tracer`)."""
 
-    def __init__(self, categories: Optional[Iterable[str]] = None,
-                 capacity: Optional[int] = 100_000):
-        super().__init__(categories, capacity)
-        self._events: deque = deque(maxlen=capacity)
+    def __init__(self, categories: Optional[Iterable[str]] = None):
+        super().__init__(categories)
+        self._events: List[TraceEvent] = []
         self._counts: Counter = Counter()
 
     def append(self, t: float, category: str,
@@ -28,11 +27,8 @@ class TupleTracer(Tracer):
         if not self.wants(category):
             return
         self._counts[category] += 1
-        self._seq += 1
-        self._events.append(TraceEvent(t, category, fields, self._seq))
-
-    def flush(self) -> None:
-        pass
+        self._events.append(TraceEvent(t, category, fields,
+                                       len(self._events) + 1))
 
     def _rows(self) -> Iterator[TraceEvent]:
         return iter(self._events)
@@ -44,18 +40,8 @@ class TupleTracer(Tracer):
     def count(self, category: str) -> int:
         return self._counts[category]
 
-    def count_prefix(self, category: str) -> int:
-        prefix = category + "."
-        return self._counts[category] + sum(
-            n for c, n in self._counts.items() if c.startswith(prefix))
-
     def counts(self) -> Dict[str, int]:
         return dict(self._counts)
-
-    def clear(self) -> None:
-        self._events.clear()
-        self._counts.clear()
-        self._seq = 0
 
     def to_jsonl(self) -> str:
         return "\n".join(e.to_json() for e in self._events)
